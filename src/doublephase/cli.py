@@ -108,12 +108,15 @@ def cmd_verify(args) -> int:
     hyps = _hyp_reports(exps)
     lam = cfg.lam if cfg.lam is not None else 1.0
     reports = run_all_checks(exps, lam=lam, seed=cfg.seed, on_error="report")
+    written = []
     for rep in reports:
-        write_json(out_dir / f"check_{rep.name}.json", rep.to_dict())
+        written.append(write_json(out_dir / f"check_{rep.name}.json", rep.to_dict()))
         status = "pass" if rep.passed else "FAIL"
         print(f"{status}  {rep.name}  samples={rep.samples} failures={rep.failures}")
-    write_json(out_dir / "hypothesis_reports.json", hyps)
-    write_manifest(out_dir, cfg.echo(), hyps, extra={"lambda": lam, "reg_eps": REG_EPS})
+    written.append(write_json(out_dir / "hypothesis_reports.json", hyps))
+    write_manifest(
+        out_dir, written, cfg.echo(), hyps, extra={"lambda": lam, "reg_eps": REG_EPS}
+    )
     all_ok = (
         bool(reports)
         and all(r.passed for r in reports)
@@ -133,9 +136,11 @@ def cmd_lambda_star(args) -> int:
         return EXIT_FAIL
     bump = bump_function(grid, cfg.t0, cfg.bump_box())
     report = lambda_star_search(exps, bump, cfg.lam_grid())
-    write_field_csv(out_dir / "bump.csv", bump.fn)
-    write_json(out_dir / "lambda_star.json", report.to_dict())
-    write_manifest(out_dir, cfg.echo(), hyps, extra={"reg_eps": REG_EPS})
+    written = [
+        write_field_csv(out_dir / "bump.csv", bump.fn),
+        write_json(out_dir / "lambda_star.json", report.to_dict()),
+    ]
+    write_manifest(out_dir, written, cfg.echo(), hyps, extra={"reg_eps": REG_EPS})
     print(
         f"lambda_star={report.lam_star!r} exact={report.lam_star_exact!r} "
         f"bound={report.analytic_bound!r}"
@@ -159,23 +164,23 @@ def cmd_solve_min(args) -> int:
     result = minimize_energy(
         lam, exps, bump.fn, cfg.solver_options(), override_hypotheses=cfg.override_hypotheses
     )
-    write_json(out_dir / "lambda_star.json", star.to_dict())
-    write_field_csv(out_dir / "solution.csv", result.u)
-    write_history_csv(out_dir / "history.csv", result.history)
-    write_json(
-        out_dir / "solve_min.json",
-        {
-            "lambda": lam,
-            "lambda_source": lam_source,
-            "termination": result.termination,
-            "iterations": result.iterations,
-            "residual": result.residual,
-            "energy": result.energy.to_dict(),
-            "solution_grad_norm": sobolev_norm(result.u, exps.pmax),
-        },
-    )
+    summary = {
+        "lambda": lam,
+        "lambda_source": lam_source,
+        "termination": result.termination,
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "energy": result.energy.to_dict(),
+        "solution_grad_norm": sobolev_norm(result.u, exps.pmax),
+    }
+    written = [
+        write_json(out_dir / "lambda_star.json", star.to_dict()),
+        write_field_csv(out_dir / "solution.csv", result.u),
+        write_history_csv(out_dir / "history.csv", result.history, result.kinds),
+        write_json(out_dir / "solve_min.json", summary),
+    ]
     write_manifest(
-        out_dir, cfg.echo(), hyps,
+        out_dir, written, cfg.echo(), hyps,
         extra={"lambda": lam, "lambda_source": lam_source, "reg_eps": REG_EPS},
     )
     print(
@@ -208,12 +213,16 @@ def cmd_solve_mp(args) -> int:
         results.append(res)
     solutions = dedupe_with_negatives(results, lam, exps)
 
-    for i, snaps in profiles:
+    written = [
         write_path_profile_csv(out_dir / f"path_profile_seed{i}.csv", snaps)
+        for i, snaps in profiles
+    ]
     summary = []
     for j, sol in enumerate(solutions):
-        write_field_csv(out_dir / f"solution_{j:02d}.csv", sol.u)
-        write_history_csv(out_dir / f"history_{j:02d}.csv", sol.history)
+        written.append(write_field_csv(out_dir / f"solution_{j:02d}.csv", sol.u))
+        written.append(
+            write_history_csv(out_dir / f"history_{j:02d}.csv", sol.history, sol.kinds)
+        )
         summary.append(
             {
                 "index": j,
@@ -225,9 +234,13 @@ def cmd_solve_mp(args) -> int:
             }
         )
     if solutions:
-        write_matrix_csv(out_dir / "distinct_matrix.csv", distinctness_matrix(solutions, exps))
-    write_json(out_dir / "solve_mp.json", {"lambda": lam, "solutions": summary})
-    write_manifest(out_dir, cfg.echo(), hyps, extra={"lambda": lam, "reg_eps": REG_EPS})
+        written.append(write_matrix_csv(
+            out_dir / "distinct_matrix.csv", distinctness_matrix(solutions, exps)
+        ))
+    written.append(write_json(out_dir / "solve_mp.json", {"lambda": lam, "solutions": summary}))
+    write_manifest(
+        out_dir, written, cfg.echo(), hyps, extra={"lambda": lam, "reg_eps": REG_EPS}
+    )
     print(f"distinct solutions: {len(solutions)} (lambda={lam!r})")
     return EXIT_OK if solutions else EXIT_FAIL
 

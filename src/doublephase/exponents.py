@@ -28,6 +28,8 @@ __all__ = [
 
 # minimum number of intervals per axis in the dense summary lattice
 _DENSE_MIN = 64
+# lattice points evaluated at once when reducing it to its range
+_SLAB_POINTS = 1 << 16
 
 
 def _dense_axes(grid: DomainGrid) -> list[np.ndarray]:
@@ -43,6 +45,27 @@ def _sample(fn, axes: list[np.ndarray]) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     out = np.asarray(fn(*mesh), dtype=float)
     return np.broadcast_to(out, mesh[0].shape).copy()
+
+
+def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]:
+    """(min, max) of each spec and of max(p1, p2) over the dense lattice.
+
+    The lattice is evaluated one slab of x1 planes at a time and reduced as
+    it goes, so no full lattice array is ever held; min and max are exact,
+    so the result does not depend on the slab size.
+    """
+    axes = _dense_axes(grid)
+    plane = int(np.prod([len(ax) for ax in axes[1:]]))
+    step = max(1, _SLAB_POINTS // plane)
+    ranges = {}
+    for i in range(0, len(axes[0]), step):
+        slab_axes = [axes[0][i : i + step]] + axes[1:]
+        vals = {name: _sample(fn, slab_axes) for name, fn in fns.items()}
+        vals["pmax"] = np.maximum(vals["p1"], vals["p2"])
+        for name, v in vals.items():
+            lo, hi = ranges.get(name, (np.inf, -np.inf))
+            ranges[name] = (min(lo, float(v.min())), max(hi, float(v.max())))
+    return ranges
 
 
 @dataclass
@@ -125,29 +148,27 @@ def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSe
     is <= 1.
     """
     cell_axes = grid.cell_axes()
-    dense_axes = _dense_axes(grid)
+    fns = {
+        name: as_field_function(spec, grid.dim)
+        for name, spec in (("p1", p1_spec), ("p2", p2_spec), ("q", q_spec))
+    }
+    dense = _dense_ranges(fns, grid)
     fields = {}
-    dense = {}
-    for name, spec in (("p1", p1_spec), ("p2", p2_spec), ("q", q_spec)):
-        fn = as_field_function(spec, grid.dim)
+    for name, fn in fns.items():
         cells = _sample(fn, cell_axes)
-        probe = _sample(fn, dense_axes)
-        if cells.min() <= 1.0 or probe.min() <= 1.0:
+        lo = float(min(cells.min(), dense[name][0]))
+        hi = float(max(cells.max(), dense[name][1]))
+        if lo <= 1.0:
             raise ExponentRangeError(
-                f"exponent {name} must exceed 1 everywhere "
-                f"(min sampled value {min(cells.min(), probe.min())})"
+                f"exponent {name} must exceed 1 everywhere (min sampled value {lo})"
             )
-        lo = float(min(cells.min(), probe.min()))
-        hi = float(max(cells.max(), probe.max()))
         fields[name] = ExponentField(grid, cells, lo, hi)
-        dense[name] = probe
     pm_cells = np.maximum(fields["p1"].values, fields["p2"].values)
-    pm_dense = np.maximum(dense["p1"], dense["p2"])
     pmax = ExponentField(
         grid,
         pm_cells,
-        float(min(pm_cells.min(), pm_dense.min())),
-        float(max(pm_cells.max(), pm_dense.max())),
+        float(min(pm_cells.min(), dense["pmax"][0])),
+        float(max(pm_cells.max(), dense["pmax"][1])),
     )
     return ExponentSet(fields["p1"], fields["p2"], pmax, fields["q"])
 

@@ -3,10 +3,13 @@
 Scalars live on nodes, integrands and gradients live on cells.  The two
 transfer maps (corner averaging and forward-difference gradients) are linear,
 and their adjoints are provided so that energies can be differentiated
-exactly at the discrete level.
+exactly at the discrete level.  The Gram operator of the gradient map on
+interior nodes is diagonalized by the type-I sine transform, which gives its
+exact inverse (the Sobolev preconditioner of the descent solvers).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,6 +25,7 @@ __all__ = [
     "discrete_gradient",
     "gradient_values",
     "discrete_gradient_adjoint",
+    "gradient_gram_inverse",
     "cell_quadrature",
     "cell_quadrature_values",
     "pairing",
@@ -264,6 +268,65 @@ def discrete_gradient_adjoint(grid: DomainGrid, comps: np.ndarray) -> np.ndarray
             else:
                 acc -= comps[(Ellipsis, a) + cells] / h[a]
         out[(Ellipsis,) + sl] += w * acc
+    return out
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along ``axis`` (its own inverse up to 2(n+1)),
+    read off the real FFT of the odd extension [0, x, 0, -reversed x]."""
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    out = -np.fft.rfft(odd, axis=-1).imag[..., 1 : n + 1]
+    return np.moveaxis(out, -1, axis)
+
+
+@functools.lru_cache(maxsize=16)
+def _gram_eigenvalues(grid: DomainGrid) -> np.ndarray:
+    """Eigenvalues of G^T G on interior nodes, G = :func:`gradient_values`,
+    times the DST-I normalization prod 2(res_a - 1).
+
+    Per axis the difference block is (4/h^2) sin^2(theta) and the averaging
+    block cos^2(theta), theta = pi k / (2 (res - 1)), k = 1 .. res - 2.
+    """
+    sin2, cos2 = [], []
+    for a, (r, h) in enumerate(zip(grid.res, grid.h)):
+        theta = np.pi * np.arange(1, r - 1) / (2.0 * (r - 1))
+        shape = [1] * grid.dim
+        shape[a] = r - 2
+        sin2.append((4.0 / h**2 * np.sin(theta) ** 2).reshape(shape))
+        cos2.append((np.cos(theta) ** 2).reshape(shape))
+    eig = np.zeros(tuple(r - 2 for r in grid.res))
+    for a in range(grid.dim):
+        term = sin2[a]
+        for b in range(grid.dim):
+            if b != a:
+                term = term * cos2[b]
+        eig = eig + term
+    eig *= float(np.prod([2.0 * (r - 1) for r in grid.res]))
+    eig.flags.writeable = False
+    return eig
+
+
+def gradient_gram_inverse(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
+    """Solve G^T G x = vals on interior nodes, x = 0 on the boundary, where
+    G is :func:`gradient_values`; boundary entries of ``vals`` are ignored.
+
+    This is the exact inverse of the p = 2 operator of the energies (the
+    residual of |grad u|^2 / 2 is G^T G u), applied by a DST-I along each
+    axis; leading axes are batch.
+    """
+    inner = (Ellipsis,) + (slice(1, -1),) * grid.dim
+    axes = range(vals.ndim - grid.dim, vals.ndim)
+    x = vals[inner]
+    for ax in axes:
+        x = _dst1(x, ax)
+    x = x / _gram_eigenvalues(grid)
+    for ax in axes:
+        x = _dst1(x, ax)
+    out = np.zeros(vals.shape)
+    out[inner] = x
     return out
 
 

@@ -71,10 +71,11 @@ def read_field_csv(path: Path, grid: DomainGrid, bc_zero: bool = False) -> GridF
     return GridFunction(grid, vals.reshape(grid.node_shape), bc_zero=bc_zero)
 
 
-def write_history_csv(path: Path, history) -> Path:
-    lines = ["iteration,energy,residual"]
-    for i, (energy, residual) in enumerate(history):
-        lines.append(f"{i},{_fmt(energy)},{_fmt(residual)}")
+def write_history_csv(path: Path, history, kinds) -> Path:
+    """One row per history entry; ``kind`` names the step's certificate."""
+    lines = ["iteration,energy,residual,kind"]
+    for i, ((energy, residual), kind) in enumerate(zip(history, kinds, strict=True)):
+        lines.append(f"{i},{_fmt(energy)},{_fmt(residual)},{kind}")
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -127,14 +128,17 @@ def sha256_of(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, config_echo: dict, hypothesis_reports, extra: dict | None = None) -> Path:
-    """Checksum every payload file already present in the output directory."""
+def write_manifest(
+    out_dir: Path,
+    files,
+    config_echo: dict,
+    hypothesis_reports,
+    extra: dict | None = None,
+) -> Path:
+    """Checksum the payload files the calling stage wrote (``files``); other
+    files already in the output directory are not listed."""
     out_dir = Path(out_dir)
-    checksums = {
-        p.name: sha256_of(p)
-        for p in sorted(out_dir.iterdir())
-        if p.is_file() and p.name != "manifest.json"
-    }
+    checksums = {Path(p).name: sha256_of(p) for p in files}
     manifest = {
         "version": VERSION,
         "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -1,15 +1,21 @@
 """Solvers realizing the two existence mechanisms at desk scale.
 
-Global minimization of the coercive form (spectral-step descent with an
-Armijo safeguard), the plateau-bump construction and the threshold-parameter
-search that makes the minimum negative, and a saddle search on the mountain
-form by peak-selected path deformation (endpoints pinned at zero and at a
-negative-energy field; the deformed maximizer is rescaled onto the peak of
-its own ray, which keeps the barrier crossing explicit).
+The plateau-bump construction and the threshold-parameter search that makes
+the coercive minimum negative, and one descent core shared by both energy
+forms.  The core (:func:`_descent`) takes Barzilai-Borwein steps along the
+Sobolev gradient P^-1 g, where P is the p = 2 operator of the energies and
+its exact inverse is a sine transform (:func:`gradient_gram_inverse`), so
+its iteration counts do not grow with the grid.  A retraction hook maps
+each trial point: the identity for global minimization of the coercive form,
+the ray-peak projection for the saddle search on the mountain form (descent
+on the set of ray maxima, started from the peak of the segment path to a
+negative-energy endpoint).  Every accepted step is certified, by an Armijo energy decrease
+while that is resolvable above summation roundoff or else by a strict
+residual decrease, and the certificate is recorded per step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +37,9 @@ from .exponents import ExponentSet, validate_hypotheses
 from .grid import (
     DomainGrid,
     GridFunction,
+    gradient_gram_inverse,
     gradient_values,
     node_to_cell_values,
-    pairing,
 )
 from .spaces import sobolev_norm
 
@@ -74,6 +80,8 @@ class SolveResult:
     iterations: int
     history: list[tuple[float, float]]  # (energy, residual) per iteration
     termination: str  # "converged" | "max_iter" | "stagnated"
+    # certificate per history row: "start", then "armijo" or "residual"
+    kinds: list[str] = field(default_factory=list)
     path_snapshots: list[tuple[int, list[float]]] | None = None
     iterates: list[GridFunction] | None = None
 
@@ -187,6 +195,102 @@ def _fp_energy_floor(rep: EnergyReport) -> float:
     return 64.0 * np.finfo(float).eps * max(scale, 1.0)
 
 
+def _descent(
+    u: GridFunction,
+    lam: float,
+    s: ExponentSet,
+    form: str,
+    retract,
+    opts: SolverOptions,
+    observe=None,
+) -> SolveResult:
+    """Preconditioned Barzilai-Borwein descent with a retraction hook.
+
+    The search direction is the Sobolev gradient d = P^-1 g, P = G^T G the
+    p = 2 operator, inverted exactly by :func:`gradient_gram_inverse`; the
+    first trial step is ``step_init``, later ones the spectral length
+    s'Ps / s'y of the last unretracted step s = -t d_prev, where
+    Ps = -t g_prev needs no transform.
+    ``retract(z)`` maps a trial field to the accepted candidate and its
+    energy report.  Each accepted step carries one certificate:
+
+    * ``armijo``: the energy falls below both the current and the last
+      certified level by armijo * t * vol * sum(g d), a decrease required to
+      exceed the summation-roundoff floor;
+    * ``residual``: otherwise, the residual strictly decreases while the
+      energy stays within 1e3 floors of the last certified level.
+
+    Trial steps shrink by ``step_shrink`` until one is certified; when the
+    step falls 18 decades below its first trial the run ends ``stagnated``.
+    The energy column of the history repeats the last certified level on
+    residual steps, so it never increases.
+    """
+    grid = u.grid
+    vol = grid.cell_volume
+    rep = eval_energy(u, lam, s, form)
+    g = grad_energy(u, lam, s, form)
+    res = residual_norm(g)
+    certified = rep.total
+    history = [(certified, res)]
+    kinds = ["start"]
+    if observe is not None:
+        observe(0, u)
+    step = opts.step_init
+    termination = "max_iter"
+    iterations = 0
+
+    for _ in range(opts.max_iter):
+        if res <= opts.tol:
+            termination = "converged"
+            break
+        d = gradient_gram_inverse(grid, g.values)
+        gd = float(np.sum(g.values * d))
+        floor = _fp_energy_floor(rep)
+        accepted = None
+        trial = min(step, opts.step_max)
+        stop = 1e-18 * trial
+        while trial > stop:
+            try:
+                u_new, rep_new = retract(
+                    GridFunction(grid, u.values - trial * d, bc_zero=True)
+                )
+            except PathCollapseError:
+                trial *= opts.step_shrink
+                continue
+            required = opts.armijo * trial * vol * gd
+            if required > floor and rep_new.total <= min(rep.total, certified) - required:
+                kind = "armijo"
+            elif rep_new.total <= certified + 1e3 * floor:
+                kind = "residual"
+            else:
+                trial *= opts.step_shrink
+                continue
+            g_new = grad_energy(u_new, lam, s, form)
+            res_new = residual_norm(g_new)
+            if kind == "armijo" or res_new < res:
+                accepted = kind
+                break
+            trial *= opts.step_shrink
+        if accepted is None:
+            termination = "stagnated"
+            break
+
+        sy = trial * float(np.sum(d * (g.values - g_new.values)))
+        step = trial * trial * gd / sy if sy > 0.0 else trial
+        u, rep, g, res = u_new, rep_new, g_new, res_new
+        if accepted == "armijo":
+            certified = rep.total
+        history.append((certified, res))
+        kinds.append(accepted)
+        iterations += 1
+        if observe is not None:
+            observe(iterations, u)
+
+    if res <= opts.tol:
+        termination = "converged"
+    return SolveResult(u, rep, res, iterations, history, termination, kinds)
+
+
 def minimize_energy(
     lam: float,
     s: ExponentSet,
@@ -194,96 +298,31 @@ def minimize_energy(
     opts: SolverOptions | None = None,
     override_hypotheses: bool = False,
 ) -> SolveResult:
-    """Monotone descent on the coercive form.
+    """Global minimization of the coercive form by the preconditioned
+    descent core with the identity retraction.
 
-    Spectral (two-point) steps safeguarded by Armijo backtracking while the
-    required decrease is resolvable in double precision; once it falls below
-    the summation-roundoff floor the iteration switches to a residual-certified
-    spectral polish (the energy column of the history then repeats the last
-    Armijo-certified value, since later differences are below resolution).
+    Every accepted step is certified by an Armijo energy decrease or, once
+    decreases fall below summation roundoff, by a strict residual decrease
+    (see :func:`_descent`); the history's energy column is non-increasing.
     """
     opts = opts or SolverOptions()
     _gate(s, "coercive", override_hypotheses)
     if not init.bc_zero:
         raise ValueError("initial iterate must be zero on the boundary")
 
-    u = init.copy()
-    rep = eval_energy(u, lam, s, "coercive")
-    g = grad_energy(u, lam, s, "coercive")
-    res = residual_norm(g)
-    history = [(rep.total, res)]
-    iterates = [u.copy()] if opts.keep_iterates else None
-    prev_vals = prev_grad = None
-    sigma = opts.step_init
-    termination = "max_iter"
-    iterations = 0
-    polish = False
-    certified = rep.total
+    iterates = [] if opts.keep_iterates else None
 
-    for _ in range(opts.max_iter):
-        if res <= opts.tol:
-            termination = "converged"
-            break
-        if prev_vals is not None:
-            du = u.values - prev_vals
-            dg = g.values - prev_grad
-            dd = float(np.sum(du * dg))
-            if polish:
-                gg = float(np.sum(dg * dg))
-                cand = abs(dd) / gg if gg > 0.0 else 0.0
-            else:
-                num = float(np.sum(du * du))
-                cand = num / dd if dd > 0.0 else 0.0
-            sigma = min(cand, opts.step_max) if cand > 0.0 else min(2.0 * sigma, opts.step_max)
-        res2 = pairing(g, g)
-        if not polish and opts.armijo * sigma * res2 <= _fp_energy_floor(rep):
-            polish = True
-            certified = rep.total
+    def keep(_, u):
+        iterates.append(u.copy())
 
-        accepted = None
-        trial_sigma = sigma
-        floor_sigma = 1e-18 * sigma
-        while trial_sigma > floor_sigma:
-            trial = GridFunction(u.grid, u.values - trial_sigma * g.values, bc_zero=True)
-            if polish:
-                g_new = grad_energy(trial, lam, s, "coercive")
-                res_new = residual_norm(g_new)
-                if res_new <= res * (1.0 - 1e-4):
-                    accepted = (trial, g_new, res_new)
-                    break
-            else:
-                rep_new = eval_energy(trial, lam, s, "coercive")
-                if rep_new.total <= rep.total - opts.armijo * trial_sigma * res2:
-                    accepted = (trial, rep_new)
-                    break
-            trial_sigma *= opts.step_shrink
-        if accepted is None:
-            if not polish:
-                polish = True
-                certified = rep.total
-                continue
-            termination = "stagnated"
-            break
-
-        prev_vals, prev_grad = u.values, g.values
-        sigma = trial_sigma
-        if polish:
-            u, g, res = accepted
-            history.append((certified, res))
-        else:
-            u, rep = accepted
-            certified = rep.total
-            g = grad_energy(u, lam, s, "coercive")
-            res = residual_norm(g)
-            history.append((rep.total, res))
-        if iterates is not None:
-            iterates.append(u.copy())
-        iterations += 1
-
-    if res <= opts.tol:
-        termination = "converged"
-    rep = eval_energy(u, lam, s, "coercive")
-    return SolveResult(u, rep, res, iterations, history, termination, iterates=iterates)
+    result = _descent(
+        init.copy(), lam, s, "coercive",
+        lambda z: (z, eval_energy(z, lam, s, "coercive")),
+        opts,
+        observe=keep if iterates is not None else None,
+    )
+    result.iterates = iterates
+    return result
 
 
 @dataclass
@@ -457,15 +496,17 @@ def mountain_pass(
     override_hypotheses: bool = False,
     snapshot_iters: tuple[int, ...] | None = None,
 ) -> SolveResult:
-    """Saddle search on the mountain form by peak-selected path deformation.
+    """Saddle search on the mountain form: descent projected onto ray peaks.
 
     The segment path from 0 to ``e`` is discretized into K+1 points and its
-    energy maximizer is projected onto the peak of its own ray.  Each
-    iteration takes a safeguarded descent step at the maximizer and rescales
-    the step back onto the ray-peak surface, which keeps the barrier crossing
-    explicit: the path through the maximizer always climbs above zero, so the
-    search can neither tunnel to the trivial solution nor plunge into the
-    unbounded-below region.  Stops when the full residual at the maximizer
+    energy maximizer is projected onto the peak of its own ray.  From there
+    the preconditioned descent core runs with :func:`_ray_peak` as its
+    retraction, so every iterate is the energy maximum along its ray (a
+    point of the ray-peak set, in the manner of Li and Zhou's minimax
+    method) and each accepted step is certified by an Armijo decrease of the
+    peak level or a strict residual decrease.  The peak level stays above
+    zero, so the search can neither tunnel to the trivial solution nor
+    plunge into the unbounded-below region.  Stops when the full residual
     meets the tolerance.
     """
     opts = opts or SolverOptions()
@@ -487,13 +528,11 @@ def mountain_pass(
     kstar = state.index_of_max
     if kstar in (0, K):
         raise PathCollapseError("segment path has no interior energy maximum")
-    u, rep, _ = _ray_peak(state.points[kstar], lam, s)
+    u, _, _ = _ray_peak(state.points[kstar], lam, s)
 
     snapshots = []
 
-    def snap(it, force=False):
-        if not force and (snapshot_iters is None or it not in snapshot_iters):
-            return
+    def snap(it, u):
         # profile of the current ray path, endpoint rescaled to negative energy
         t_end = 1.0
         for _ in range(61):
@@ -504,101 +543,17 @@ def mountain_pass(
         vals = eval_energy_many(grid, ray, lam, s, form)
         snapshots.append((it, [float(x) for x in vals]))
 
-    g = grad_energy(u, lam, s, form)
-    res = residual_norm(g)
-    history = []
-    sigma = opts.step_init
-    termination = "max_iter"
-    iterations = 0
-    stall_escapes = 0
-    prev_u = prev_g = None
-    snap(0, force=True)
+    def observe(it, u):
+        if it == 0 or (snapshot_iters is not None and it in snapshot_iters):
+            snap(it, u)
 
-    for _ in range(opts.max_iter):
-        history.append((rep.total, res))
-        if res <= opts.tol:
-            termination = "converged"
-            break
-        fp_slack = _fp_energy_floor(rep)
-        res2 = pairing(g, g)
-
-        # spectral (two-point) step seed, clamped by the doubling heuristic
-        seed = 2.0 * sigma
-        if prev_u is not None:
-            du = u.values - prev_u
-            dg = g.values - prev_g
-            dgg = float(np.sum(dg * dg))
-            if dgg > 0.0:
-                bb2 = abs(float(np.sum(du * dg))) / dgg
-                if np.isfinite(bb2) and bb2 > 0.0:
-                    seed = bb2
-
-        accepted = None
-        trial_sigma = min(seed, opts.step_max)
-        floor_sigma = 1e-18 * trial_sigma
-        while trial_sigma > floor_sigma:
-            z = GridFunction(grid, u.values - trial_sigma * g.values, bc_zero=True)
-            if float(np.max(np.abs(z.values))) == 0.0:
-                trial_sigma *= opts.step_shrink
-                continue
-            try:
-                u_new, rep_new, _ = _ray_peak(z, lam, s)
-            except PathCollapseError:
-                trial_sigma *= opts.step_shrink
-                continue
-            required = opts.armijo * trial_sigma * res2
-            if required > fp_slack and rep_new.total <= rep.total - required:
-                accepted = (u_new, rep_new)
-                break
-            if rep_new.total <= rep.total + fp_slack:
-                # energy differences below summation roundoff: certify by
-                # residual decrease instead
-                g_new = grad_energy(u_new, lam, s, form)
-                if residual_norm(g_new) <= res * (1.0 - 1e-9):
-                    accepted = (u_new, rep_new)
-                    break
-            trial_sigma *= opts.step_shrink
-        from_escape = False
-        if accepted is None and stall_escapes < 12:
-            # certified progress is exhausted (roundoff floor or an
-            # indefinite direction): take one bounded uncertified step near
-            # the current level to move off the obstruction; a run of these
-            # without any certified step in between counts as a true stall
-            esc_sigma = max(2.0 * sigma, 1.0)
-            for _ in range(24):
-                z = GridFunction(grid, u.values - esc_sigma * g.values, bc_zero=True)
-                try:
-                    u_new, rep_new, _ = _ray_peak(z, lam, s)
-                except PathCollapseError:
-                    esc_sigma *= opts.step_shrink
-                    continue
-                if rep_new.total <= rep.total + 1e3 * fp_slack:
-                    accepted = (u_new, rep_new)
-                    trial_sigma = esc_sigma
-                    from_escape = True
-                    break
-                esc_sigma *= opts.step_shrink
-            stall_escapes += 1
-        if accepted is None:
-            termination = "stagnated"
-            break
-        if not from_escape:
-            stall_escapes = 0
-
-        prev_u, prev_g = u.values, g.values
-        u, rep = accepted
-        sigma = trial_sigma
-        g = grad_energy(u, lam, s, form)
-        res = residual_norm(g)
-        iterations += 1
-        snap(iterations)
-
-    snap(iterations, force=True)
-    rep = eval_energy(u, lam, s, form)
-    return SolveResult(
-        u, rep, res, iterations, history, termination,
-        path_snapshots=snapshots or None,
+    result = _descent(
+        u, lam, s, form, lambda z: _ray_peak(z, lam, s)[:2], opts, observe=observe
     )
+    if snapshots[-1][0] != result.iterations:
+        snap(result.iterations, result.u)
+    result.path_snapshots = snapshots
+    return result
 
 
 def _negated(result: SolveResult, lam: float, s: ExponentSet) -> SolveResult:
@@ -610,6 +565,7 @@ def _negated(result: SolveResult, lam: float, s: ExponentSet) -> SolveResult:
         result.iterations,
         list(result.history),
         result.termination,
+        list(result.kinds),
     )
 
 

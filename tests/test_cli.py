@@ -161,6 +161,22 @@ def test_cmd_solve_min_auto_lambda(tmp_path, small_cfg):
         assert sha256_of(out / name) == digest
 
 
+def test_manifest_lists_only_the_stage_files(tmp_path, small_cfg):
+    out = tmp_path / "shared"
+    assert main(["lambda-star", "--config", str(small_cfg), "--out", str(out)]) == 0
+    assert main(["solve-min", "--config", str(small_cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == [
+        "history.csv", "lambda_star.json", "solution.csv", "solve_min.json",
+    ]
+    for name, digest in manifest["outputs"].items():
+        assert sha256_of(out / name) == digest
+    header, *rows = (out / "history.csv").read_text().splitlines()
+    assert header == "iteration,energy,residual,kind"
+    assert rows[0].endswith(",start")
+    assert all(r.rsplit(",", 1)[1] in ("armijo", "residual") for r in rows[1:])
+
+
 def test_coercive_gate_allows_low_exponent(tmp_path):
     path = tmp_path / "low.cfg"
     path.write_text(SMALL.replace("p1 = 2", "p1 = 1.5"))

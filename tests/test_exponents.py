@@ -31,6 +31,30 @@ def test_sine_profile_summaries_from_dense_sampling():
     assert s.pmax.values.max() <= s.pmax.hi
 
 
+@pytest.mark.parametrize("res", [8, 32])
+def test_summaries_pinned(res):
+    # lo/hi as computed from the full dense lattice; the slab-by-slab
+    # reduction must reproduce them bitwise
+    g = DomainGrid(3, (res,) * 3)
+    s = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "4", g)
+    assert s.summary() == {
+        "p1": {"lo": 2.0, "hi": 2.0},
+        "p2": {"lo": 2.0, "hi": 2.5},
+        "pmax": {"lo": 2.0, "hi": 2.5},
+        "q": {"lo": 4.0, "hi": 4.0},
+    }
+    s = build_exponent_set(
+        "2 + 0.3*cos(3*x2)*x1", "2.1 + 0.4*sin(2.3*x1)*x3", "4 + exp(x1*x2) - x3", g
+    )
+    p2_hi = {8: 2.4999781443423363, 32: 2.4999932335068022}[res]
+    assert s.summary() == {
+        "p1": {"lo": 1.7030022510198664, "hi": 2.3},
+        "p2": {"lo": 2.1, "hi": p2_hi},
+        "pmax": {"lo": 2.1, "hi": p2_hi},
+        "q": {"lo": 4.0, "hi": 6.718281828459045},
+    }
+
+
 def test_rejects_non_admissible():
     g = DomainGrid(3, (8, 8, 8))
     with pytest.raises(ExponentRangeError):

@@ -11,6 +11,8 @@ from doublephase.grid import (
     cell_quadrature,
     discrete_gradient,
     discrete_gradient_adjoint,
+    gradient_gram_inverse,
+    gradient_values,
     node_to_cell,
     node_to_cell_adjoint,
     pairing,
@@ -133,6 +135,24 @@ def test_adjoint_identities(rng):
     lhs = np.sum(discrete_gradient(u).comps * comps)
     rhs = np.sum(u.values * discrete_gradient_adjoint(g, comps))
     assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [DomainGrid(2, (7, 11), (0.5, 3.0)), DomainGrid(3, (12, 10, 9), (1.3, 0.7, 2.0))],
+)
+def test_gradient_gram_inverse_is_exact(grid, rng):
+    v = random_field(grid, rng).values
+    gram_v = discrete_gradient_adjoint(grid, gradient_values(grid, v))
+    back = gradient_gram_inverse(grid, gram_v)
+    assert np.max(np.abs(back - v)) <= 1e-13 * np.max(np.abs(v))
+    assert np.all(back[grid.boundary_mask()] == 0.0)
+    # and the other way round on interior nodes, with batch axes leading
+    x = gradient_gram_inverse(grid, np.stack([v, 3.0 * v]))
+    again = discrete_gradient_adjoint(grid, gradient_values(grid, x))
+    inner = ~grid.boundary_mask()
+    assert np.max(np.abs(again[0][inner] - v[inner])) <= 1e-12 * np.max(np.abs(v))
+    assert np.max(np.abs(again[1][inner] - 3.0 * v[inner])) <= 3e-12 * np.max(np.abs(v))
 
 
 def test_vector_field_magnitude():

@@ -123,9 +123,13 @@ def test_minimize_monotone_and_certificates(s8, bump8):
     assert result.converged and result.residual <= 1e-6
     assert result.energy.total < 0.0
     assert sobolev_norm(result.u, s8.pmax) > 0.0
-    # exact monotone history
+    # exact monotone history, every step certified
     energies = [e for e, _ in result.history]
     assert all(a >= b for a, b in zip(energies, energies[1:]))
+    assert len(result.kinds) == len(result.history)
+    assert result.kinds[0] == "start"
+    assert all(k in ("armijo", "residual") for k in result.kinds[1:])
+    assert "armijo" in result.kinds
     # stored residual is the recomputed one
     recomputed = residual_norm(grad_energy(result.u, lam, s8, "coercive"))
     assert abs(recomputed - result.residual) <= 1e-12 * max(1.0, result.residual)
@@ -174,6 +178,19 @@ def test_minimize_gate(s8):
         1.0, bad, GridFunction.zeros(bad.grid), SolverOptions(max_iter=1),
         override_hypotheses=True,
     )
+
+
+@pytest.mark.parametrize("res", [8, 12, 16])
+def test_iterations_do_not_grow_with_the_grid(res):
+    s = default_set(res)
+    bump = bump_function(s.grid, 2.0, SubBox.centered((0.5, 0.5, 0.5), 0.5))
+    lam = 2.0 * lambda_star_search(s, bump, LAM_GRID).lam_star
+    low = minimize_energy(lam, s, bump.fn, SolverOptions())
+    assert low.converged and low.iterations <= 150
+    e, _ = find_endpoint(1.0, s, bump.fn)
+    saddle = mountain_pass(1.0, s, e, K=10, opts=SolverOptions())
+    assert saddle.converged and saddle.iterations <= 150
+    assert all(k in ("armijo", "residual") for k in saddle.kinds[1:])
 
 
 @pytest.fixture(scope="module")
