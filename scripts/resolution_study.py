@@ -16,7 +16,6 @@ from doublephase.solvers import (
     SolverOptions,
     SubBox,
     bump_function,
-    find_endpoint,
     lambda_star_search,
     minimize_energy,
     mountain_pass,
@@ -40,8 +39,7 @@ if __name__ == "__main__":
         bump = bump_function(grid, 2.0, SubBox.centered((0.5, 0.5, 0.5), 0.5))
         star = lambda_star_search(exps, bump, LAM_GRID)
         low = minimize_energy(2.0 * star.lam_star, exps, bump.fn, SolverOptions())
-        e, _ = find_endpoint(1.0, exps, bump.fn)
-        saddle = mountain_pass(1.0, exps, e, K=40, opts=SolverOptions())
+        saddle = mountain_pass(1.0, exps, bump.fn, SolverOptions())
         print(
             f"{res:>4} {star.lam_star:>10.4f} {low.energy.total:>12.2f} {_run(low):>14} "
             f"{saddle.energy.total:>10.4f} {_run(saddle):>14} "

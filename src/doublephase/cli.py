@@ -24,16 +24,13 @@ from .outputs import (
     write_json,
     write_manifest,
     write_matrix_csv,
-    write_path_profile_csv,
 )
 from .solvers import (
     bump_function,
-    dedupe_with_negatives,
     distinctness_matrix,
-    find_endpoint,
     lambda_star_search,
     minimize_energy,
-    mountain_pass,
+    multi_solution_search,
 )
 from .spaces import luxemburg_norm, modular, sobolev_norm
 from .verification import run_all_checks
@@ -63,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("verify", help="run every inequality/geometry check"))
     common(sub.add_parser("solve-min", help="bump, threshold search, global minimization"))
-    common(sub.add_parser("solve-mp", help="endpoint, saddle search, multi-solution sweep"))
+    common(sub.add_parser("solve-mp", help="saddle search per seed, multi-solution sweep"))
     common(sub.add_parser("lambda-star", help="threshold-parameter search only"))
     p_norm = sub.add_parser("norm", help="norms of a stored field under the configured exponents")
     common(p_norm)
@@ -197,26 +194,12 @@ def cmd_solve_mp(args) -> int:
         return EXIT_FAIL
     lam = cfg.lam if cfg.lam is not None else 1.0
     seeds = [bump_function(grid, cfg.seed_t0, box).fn for box in cfg.seed_boxes()]
-    opts = cfg.solver_options()
+    solutions = multi_solution_search(
+        lam, exps, seeds, opts=cfg.solver_options(),
+        override_hypotheses=cfg.override_hypotheses,
+    )
 
-    # run seeds individually so each path profile can be recorded
-    snap_iters = (0,) + tuple(2**j for j in range(24))
-    results = []
-    profiles = []
-    for i, seed_fn in enumerate(seeds):
-        e, _ = find_endpoint(lam, exps, seed_fn)
-        res = mountain_pass(
-            lam, exps, e, K=cfg.path_points, opts=opts,
-            override_hypotheses=cfg.override_hypotheses, snapshot_iters=snap_iters,
-        )
-        profiles.append((i, res.path_snapshots or []))
-        results.append(res)
-    solutions = dedupe_with_negatives(results, lam, exps)
-
-    written = [
-        write_path_profile_csv(out_dir / f"path_profile_seed{i}.csv", snaps)
-        for i, snaps in profiles
-    ]
+    written = []
     summary = []
     for j, sol in enumerate(solutions):
         written.append(write_field_csv(out_dir / f"solution_{j:02d}.csv", sol.u))

@@ -38,7 +38,6 @@ class ExperimentConfig:
     bump_center: tuple[float, ...] = (0.5, 0.5, 0.5)
     bump_side: float = 0.5
 
-    path_points: int = 40
     seed_centers: tuple[tuple[float, ...], ...] = ((0.3, 0.3, 0.3), (0.7, 0.7, 0.7))
     seed_side: float = 0.25
     seed_t0: float = 2.0
@@ -168,7 +167,6 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     take("bump", "center", _floats, setattr_("bump_center"))
     take("bump", "side", float, setattr_("bump_side"))
 
-    take("mountain", "path_points", int, setattr_("path_points"))
     take(
         "mountain", "seed_centers",
         lambda raw: tuple(_floats(part) for part in raw.split("|") if part.strip()),

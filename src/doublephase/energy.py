@@ -7,7 +7,7 @@ The gradient is assembled by differentiating the discrete energy through the
 corner-average and cell-gradient maps, so minimizers of the discrete energy
 are exact discrete weak solutions and finite-difference checks pass to
 rounding-dominated tolerance.  The ``*_many`` variants evaluate a whole stack
-of fields at once (used by the path solver).
+of fields at once (leading batch axes).
 """
 from __future__ import annotations
 
@@ -108,14 +108,6 @@ def eval_energy_many(
     """Energy totals for a stack of zero-boundary fields (leading batch axes)."""
     _check_form(lam, form)
     return _totals(*_terms(grid, s, stack), lam, form)
-
-
-def fp_scale_many(
-    grid: DomainGrid, stack: np.ndarray, lam: float, s: ExponentSet
-) -> np.ndarray:
-    """Sum of the absolute energy terms, the scale of summation roundoff."""
-    tg1, tg2, tm, tq = _terms(grid, s, stack)
-    return np.maximum(tg1 + tg2 + lam * tm + tq, 1.0)
 
 
 def _power_weight(mag2: np.ndarray, p: np.ndarray) -> np.ndarray:

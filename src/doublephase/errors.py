@@ -37,7 +37,8 @@ class LambdaGridError(DoublePhaseError):
 
 
 class PathCollapseError(DoublePhaseError):
-    """The deformed path's maximum fell below the endpoint energies (path degenerated)."""
+    """A ray has no interior energy peak: along it the mountain energy never
+    turns down, or it has no barrier near the origin (degenerate direction)."""
 
 
 class RayScheduleError(DoublePhaseError):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import FieldShapeError
 from .grid import DomainGrid, GridFunction
 
@@ -28,8 +29,6 @@ __all__ = [
     "write_manifest",
     "jsonable",
 ]
-
-VERSION = "0.1.0"
 
 
 def _fmt(x: float) -> str:
@@ -140,7 +139,7 @@ def write_manifest(
     out_dir = Path(out_dir)
     checksums = {Path(p).name: sha256_of(p) for p in files}
     manifest = {
-        "version": VERSION,
+        "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": jsonable(config_echo),
         "hypothesis_reports": jsonable(hypothesis_reports),

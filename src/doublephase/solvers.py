@@ -8,10 +8,10 @@ its exact inverse is a sine transform (:func:`gradient_gram_inverse`), so
 its iteration counts do not grow with the grid.  A retraction hook maps
 each trial point: the identity for global minimization of the coercive form,
 the ray-peak projection for the saddle search on the mountain form (descent
-on the set of ray maxima, started from the peak of the segment path to a
-negative-energy endpoint).  Every accepted step is certified, by an Armijo energy decrease
-while that is resolvable above summation roundoff or else by a strict
-residual decrease, and the certificate is recorded per step.
+on the set of ray maxima, started from the peak of the seed's ray).  Every
+accepted step is certified, by an Armijo energy decrease while that is
+resolvable above summation roundoff or else by a strict residual decrease,
+and the certificate is recorded per step.
 """
 from __future__ import annotations
 
@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (
-    EnergyReport,
-    eval_energy,
-    eval_energy_many,
-    grad_energy,
-    residual_norm,
-)
+from .energy import EnergyReport, eval_energy, grad_energy, residual_norm
 from .errors import (
     EndpointScheduleError,
     HypothesisGateError,
@@ -46,7 +40,6 @@ from .spaces import sobolev_norm
 __all__ = [
     "SolverOptions",
     "SolveResult",
-    "PathState",
     "SubBox",
     "PlateauBump",
     "LambdaStarReport",
@@ -61,14 +54,18 @@ __all__ = [
 ]
 
 
+# line search of the descent core: sufficient-decrease factor, first trial
+# step, cap on the spectral step, backtracking factor
+ARMIJO = 1e-4
+STEP_INIT = 1.0
+STEP_MAX = 1e6
+STEP_SHRINK = 0.5
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 5000
-    armijo: float = 1e-4
-    step_init: float = 1.0
-    step_max: float = 1e6
-    step_shrink: float = 0.5
     keep_iterates: bool = False
 
 
@@ -82,32 +79,11 @@ class SolveResult:
     termination: str  # "converged" | "max_iter" | "stagnated"
     # certificate per history row: "start", then "armijo" or "residual"
     kinds: list[str] = field(default_factory=list)
-    path_snapshots: list[tuple[int, list[float]]] | None = None
     iterates: list[GridFunction] | None = None
 
     @property
     def converged(self) -> bool:
         return self.termination == "converged"
-
-
-@dataclass
-class PathState:
-    """Discretized path from the origin to a negative-energy endpoint."""
-
-    points: list[GridFunction]
-    energies: list[float]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.energies) or len(self.points) < 3:
-            raise ValueError("path needs matching points/energies, at least 3 long")
-        if float(np.max(np.abs(self.points[0].values))) != 0.0:
-            raise ValueError("path must start at the zero field")
-        if self.energies[-1] >= 0.0:
-            raise ValueError("path must end at negative energy")
-
-    @property
-    def index_of_max(self) -> int:
-        return int(np.argmax(self.energies))
 
 
 @dataclass(frozen=True)
@@ -208,19 +184,19 @@ def _descent(
 
     The search direction is the Sobolev gradient d = P^-1 g, P = G^T G the
     p = 2 operator, inverted exactly by :func:`gradient_gram_inverse`; the
-    first trial step is ``step_init``, later ones the spectral length
-    s'Ps / s'y of the last unretracted step s = -t d_prev, where
-    Ps = -t g_prev needs no transform.
+    first trial step is ``STEP_INIT``, later ones the spectral length
+    s'Ps / s'y of the last unretracted step s = -t d_prev (capped at
+    ``STEP_MAX``), where Ps = -t g_prev needs no transform.
     ``retract(z)`` maps a trial field to the accepted candidate and its
     energy report.  Each accepted step carries one certificate:
 
     * ``armijo``: the energy falls below both the current and the last
-      certified level by armijo * t * vol * sum(g d), a decrease required to
+      certified level by ARMIJO * t * vol * sum(g d), a decrease required to
       exceed the summation-roundoff floor;
     * ``residual``: otherwise, the residual strictly decreases while the
       energy stays within 1e3 floors of the last certified level.
 
-    Trial steps shrink by ``step_shrink`` until one is certified; when the
+    Trial steps shrink by ``STEP_SHRINK`` until one is certified; when the
     step falls 18 decades below its first trial the run ends ``stagnated``.
     The energy column of the history repeats the last certified level on
     residual steps, so it never increases.
@@ -235,7 +211,7 @@ def _descent(
     kinds = ["start"]
     if observe is not None:
         observe(0, u)
-    step = opts.step_init
+    step = STEP_INIT
     termination = "max_iter"
     iterations = 0
 
@@ -247,7 +223,7 @@ def _descent(
         gd = float(np.sum(g.values * d))
         floor = _fp_energy_floor(rep)
         accepted = None
-        trial = min(step, opts.step_max)
+        trial = min(step, STEP_MAX)
         stop = 1e-18 * trial
         while trial > stop:
             try:
@@ -255,22 +231,22 @@ def _descent(
                     GridFunction(grid, u.values - trial * d, bc_zero=True)
                 )
             except PathCollapseError:
-                trial *= opts.step_shrink
+                trial *= STEP_SHRINK
                 continue
-            required = opts.armijo * trial * vol * gd
+            required = ARMIJO * trial * vol * gd
             if required > floor and rep_new.total <= min(rep.total, certified) - required:
                 kind = "armijo"
             elif rep_new.total <= certified + 1e3 * floor:
                 kind = "residual"
             else:
-                trial *= opts.step_shrink
+                trial *= STEP_SHRINK
                 continue
             g_new = grad_energy(u_new, lam, s, form)
             res_new = residual_norm(g_new)
             if kind == "armijo" or res_new < res:
                 accepted = kind
                 break
-            trial *= opts.step_shrink
+            trial *= STEP_SHRINK
         if accepted is None:
             termination = "stagnated"
             break
@@ -490,17 +466,15 @@ def _ray_peak(z: GridFunction, lam, s, t_init: float = 1.0, rel_tol: float = 1e-
 def mountain_pass(
     lam: float,
     s: ExponentSet,
-    e: GridFunction,
-    K: int = 40,
+    direction: GridFunction,
     opts: SolverOptions | None = None,
     override_hypotheses: bool = False,
-    snapshot_iters: tuple[int, ...] | None = None,
 ) -> SolveResult:
     """Saddle search on the mountain form: descent projected onto ray peaks.
 
-    The segment path from 0 to ``e`` is discretized into K+1 points and its
-    energy maximizer is projected onto the peak of its own ray.  From there
-    the preconditioned descent core runs with :func:`_ray_peak` as its
+    Starts at the energy peak of the ray through ``direction`` (any nonzero
+    zero-boundary field; only its ray matters).  From there the
+    preconditioned descent core runs with :func:`_ray_peak` as its
     retraction, so every iterate is the energy maximum along its ray (a
     point of the ray-peak set, in the manner of Li and Zhou's minimax
     method) and each accepted step is certified by an Armijo decrease of the
@@ -511,49 +485,10 @@ def mountain_pass(
     """
     opts = opts or SolverOptions()
     _gate(s, "mountain", override_hypotheses)
-    e_rep = eval_energy(e, lam, s, "mountain")
-    if e_rep.total >= 0.0:
-        raise ValueError("endpoint must have negative energy")
-    if K < 2:
-        raise ValueError("need at least 2 path segments")
-
-    grid = e.grid
-    form = "mountain"
-
-    stack = np.stack([(k / K) * e.values for k in range(K + 1)])
-    state = PathState(
-        [GridFunction(grid, stack[k].copy(), bc_zero=True) for k in range(K + 1)],
-        [float(x) for x in eval_energy_many(grid, stack, lam, s, form)],
-    )
-    kstar = state.index_of_max
-    if kstar in (0, K):
-        raise PathCollapseError("segment path has no interior energy maximum")
-    u, _, _ = _ray_peak(state.points[kstar], lam, s)
-
-    snapshots = []
-
-    def snap(it, u):
-        # profile of the current ray path, endpoint rescaled to negative energy
-        t_end = 1.0
-        for _ in range(61):
-            if float(eval_energy_many(grid, (t_end * u.values)[None], lam, s, form)[0]) < 0.0:
-                break
-            t_end *= 2.0
-        ray = np.stack([(k / K) * t_end * u.values for k in range(K + 1)])
-        vals = eval_energy_many(grid, ray, lam, s, form)
-        snapshots.append((it, [float(x) for x in vals]))
-
-    def observe(it, u):
-        if it == 0 or (snapshot_iters is not None and it in snapshot_iters):
-            snap(it, u)
-
-    result = _descent(
-        u, lam, s, form, lambda z: _ray_peak(z, lam, s)[:2], opts, observe=observe
-    )
-    if snapshots[-1][0] != result.iterations:
-        snap(result.iterations, result.u)
-    result.path_snapshots = snapshots
-    return result
+    if float(np.max(np.abs(direction.values))) == 0.0:
+        raise ValueError("direction must be nonzero")
+    u, _, _ = _ray_peak(direction, lam, s)
+    return _descent(u, lam, s, "mountain", lambda z: _ray_peak(z, lam, s)[:2], opts)
 
 
 def _negated(result: SolveResult, lam: float, s: ExponentSet) -> SolveResult:
@@ -602,20 +537,11 @@ def multi_solution_search(
     s: ExponentSet,
     seeds: list[GridFunction],
     delta: float | None = None,
-    K: int = 40,
     opts: SolverOptions | None = None,
     override_hypotheses: bool = False,
 ) -> list[SolveResult]:
     """Saddle search per seed direction, then sign-mirroring and dedup."""
-    found: list[SolveResult] = []
-    for seed in seeds:
-        if float(np.max(np.abs(seed.values))) == 0.0:
-            raise ValueError("seeds must be nonzero")
-        e, _ = find_endpoint(lam, s, seed)
-        result = mountain_pass(
-            lam, s, e, K=K, opts=opts, override_hypotheses=override_hypotheses
-        )
-        found.append(result)
+    found = [mountain_pass(lam, s, seed, opts, override_hypotheses) for seed in seeds]
     return dedupe_with_negatives(found, lam, s, delta)
 
 

@@ -187,16 +187,14 @@ def test_iterations_do_not_grow_with_the_grid(res):
     lam = 2.0 * lambda_star_search(s, bump, LAM_GRID).lam_star
     low = minimize_energy(lam, s, bump.fn, SolverOptions())
     assert low.converged and low.iterations <= 150
-    e, _ = find_endpoint(1.0, s, bump.fn)
-    saddle = mountain_pass(1.0, s, e, K=10, opts=SolverOptions())
+    saddle = mountain_pass(1.0, s, bump.fn, SolverOptions())
     assert saddle.converged and saddle.iterations <= 150
     assert all(k in ("armijo", "residual") for k in saddle.kinds[1:])
 
 
 @pytest.fixture(scope="module")
 def mp8(s8, bump8):
-    e, _ = find_endpoint(1.0, s8, bump8.fn)
-    return mountain_pass(1.0, s8, e, K=10, opts=SolverOptions())
+    return mountain_pass(1.0, s8, bump8.fn, SolverOptions())
 
 
 def test_mountain_pass_converges_to_positive_saddle(s8, mp8):
@@ -222,17 +220,21 @@ def test_mountain_pass_mirror_symmetry(s8, mp8):
     )
 
 
-def test_mountain_pass_k_doubling_stable(s8, bump8, mp8):
-    e, _ = find_endpoint(1.0, s8, bump8.fn)
-    other = mountain_pass(1.0, s8, e, K=20, opts=SolverOptions())
-    assert other.converged
-    rel = abs(other.energy.total - mp8.energy.total) / abs(mp8.energy.total)
-    assert rel <= 0.05
+def test_mountain_pass_depends_only_on_the_ray(s8, bump8, mp8):
+    # the search starts at the ray peak, so any positive multiple of the
+    # direction, the negative-energy endpoint included, gives the same run
+    d = bump8.fn
+    endpoint, _ = find_endpoint(1.0, s8, d)
+    for direction in (0.01 * d, 37.0 * d, endpoint):
+        other = mountain_pass(1.0, s8, direction, SolverOptions())
+        assert other.converged and other.iterations == mp8.iterations
+        rel = abs(other.energy.total - mp8.energy.total) / abs(mp8.energy.total)
+        assert rel <= 1e-12
 
 
-def test_mountain_pass_requires_negative_endpoint(s8, bump8):
+def test_mountain_pass_rejects_zero_direction(s8):
     with pytest.raises(ValueError):
-        mountain_pass(1.0, s8, bump8.fn, K=10)
+        mountain_pass(1.0, s8, GridFunction.zeros(s8.grid))
 
 
 def test_mountain_pass_weak_certificate(s8, mp8):
@@ -244,7 +246,7 @@ def test_mountain_pass_weak_certificate(s8, mp8):
 
 
 def test_multi_solution_single_seed_gives_mirror_pair(s8, bump8):
-    sols = multi_solution_search(1.0, s8, [bump8.fn], K=10, opts=SolverOptions())
+    sols = multi_solution_search(1.0, s8, [bump8.fn], opts=SolverOptions())
     assert len(sols) >= 2
     norms = [sobolev_norm(r.u, s8.pmax) for r in sols]
     delta = 1e-2 * max(norms)
@@ -253,7 +255,7 @@ def test_multi_solution_single_seed_gives_mirror_pair(s8, bump8):
 
 def test_multi_solution_duplicate_seeds_dedup(s8, bump8):
     sols = multi_solution_search(
-        1.0, s8, [bump8.fn, bump8.fn.copy()], K=10, opts=SolverOptions()
+        1.0, s8, [bump8.fn, bump8.fn.copy()], opts=SolverOptions()
     )
     assert len(sols) == 2  # the mirror pair only, duplicates merged
 
@@ -268,7 +270,7 @@ def test_dedupe_drops_unconverged(s8, mp8):
 
 
 def test_distinctness_matrix_symmetry(s8, bump8):
-    sols = multi_solution_search(1.0, s8, [bump8.fn], K=10, opts=SolverOptions())
+    sols = multi_solution_search(1.0, s8, [bump8.fn], opts=SolverOptions())
     m = distinctness_matrix(sols, s8)
     assert m.shape == (len(sols), len(sols))
     assert np.allclose(m, m.T)
