@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from .exponents import ExponentField, ExponentSet, build_exponent_set, validate_hypotheses
 from .grid import CellVectorField, DomainGrid, GridFunction
-from .energy import EnergyReport, eval_energy, grad_energy, residual_norm
+from .energy import EnergyReport, energy_and_gradient, eval_energy, grad_energy, residual_norm
 from .solvers import (
     SolveResult,
     SolverOptions,
@@ -39,6 +39,7 @@ __all__ = [
     "build_exponent_set",
     "validate_hypotheses",
     "EnergyReport",
+    "energy_and_gradient",
     "eval_energy",
     "grad_energy",
     "residual_norm",

@@ -3,11 +3,16 @@
 ``mountain`` form:  grad terms + lam * bulk(pmax) - bulk(q)   (saddle geometry)
 ``coercive`` form:  grad terms - lam * bulk(pmax) + bulk(q)   (global minimum)
 
-The gradient is assembled by differentiating the discrete energy through the
-corner-average and cell-gradient maps, so minimizers of the discrete energy
-are exact discrete weak solutions and finite-difference checks pass to
-rounding-dominated tolerance.  The ``*_many`` variants evaluate a whole stack
-of fields at once (leading batch axes).
+Both forms are signed sums of the same four modular terms, the cell integrals
+of base^p / p listed in ``TERMS``; :func:`coefficients` gives their signs per
+form.  One batch-aware kernel passes a stack of node fields (leading batch
+axes) through the corner-average and cell-gradient maps once and returns the
+four terms, the total and, on request, the nodal residual.  The residual is
+assembled by differentiating the discrete energy through those same maps, so
+minimizers of the discrete energy are exact discrete weak solutions and
+finite-difference checks pass to rounding-dominated tolerance.  The public
+functions are shells over the kernel; :func:`energy_and_gradient` takes the
+value and the gradient from one pass.
 """
 from __future__ import annotations
 
@@ -30,11 +35,14 @@ from .grid import (
 __all__ = [
     "FORMS",
     "REG_EPS",
+    "TERMS",
     "EnergyReport",
+    "coefficients",
+    "term_table",
     "eval_energy",
     "eval_energy_many",
     "grad_energy",
-    "grad_energy_many",
+    "energy_and_gradient",
     "residual_norm",
 ]
 
@@ -42,6 +50,31 @@ FORMS = ("mountain", "coercive")
 
 # regularization of |g|^(p-2) g near g = 0, used only for exponents below 2
 REG_EPS = 1e-10
+
+# The four modular terms, each the cell integral of base^p / p: (EnergyReport
+# field, exponent in the ExponentSet, cell base), the base being |grad u|
+# ("grad") or the absolute corner average |u| ("avg").
+TERMS = (
+    ("term_grad_p1", "p1", "grad"),
+    ("term_grad_p2", "p2", "grad"),
+    ("term_pmax", "pmax", "avg"),
+    ("term_q", "q", "avg"),
+)
+
+
+def _check_form(lam: float, form: str):
+    if form not in FORMS:
+        raise ValueError(f"form must be one of {FORMS}, got {form!r}")
+    if lam < 0.0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+
+
+def coefficients(lam: float, form: str) -> tuple[float, ...]:
+    """Signed weight of each term of ``TERMS`` in the total of ``form``."""
+    _check_form(lam, form)
+    if form == "mountain":
+        return (1.0, 1.0, lam, -1.0)
+    return (1.0, 1.0, -lam, 1.0)
 
 
 @dataclass
@@ -56,58 +89,34 @@ class EnergyReport:
     term_pmax: float
     term_q: float
 
+    @property
+    def terms(self) -> tuple[float, ...]:
+        """The four terms in ``TERMS`` order."""
+        return tuple(getattr(self, field) for field, _, _ in TERMS)
+
     def to_dict(self) -> dict:
-        return {
-            "form": self.form,
-            "lambda": self.lam,
-            "total": self.total,
-            "term_grad_p1": self.term_grad_p1,
-            "term_grad_p2": self.term_grad_p2,
-            "term_pmax": self.term_pmax,
-            "term_q": self.term_q,
-        }
+        fields = {field: getattr(self, field) for field, _, _ in TERMS}
+        return {"form": self.form, "lambda": self.lam, "total": self.total, **fields}
 
 
-def _check_form(lam: float, form: str):
-    if form not in FORMS:
-        raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+def _cell_pass(grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str):
+    """One pass of a node stack through the transfer maps: the cell gradients,
+    their squared magnitudes, the cell averages and the term table."""
+    g = gradient_values(grid, vals)
+    mag2 = np.sum(g * g, axis=-(grid.dim + 1))
+    a = node_to_cell_values(grid, vals)
+    bases = {"grad": np.sqrt(mag2), "avg": np.abs(a)}
+    table = [
+        (getattr(s, name).values, kind, bases[kind], c)
+        for (_, name, kind), c in zip(TERMS, coefficients(lam, form))
+    ]
+    return g, mag2, a, table
 
 
-def _terms(grid: DomainGrid, s: ExponentSet, vals: np.ndarray):
-    """The four nonnegative energy terms; batch axes lead."""
-    gm = np.sqrt(np.sum(gradient_values(grid, vals) ** 2, axis=-(grid.dim + 1)))
-    am = np.abs(node_to_cell_values(grid, vals))
-    with np.errstate(over="ignore"):
-        tg1 = cell_quadrature_values(grid, gm ** s.p1.values / s.p1.values)
-        tg2 = cell_quadrature_values(grid, gm ** s.p2.values / s.p2.values)
-        tm = cell_quadrature_values(grid, am ** s.pmax.values / s.pmax.values)
-        tq = cell_quadrature_values(grid, am ** s.q.values / s.q.values)
-    return tg1, tg2, tm, tq
-
-
-def _totals(tg1, tg2, tm, tq, lam: float, form: str):
-    if form == "mountain":
-        return tg1 + tg2 + lam * tm - tq
-    return tg1 + tg2 - lam * tm + tq
-
-
-def eval_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> EnergyReport:
-    """Evaluate the energy with exponents at cell centers; exact term identity."""
-    _check_form(lam, form)
-    if not u.bc_zero:
-        raise ValueError("energy is defined on zero-boundary grid functions")
-    tg1, tg2, tm, tq = (float(t) for t in _terms(u.grid, s, u.values))
-    return EnergyReport(form, lam, _totals(tg1, tg2, tm, tq, lam, form), tg1, tg2, tm, tq)
-
-
-def eval_energy_many(
-    grid: DomainGrid, stack: np.ndarray, lam: float, s: ExponentSet, form: str
-) -> np.ndarray:
-    """Energy totals for a stack of zero-boundary fields (leading batch axes)."""
-    _check_form(lam, form)
-    return _totals(*_terms(grid, s, stack), lam, form)
+def term_table(grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str):
+    """One row (exponent values, base kind, cell base, coefficient) per term
+    of ``TERMS`` for a stack of node fields (leading batch axes)."""
+    return _cell_pass(grid, vals, lam, s, form)[3]
 
 
 def _power_weight(mag2: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -123,44 +132,61 @@ def _power_weight(mag2: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(p < 2.0, reg, plain)
 
 
-def _grad_values(
-    grid: DomainGrid, stack: np.ndarray, lam: float, s: ExponentSet, form: str
-) -> np.ndarray:
-    g = gradient_values(grid, stack)
-    mag2 = np.sum(g * g, axis=-(grid.dim + 1))
-    flux_w = _power_weight(mag2, s.p1.values) + _power_weight(mag2, s.p2.values)
-    flux = np.expand_dims(flux_w, -(grid.dim + 1)) * g
-
-    a = node_to_cell_values(grid, stack)
+def _kernel(
+    grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str, residual: bool
+):
+    """Terms (``TERMS`` order), total and, if ``residual``, the nodal residual
+    of a stack of zero-boundary node fields (leading batch axes)."""
+    g, mag2, a, table = _cell_pass(grid, vals, lam, s, form)
+    with np.errstate(over="ignore"):
+        terms = [cell_quadrature_values(grid, base**p / p) for p, _, base, _ in table]
+    total = sum(c * t for (_, _, _, c), t in zip(table, terms))
+    if not residual:
+        return terms, total, None
+    # base^p / p differentiates to |x|^(p-2) x in its cell quantity x: the
+    # gradient vector of a "grad" term (the flux), the average of an "avg" term
     a2 = a * a
-    bulk_m = _power_weight(a2, s.pmax.values) * a
-    bulk_q = _power_weight(a2, s.q.values) * a
-    if form == "mountain":
-        source = lam * bulk_m - bulk_q
-    else:
-        source = -lam * bulk_m + bulk_q
-
+    flux_w = sum(c * _power_weight(mag2, p) for p, kind, _, c in table if kind == "grad")
+    source = sum(c * (_power_weight(a2, p) * a) for p, kind, _, c in table if kind == "avg")
+    flux = np.expand_dims(flux_w, -(grid.dim + 1)) * g
     r = discrete_gradient_adjoint(grid, flux) + node_to_cell_adjoint(grid, source)
     r[..., grid.boundary_mask()] = 0.0
-    return r
+    return terms, total, r
+
+
+def _evaluate(u: GridFunction, lam: float, s: ExponentSet, form: str, residual: bool):
+    if not u.bc_zero:
+        raise ValueError("energy is defined on zero-boundary grid functions")
+    terms, total, r = _kernel(u.grid, u.values, lam, s, form, residual)
+    fields = {field: float(t) for (field, _, _), t in zip(TERMS, terms)}
+    return EnergyReport(form, lam, float(total), **fields), r
+
+
+def eval_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> EnergyReport:
+    """Evaluate the energy with exponents at cell centers; exact term identity."""
+    return _evaluate(u, lam, s, form, residual=False)[0]
+
+
+def eval_energy_many(
+    grid: DomainGrid, stack: np.ndarray, lam: float, s: ExponentSet, form: str
+) -> np.ndarray:
+    """Energy totals for a stack of zero-boundary fields (leading batch axes)."""
+    return _kernel(grid, stack, lam, s, form, residual=False)[1]
+
+
+def energy_and_gradient(
+    u: GridFunction, lam: float, s: ExponentSet, form: str
+) -> tuple[EnergyReport, GridFunction]:
+    """:func:`eval_energy` and :func:`grad_energy` of ``u`` from one pass
+    through the transfer maps."""
+    rep, r = _evaluate(u, lam, s, form, residual=True)
+    return rep, GridFunction(u.grid, r, bc_zero=True)
 
 
 def grad_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> GridFunction:
     """Nodal residual r with pairing(r, v) equal to the discrete directional
     derivative of :func:`eval_energy` along any zero-boundary v."""
-    _check_form(lam, form)
-    if not u.bc_zero:
-        raise ValueError("energy is defined on zero-boundary grid functions")
-    r = _grad_values(u.grid, u.values, lam, s, form)
-    return GridFunction(u.grid, r, bc_zero=True)
-
-
-def grad_energy_many(
-    grid: DomainGrid, stack: np.ndarray, lam: float, s: ExponentSet, form: str
-) -> np.ndarray:
-    """Nodal residual stack for a stack of zero-boundary fields."""
-    _check_form(lam, form)
-    return _grad_values(grid, stack, lam, s, form)
+    return energy_and_gradient(u, lam, s, form)[1]
 
 
 def residual_norm(r: GridFunction) -> float:

@@ -8,10 +8,11 @@ its exact inverse is a sine transform (:func:`gradient_gram_inverse`), so
 its iteration counts do not grow with the grid.  A retraction hook maps
 each trial point: the identity for global minimization of the coercive form,
 the ray-peak projection for the saddle search on the mountain form (descent
-on the set of ray maxima, started from the peak of the seed's ray).  Every
-accepted step is certified, by an Armijo energy decrease while that is
-resolvable above summation roundoff or else by a strict residual decrease,
-and the certificate is recorded per step.
+on the set of ray maxima, started from the peak of the seed's ray).  Each
+trial point takes its energy and gradient from one call of
+:func:`energy_and_gradient`.  Every accepted step is certified, by an Armijo
+energy decrease while that is resolvable above summation roundoff or else by
+a strict residual decrease, and the certificate is recorded per step.
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyReport, eval_energy, grad_energy, residual_norm
+from .energy import (
+    EnergyReport, coefficients, energy_and_gradient, eval_energy, residual_norm, term_table,
+)
 from .errors import (
     EndpointScheduleError,
     HypothesisGateError,
@@ -28,13 +31,7 @@ from .errors import (
     SubdomainBoundsError,
 )
 from .exponents import ExponentSet, validate_hypotheses
-from .grid import (
-    DomainGrid,
-    GridFunction,
-    gradient_gram_inverse,
-    gradient_values,
-    node_to_cell_values,
-)
+from .grid import DomainGrid, GridFunction, gradient_gram_inverse
 from .spaces import sobolev_norm
 
 __all__ = [
@@ -66,7 +63,6 @@ STEP_SHRINK = 0.5
 class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 5000
-    keep_iterates: bool = False
 
 
 @dataclass
@@ -79,7 +75,6 @@ class SolveResult:
     termination: str  # "converged" | "max_iter" | "stagnated"
     # certificate per history row: "start", then "armijo" or "residual"
     kinds: list[str] = field(default_factory=list)
-    iterates: list[GridFunction] | None = None
 
     @property
     def converged(self) -> bool:
@@ -165,9 +160,7 @@ def _gate(s: ExponentSet, form: str, override: bool):
 
 def _fp_energy_floor(rep: EnergyReport) -> float:
     """Smallest energy decrease distinguishable from summation roundoff."""
-    scale = (
-        rep.term_grad_p1 + rep.term_grad_p2 + rep.lam * rep.term_pmax + rep.term_q
-    )
+    scale = sum(abs(c) * t for c, t in zip(coefficients(rep.lam, rep.form), rep.terms))
     return 64.0 * np.finfo(float).eps * max(scale, 1.0)
 
 
@@ -178,7 +171,6 @@ def _descent(
     form: str,
     retract,
     opts: SolverOptions,
-    observe=None,
 ) -> SolveResult:
     """Preconditioned Barzilai-Borwein descent with a retraction hook.
 
@@ -187,8 +179,9 @@ def _descent(
     first trial step is ``STEP_INIT``, later ones the spectral length
     s'Ps / s'y of the last unretracted step s = -t d_prev (capped at
     ``STEP_MAX``), where Ps = -t g_prev needs no transform.
-    ``retract(z)`` maps a trial field to the accepted candidate and its
-    energy report.  Each accepted step carries one certificate:
+    ``retract(z)`` maps a trial field to the candidate point, whose energy
+    and gradient come from one :func:`energy_and_gradient` call.  Each
+    accepted step carries one certificate:
 
     * ``armijo``: the energy falls below both the current and the last
       certified level by ARMIJO * t * vol * sum(g d), a decrease required to
@@ -203,14 +196,11 @@ def _descent(
     """
     grid = u.grid
     vol = grid.cell_volume
-    rep = eval_energy(u, lam, s, form)
-    g = grad_energy(u, lam, s, form)
+    rep, g = energy_and_gradient(u, lam, s, form)
     res = residual_norm(g)
     certified = rep.total
     history = [(certified, res)]
     kinds = ["start"]
-    if observe is not None:
-        observe(0, u)
     step = STEP_INIT
     termination = "max_iter"
     iterations = 0
@@ -227,12 +217,11 @@ def _descent(
         stop = 1e-18 * trial
         while trial > stop:
             try:
-                u_new, rep_new = retract(
-                    GridFunction(grid, u.values - trial * d, bc_zero=True)
-                )
+                u_new = retract(GridFunction(grid, u.values - trial * d, bc_zero=True))
             except PathCollapseError:
                 trial *= STEP_SHRINK
                 continue
+            rep_new, g_new = energy_and_gradient(u_new, lam, s, form)
             required = ARMIJO * trial * vol * gd
             if required > floor and rep_new.total <= min(rep.total, certified) - required:
                 kind = "armijo"
@@ -241,7 +230,6 @@ def _descent(
             else:
                 trial *= STEP_SHRINK
                 continue
-            g_new = grad_energy(u_new, lam, s, form)
             res_new = residual_norm(g_new)
             if kind == "armijo" or res_new < res:
                 accepted = kind
@@ -259,8 +247,6 @@ def _descent(
         history.append((certified, res))
         kinds.append(accepted)
         iterations += 1
-        if observe is not None:
-            observe(iterations, u)
 
     if res <= opts.tol:
         termination = "converged"
@@ -285,20 +271,7 @@ def minimize_energy(
     _gate(s, "coercive", override_hypotheses)
     if not init.bc_zero:
         raise ValueError("initial iterate must be zero on the boundary")
-
-    iterates = [] if opts.keep_iterates else None
-
-    def keep(_, u):
-        iterates.append(u.copy())
-
-    result = _descent(
-        init.copy(), lam, s, "coercive",
-        lambda z: (z, eval_energy(z, lam, s, "coercive")),
-        opts,
-        observe=keep if iterates is not None else None,
-    )
-    result.iterates = iterates
-    return result
+    return _descent(init.copy(), lam, s, "coercive", lambda z: z, opts)
 
 
 @dataclass
@@ -379,22 +352,18 @@ def find_endpoint(
 class _RaySlope:
     """Cached derivative of t -> energy(t*z) along a fixed ray (mountain form).
 
-    Per cell the derivative contributes t^(p-1) * base with base = |grad z|^p
-    or |avg z|^p; bases are cached as logs so huge t only saturates to inf
-    instead of poisoning sums with 0 * inf.
+    Built from the energy's term table of z: each term, with exponent p,
+    cell base b (|grad z| or |avg z|) and coefficient c, contributes
+    c * t^(p-1) * b^p per cell.  The b^p are cached as logs so huge t only
+    saturates to inf instead of poisoning sums with 0 * inf.
     """
 
     def __init__(self, z: GridFunction, lam: float, s: ExponentSet):
-        grid = z.grid
-        self.vol = grid.cell_volume
-        gm = np.sqrt(np.sum(gradient_values(grid, z.values) ** 2, axis=0))
-        am = np.abs(node_to_cell_values(grid, z.values))
+        self.vol = z.grid.cell_volume
         with np.errstate(divide="ignore"):
             self.terms = [
-                (s.p1.values - 1.0, s.p1.values * np.log(gm), 1.0),
-                (s.p2.values - 1.0, s.p2.values * np.log(gm), 1.0),
-                (s.pmax.values - 1.0, s.pmax.values * np.log(am), lam),
-                (s.q.values - 1.0, s.q.values * np.log(am), -1.0),
+                (p - 1.0, p * np.log(base), c)
+                for p, _, base, c in term_table(z.grid, z.values, lam, s, "mountain")
             ]
 
     def __call__(self, t: float) -> float:
@@ -412,7 +381,7 @@ def _ray_peak(z: GridFunction, lam, s, t_init: float = 1.0, rel_tol: float = 1e-
     The slope is positive near the origin (the barrier rises) and negative
     far out (the focusing term wins), so a sign bracket always exists for a
     nonzero direction; the root is polished by an Illinois iteration.
-    Returns (peak point, peak value, t).
+    Returns the peak point t * z only; its energy is left to the caller.
     """
     slope_of = _RaySlope(z, lam, s)
     t = max(t_init, np.finfo(float).tiny)
@@ -458,9 +427,7 @@ def _ray_peak(z: GridFunction, lam, s, t_init: float = 1.0, rel_tol: float = 1e-
             if s_hi <= 0.0:
                 s_lo *= 0.5
             hi, s_hi = mid, s_mid
-    t_hat = 0.5 * (lo + hi)
-    u = t_hat * z
-    return u, eval_energy(u, lam, s, "mountain"), t_hat
+    return 0.5 * (lo + hi) * z
 
 
 def mountain_pass(
@@ -487,8 +454,8 @@ def mountain_pass(
     _gate(s, "mountain", override_hypotheses)
     if float(np.max(np.abs(direction.values))) == 0.0:
         raise ValueError("direction must be nonzero")
-    u, _, _ = _ray_peak(direction, lam, s)
-    return _descent(u, lam, s, "mountain", lambda z: _ray_peak(z, lam, s)[:2], opts)
+    u = _ray_peak(direction, lam, s)
+    return _descent(u, lam, s, "mountain", lambda z: _ray_peak(z, lam, s), opts)
 
 
 def _negated(result: SolveResult, lam: float, s: ExponentSet) -> SolveResult:

@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,19 @@ def test_cmd_solve_min_auto_lambda(tmp_path, small_cfg):
     manifest = json.loads((out / "manifest.json").read_text())
     for name, digest in manifest["outputs"].items():
         assert sha256_of(out / name) == digest
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version from doublephase.__version__
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is flagged as beta
+        static = read_configuration(path, expand=False)["project"]
+        expanded = read_configuration(path, expand=True)["project"]
+    assert "version" not in static and "version" in static["dynamic"]
+    assert expanded["version"] == doublephase.__version__
 
 
 def test_manifest_lists_only_the_stage_files(tmp_path, small_cfg):

@@ -119,7 +119,7 @@ def test_minimize_lambda_zero(s8, rng):
 def test_minimize_monotone_and_certificates(s8, bump8):
     report = lambda_star_search(s8, bump8, LAM_GRID)
     lam = 2.0 * report.lam_star
-    result = minimize_energy(lam, s8, bump8.fn, SolverOptions(keep_iterates=True))
+    result = minimize_energy(lam, s8, bump8.fn, SolverOptions())
     assert result.converged and result.residual <= 1e-6
     assert result.energy.total < 0.0
     assert sobolev_norm(result.u, s8.pmax) > 0.0
@@ -139,7 +139,8 @@ def test_minimize_monotone_and_certificates(s8, bump8):
     for _ in range(20):
         v = random_field(s8.grid, rng)
         assert abs(pairing(r, v)) <= 10.0 * 1e-6 * residual_norm(v)
-    # coercivity floor along iterates with gradient norm above one
+    # coercivity floor on the segment from the bump to the minimizer, at
+    # points with gradient norm above one
     mlo, mhi = s8.pmax.lo, s8.pmax.hi
     qlo, qhi = s8.q.lo, s8.q.hi
     base = lam * qhi / mlo
@@ -147,7 +148,8 @@ def test_minimize_monotone_and_certificates(s8, bump8):
         base ** (mhi / (qlo - mhi)) + base ** (mlo / (qhi - mlo))
     ) * s8.grid.volume
     checked = 0
-    for it in result.iterates[:: max(1, len(result.iterates) // 20)]:
+    for t in np.linspace(0.0, 1.0, 20):
+        it = bump8.fn + float(t) * (result.u - bump8.fn)
         norm = sobolev_norm(it, s8.pmax)
         if norm > 1.0:
             total = eval_energy(it, lam, s8, "coercive").total
@@ -243,6 +245,21 @@ def test_mountain_pass_weak_certificate(s8, mp8):
     for _ in range(20):
         v = random_field(s8.grid, rng)
         assert abs(pairing(r, v)) <= 10.0 * 1e-6 * residual_norm(v)
+
+
+def test_mountain_pass_starts_at_the_ray_peak(s8, bump8):
+    # with no descent step the result is the energy peak along the ray of
+    # the direction, where the ray derivative pairing(grad E(u), u) vanishes
+    rng = np.random.default_rng(5)
+    directions = [bump8.fn] + [random_field(s8.grid, rng) for _ in range(3)]
+    for d in directions:
+        start = mountain_pass(1.0, s8, d, SolverOptions(max_iter=0))
+        assert start.iterations == 0
+        u = start.u
+        rep = eval_energy(u, 1.0, s8, "mountain")
+        assert start.energy == rep and rep.total > 0.0
+        slope = pairing(grad_energy(u, 1.0, s8, "mountain"), u)
+        assert abs(slope) <= 1e-9 * sum(rep.terms)
 
 
 def test_multi_solution_single_seed_gives_mirror_pair(s8, bump8):
