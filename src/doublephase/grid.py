@@ -68,7 +68,10 @@ class DomainGrid:
         object.__setattr__(self, "res", res)
         object.__setattr__(self, "extent", extent)
 
-    @property
+    # h and cell_volume sit on every quadrature and kernel call; each is
+    # computed once per grid (cached in the instance dict, which neither
+    # equality nor hashing reads)
+    @functools.cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(e / (r - 1) for e, r in zip(self.extent, self.res))
 
@@ -88,7 +91,7 @@ class DomainGrid:
     def cell_count(self) -> int:
         return int(np.prod(self.cell_shape))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 

@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 # asserted bound on the root residual |rho(a/nu) - 1| of the normalized field;
-# bisection actually runs the bracket down to rounding, so the realized
-# residual is ~1e-15
+# the Newton iteration stops at |rho - 1| <= 8 eps or at a rounding-size step,
+# so the realized residual is ~1e-15
 NORM_TOL = 1e-10
-_MAX_BISECT = 200
+_MAX_ITER = 200
 _BRACKET_SPAN = 2.0**60
 _LOG_SPAN = float(np.log(_BRACKET_SPAN))
 _EXPAND_LIMIT = 3
@@ -43,11 +43,12 @@ _REL_SLACK = 1e-12
 class NormSolveTrace:
     """How a Luxemburg norm was solved.
 
-    ``root`` and the bracket the bisection started from are in the units of
-    the field; for subnormal-scale fields the bracket ends may round to 0.
-    ``residual`` is |rho(a/nu) - 1| certified on the normalized field
-    a = |w|/max|w|, whose norm nu = root/max|w| is what the bisection solves
-    for.
+    ``root`` and the verified bracket the iteration started in are in the
+    units of the field; for subnormal-scale fields the bracket ends may round
+    to 0.  ``iterations`` counts passes over the cells (safeguarded Newton
+    steps in log nu, not counting the two bracket checks).  ``residual`` is
+    |rho(a/nu) - 1| certified on the normalized field a = |w|/max|w|, whose
+    norm nu = root/max|w| is what the iteration solves for.
     """
 
     root: float
@@ -71,19 +72,25 @@ def modular(u: GridFunction, p: ExponentField) -> float:
 def luxemburg_norm_cells(
     grid: DomainGrid, w: np.ndarray, p: ExponentField
 ) -> tuple[float, NormSolveTrace]:
-    """Smallest mu > 0 with modular(w/mu) <= 1, by geometric bisection.
+    """Smallest mu > 0 with modular(w/mu) <= 1, by safeguarded Newton in log mu.
 
     The scaled modular is continuous and strictly decreasing in mu for w != 0,
     so the root with modular = 1 is unique; w == 0 returns 0 by convention.
 
     By absolute homogeneity mu = scale * nu, where scale = max|w| and nu is
-    the norm of the normalized field a = |w|/scale (max a = 1).  nu is
-    bisected in log space, so no bracket end underflows or overflows, and
-    |rho(a/nu) - 1| <= NORM_TOL is certified before returning.  Every scale
-    from the smallest subnormal double up to float-max/2**60 (about 1.5e290)
-    is served; a larger or non-finite scale raises NormBracketError.  A true
-    norm below the smallest subnormal double rounds to 0, and a subnormal
-    norm carries only the precision of a subnormal.
+    the norm of the normalized field a = |w|/scale (max a = 1).  The root is
+    solved in x = log nu, so no bracket end underflows or overflows: after a
+    sign change of rho - 1 is verified on a bracket in x, Newton steps on
+    log rho(a/e^x), which is convex and decreasing in x, start from x = 0.
+    Each pass over the cells gives rho = vol * sum(w) and
+    d log rho/dx = -sum(p w)/sum(w) from the same powers w = (a/e^x)^p; a
+    step that leaves the open bracket, or a rho that is not finite and
+    positive, is replaced by the bracket midpoint.  |rho(a/nu) - 1| <=
+    NORM_TOL is certified before returning.  Every scale from the smallest
+    subnormal double up to float-max/2**60 (about 1.5e290) is served; a
+    larger or non-finite scale raises NormBracketError.  A true norm below
+    the smallest subnormal double rounds to 0, and a subnormal norm carries
+    only the precision of a subnormal.
     """
     absw = np.abs(np.asarray(w, dtype=float))
     scale = float(absw.max())
@@ -97,10 +104,16 @@ def luxemburg_norm_cells(
 
     a = absw / scale
     pv = p.values
+    vol = grid.cell_volume
+
+    def powers(log_nu: float) -> tuple[np.ndarray, float]:
+        """w = (a/nu)^p at nu = e^log_nu, and sum(w)."""
+        with np.errstate(over="ignore"):
+            wx = (a / np.exp(log_nu)) ** pv
+            return wx, float(np.sum(wx))
 
     def rho(log_nu: float) -> float:
-        with np.errstate(over="ignore"):
-            return grid.cell_volume * float(np.sum((a / np.exp(log_nu)) ** pv))
+        return vol * powers(log_nu)[1]
 
     lo, hi = -_LOG_SPAN, _LOG_SPAN
     for _ in range(_EXPAND_LIMIT):
@@ -114,21 +127,34 @@ def luxemburg_norm_cells(
         )
     bracket = (scale * float(np.exp(lo)), scale * float(np.exp(hi)))
 
-    best, res = 0.0, np.inf
+    eps = np.finfo(float).eps
+    x, best, res = 0.0, 0.0, np.inf
     iters = 0
-    for iters in range(1, _MAX_BISECT + 1):
-        mid = 0.5 * (lo + hi)
-        r = rho(mid)
+    for iters in range(1, _MAX_ITER + 1):
+        wx, total = powers(x)
+        r = vol * total
         if abs(r - 1.0) < res:
-            best, res = mid, abs(r - 1.0)
-        if res == 0.0:
+            best, res = x, abs(r - 1.0)
+        if res <= 8.0 * eps:
             break
         if r > 1.0:
-            lo = mid
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
+            hi = x
+        step = np.nan
+        if np.isfinite(r) and r > 0.0:
+            # -log rho / (d log rho/dx), with d log rho/dx = -sum(p w)/sum(w)
+            with np.errstate(over="ignore"):
+                step = np.log(r) * total / float(np.sum(pv * wx))
+        x_new = x + step
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        # a Newton step or a bisection move of rounding size ends the search
+        # (a Newton step below half an ulp of x would land on x itself)
+        tol = 4.0 * eps * max(1.0, abs(x))
+        if abs(step) <= tol or abs(x_new - x) <= tol:
             break
+        x = x_new
     if res > NORM_TOL:
         raise NormBracketError(
             f"norm root residual {res:.3e} exceeds {NORM_TOL} after {iters} iterations"

@@ -11,6 +11,7 @@ from doublephase.spaces import (
     check_inclusion_bound,
     check_modular_norm_relations,
     luxemburg_norm,
+    luxemburg_norm_cells,
     modular,
     sobolev_norm,
 )
@@ -174,6 +175,114 @@ def test_luxemburg_extreme_scales_solve_exactly(c):
         value, trace = luxemburg_norm(u, p)
     assert abs(value - c) <= 1e-10 * c
     assert trace.residual <= NORM_TOL
+
+
+def bisected_norm(grid, w, pv):
+    """Reference norm: plain bisection of x = log nu for vol*sum((a/e^x)^p) = 1
+    on a = |w|/max|w|, run until the bracket stops shrinking."""
+    scale = np.abs(w).max()
+    a = np.abs(w) / scale
+
+    def rho(x):
+        with np.errstate(over="ignore"):
+            return grid.cell_volume * np.sum((a / np.exp(x)) ** pv)
+
+    lo, hi = -1.0, 1.0
+    while rho(lo) < 1.0:
+        lo *= 2.0
+    while rho(hi) > 1.0:
+        hi *= 2.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return scale * np.exp(min((lo, hi), key=lambda x: abs(rho(x) - 1.0)))
+
+
+def _certified(g, w, pv):
+    """Norm of the cell field w, with its certificate and iteration count checked."""
+    value, trace = luxemburg_norm_cells(g, w, ExponentField.from_values(g, pv))
+    rho = g.cell_volume * np.sum((np.abs(w) / value) ** pv)
+    assert trace.residual <= NORM_TOL and abs(rho - 1.0) <= NORM_TOL
+    assert trace.iterations <= 8
+    return value
+
+
+def test_luxemburg_newton_matches_bisection():
+    g = DomainGrid(3, (16, 16, 16))
+    rng = np.random.default_rng(9)
+    for scale in (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e289):
+        for sparse in (False, True):
+            w = rng.standard_normal(g.cell_shape)
+            if sparse:
+                w *= rng.random(g.cell_shape) < 0.01
+            w *= scale / np.abs(w).max()
+            pv = rng.uniform(1.05, 5.05, g.cell_shape)
+            value = _certified(g, w, pv)
+            ref = bisected_norm(g, w, pv)
+            assert abs(value - ref) <= 4e-15 * ref, (scale, sparse)
+
+
+def test_luxemburg_single_nonzero_cell():
+    # rho(w/mu) = vol*(c/mu)^p at the one cell, so mu = c*vol^(1/p)
+    g = DomainGrid(3, (16, 16, 16))
+    rng = np.random.default_rng(3)
+    for c, p0 in ((1e-300, 1.01), (3.7, 5.05), (1e289, 20.0)):
+        w = np.zeros(g.cell_shape)
+        w[tuple(rng.integers(0, 15, 3))] = -c
+        pv = rng.uniform(1.05, 5.05, g.cell_shape)
+        pv[w != 0.0] = p0
+        value = _certified(g, w, pv)
+        assert abs(value - c * g.cell_volume ** (1.0 / p0)) <= 1e-14 * value
+
+
+@pytest.mark.parametrize("p0", [1.01, 8.0])
+def test_luxemburg_constant_exponent_power_mean(p0):
+    g = DomainGrid(3, (16, 16, 16))
+    rng = np.random.default_rng(4)
+    for scale in (1e-300, 1.0, 1e289):
+        w = scale * rng.uniform(0.0, 1.0, g.cell_shape)
+        pv = np.full(g.cell_shape, p0)
+        value = _certified(g, w, pv)
+        closed = np.max(w) * (g.cell_volume * np.sum((w / np.max(w)) ** p0)) ** (1.0 / p0)
+        assert abs(value - closed) <= 1e-14 * closed
+
+
+def test_luxemburg_spread_exponent():
+    # exponents over [1.01, 20]: log rho is most curved in log nu here
+    g = DomainGrid(3, (16, 16, 16))
+    rng = np.random.default_rng(5)
+    for scale in (1e-300, 1.0, 1e289):
+        for sparse in (False, True):
+            w = scale * np.exp(rng.uniform(-40.0, 0.0, g.cell_shape))
+            if sparse:
+                w *= rng.random(g.cell_shape) < 0.01
+            pv = rng.uniform(1.01, 20.0, g.cell_shape)
+            value = _certified(g, w, pv)
+            ref = bisected_norm(g, w, pv)
+            assert abs(value - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("log_rho0, c", [(-48.0, 30.0), (-82.0, 40.0)])
+def test_luxemburg_newton_safeguard(log_rho0, c):
+    # tiny cells: eight cells a = 1 at p = 1.01 and one a = e^-c at p = 20,
+    # with 8 vol = e^log_rho0.  Newton steps from right of the root follow
+    # the p = 1.01 cells towards x = log_rho0/1.01, which leaves the verified
+    # bracket [-41.6, 41.6] (first case) or lands where the p = 20 cell
+    # overflows rho (second case, bracket widened to [-83.2, 83.2]); the
+    # midpoint must take over.
+    h = np.exp(0.5 * (log_rho0 - np.log(8.0)))
+    g = DomainGrid(2, (4, 4), extent=3.0 * h)
+    w = np.ones(g.cell_shape)
+    w[1, 1] = np.exp(-c)
+    pv = np.full(g.cell_shape, 1.01)
+    pv[1, 1] = 20.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _certified(g, w, pv)
+    assert abs(value - bisected_norm(g, w, pv)) <= 1e-14 * value
 
 
 def test_sobolev_norm_requires_zero_boundary(rng):
