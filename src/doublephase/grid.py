@@ -1,16 +1,16 @@
 """Uniform box grids, grid functions, and the discrete calculus on them.
 
-Scalars live on nodes, integrands and gradients live on cells.  The two
-transfer maps (corner averaging and forward-difference gradients) are linear,
-and their adjoints are provided so that energies can be differentiated
-exactly at the discrete level.  The Gram operator of the gradient map on
-interior nodes is diagonalized by the type-I sine transform, which gives its
-exact inverse (the Sobolev preconditioner of the descent solvers).
+Scalars live on nodes, integrands and gradients live on cells.  Both transfer
+maps (corner average, averaged forward-difference gradient) are tensor
+products of the per-axis two-point stencils in :attr:`DomainGrid.stencils`,
+applied axis by axis; their adjoints apply the transposed passes, so energies
+are differentiated exactly at the discrete level.  The same table gives the
+DST-I spectrum of the gradient map's Gram operator on interior nodes, hence
+its exact inverse (the Sobolev preconditioner of the descent solvers).
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +31,6 @@ __all__ = [
     "pairing",
     "l2_norm",
 ]
-
-# lo/hi index ranges of a cell's corner nodes along one axis
-_LO_HI = (slice(0, -1), slice(1, None))
-
-
-def _corner_slices(ndim):
-    """All 2^ndim corner selections of the cells, as slice tuples on node arrays."""
-    return [
-        tuple(_LO_HI[b] for b in bits)
-        for bits in itertools.product((0, 1), repeat=ndim)
-    ]
 
 
 @dataclass(frozen=True)
@@ -123,8 +112,16 @@ class DomainGrid:
             mask[tuple(sl)] = True
         return mask
 
-    def corner_slices(self):
-        return _corner_slices(self.dim)
+    @functools.cached_property
+    def stencils(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """One row per transfer map of (w_lo, w_hi) stencils, one per axis:
+        the corner average (1/2, 1/2) on every axis, then gradient component
+        a, the difference (-1/h_a, 1/h_a) on axis a.  Always w_lo = +-w_hi."""
+        avg = (0.5, 0.5)
+        return ((avg,) * self.dim,) + tuple(
+            tuple((-1.0 / h, 1.0 / h) if b == a else avg for b in range(self.dim))
+            for a, h in enumerate(self.h)
+        )
 
 
 @dataclass
@@ -206,13 +203,43 @@ class CellVectorField:
         return np.sqrt(np.sum(self.comps * self.comps, axis=0))
 
 
+def _along(axis: int, index) -> tuple:
+    """``index`` on the trailing axis ``axis`` (negative), all of the others."""
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
+
+
+def _apply(x: np.ndarray, row, out=None) -> np.ndarray:
+    """One stencil row on the trailing node axes, one pass per axis: node
+    pairs to edges, w_lo x_lo + w_hi x_hi, as one sum or difference and one
+    in-place scale.  The last pass writes into ``out`` when given."""
+    for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
+        lo, hi = x[_along(axis, slice(0, -1))], x[_along(axis, slice(1, None))]
+        op = np.add if w_lo == w_hi else np.subtract
+        x = op(hi, lo, out=out if axis == -1 else None, dtype=float)
+        x *= w_hi
+    return x
+
+
+def _apply_adjoint(y: np.ndarray, row) -> np.ndarray:
+    """Transpose of :func:`_apply` on the trailing cell axes: per axis, each
+    edge value back to its two nodes."""
+    for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
+        shape = list(y.shape)
+        shape[axis] += 1
+        x = np.empty(shape)
+        lo, hi = y[_along(axis, slice(0, -1))], y[_along(axis, slice(1, None))]
+        op = np.add if w_lo == w_hi else np.subtract
+        op(lo, hi, out=x[_along(axis, slice(1, -1))])
+        x[_along(axis, 0)] = (w_lo / w_hi) * y[_along(axis, 0)]
+        x[_along(axis, -1)] = y[_along(axis, -1)]
+        x *= w_hi
+        y = x
+    return y
+
+
 def node_to_cell_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
     """Corner average on the trailing node axes (leading axes are batch)."""
-    w = 2.0 ** (-grid.dim)
-    out = np.zeros(vals.shape[: vals.ndim - grid.dim] + grid.cell_shape)
-    for sl in grid.corner_slices():
-        out += w * vals[(Ellipsis,) + sl]
-    return out
+    return _apply(vals, grid.stencils[0])
 
 
 def node_to_cell(u: GridFunction) -> np.ndarray:
@@ -222,29 +249,15 @@ def node_to_cell(u: GridFunction) -> np.ndarray:
 
 def node_to_cell_adjoint(grid: DomainGrid, cells: np.ndarray) -> np.ndarray:
     """Transpose of :func:`node_to_cell`: scatter cell scalars to corner nodes."""
-    w = 2.0 ** (-grid.dim)
-    out = np.zeros(cells.shape[: cells.ndim - grid.dim] + grid.node_shape)
-    for sl in grid.corner_slices():
-        out[(Ellipsis,) + sl] += w * cells
-    return out
+    return _apply_adjoint(cells, grid.stencils[0])
 
 
 def gradient_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
     """Cell gradients on the trailing node axes; the component axis is
     inserted right before the cell axes."""
-    w = 2.0 ** (1 - grid.dim)
-    h = grid.h
-    batch = vals.shape[: vals.ndim - grid.dim]
-    comps = np.zeros(batch + (grid.dim,) + grid.cell_shape)
-    for bits, sl in zip(
-        itertools.product((0, 1), repeat=grid.dim), grid.corner_slices()
-    ):
-        term = w * vals[(Ellipsis,) + sl]
-        for a in range(grid.dim):
-            if bits[a]:
-                comps[(Ellipsis, a) + (slice(None),) * grid.dim] += term / h[a]
-            else:
-                comps[(Ellipsis, a) + (slice(None),) * grid.dim] -= term / h[a]
+    comps = np.empty(vals.shape[: vals.ndim - grid.dim] + (grid.dim,) + grid.cell_shape)
+    for comp, row in zip(np.moveaxis(comps, -grid.dim - 1, 0), grid.stencils[1:]):
+        _apply(vals, row, out=comp)
     return comps
 
 
@@ -256,21 +269,11 @@ def discrete_gradient(u: GridFunction) -> CellVectorField:
 
 def discrete_gradient_adjoint(grid: DomainGrid, comps: np.ndarray) -> np.ndarray:
     """Transpose of :func:`gradient_values` applied to per-cell vectors."""
-    w = 2.0 ** (1 - grid.dim)
-    h = grid.h
-    batch = comps.shape[: comps.ndim - grid.dim - 1]
-    out = np.zeros(batch + grid.node_shape)
-    cells = (slice(None),) * grid.dim
-    for bits, sl in zip(
-        itertools.product((0, 1), repeat=grid.dim), _corner_slices(grid.dim)
-    ):
-        acc = np.zeros(batch + grid.cell_shape)
-        for a in range(grid.dim):
-            if bits[a]:
-                acc += comps[(Ellipsis, a) + cells] / h[a]
-            else:
-                acc -= comps[(Ellipsis, a) + cells] / h[a]
-        out[(Ellipsis,) + sl] += w * acc
+    comps = np.moveaxis(comps, -grid.dim - 1, 0)
+    rows = grid.stencils[1:]
+    out = _apply_adjoint(comps[0], rows[0])
+    for comp, row in zip(comps[1:], rows[1:]):
+        out += _apply_adjoint(comp, row)
     return out
 
 
@@ -288,25 +291,21 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _gram_eigenvalues(grid: DomainGrid) -> np.ndarray:
     """Eigenvalues of G^T G on interior nodes, G = :func:`gradient_values`,
-    times the DST-I normalization prod 2(res_a - 1).
+    times the DST-I normalization prod 2(res_a - 1), from the stencil table.
 
-    Per axis the difference block is (4/h^2) sin^2(theta) and the averaging
-    block cos^2(theta), theta = pi k / (2 (res - 1)), k = 1 .. res - 2.
+    With zero end nodes, DST-I mode k diagonalizes S^T S of a stencil
+    S = (w_lo, w_hi) with eigenvalue (w_lo + w_hi)^2 cos^2(theta) +
+    (w_hi - w_lo)^2 sin^2(theta), theta = pi k / (2 (res - 1)).  G^T G sums,
+    over the gradient rows, the product of these factors over the axes.
     """
-    sin2, cos2 = [], []
-    for a, (r, h) in enumerate(zip(grid.res, grid.h)):
-        theta = np.pi * np.arange(1, r - 1) / (2.0 * (r - 1))
-        shape = [1] * grid.dim
-        shape[a] = r - 2
-        sin2.append((4.0 / h**2 * np.sin(theta) ** 2).reshape(shape))
-        cos2.append((np.cos(theta) ** 2).reshape(shape))
-    eig = np.zeros(tuple(r - 2 for r in grid.res))
-    for a in range(grid.dim):
-        term = sin2[a]
-        for b in range(grid.dim):
-            if b != a:
-                term = term * cos2[b]
-        eig = eig + term
+    thetas = [np.pi * np.arange(1, r - 1) / (2.0 * (r - 1)) for r in grid.res]
+    eig = sum(
+        functools.reduce(np.multiply.outer, [
+            (w_lo + w_hi) ** 2 * np.cos(t) ** 2 + (w_hi - w_lo) ** 2 * np.sin(t) ** 2
+            for (w_lo, w_hi), t in zip(row, thetas)
+        ])
+        for row in grid.stencils[1:]
+    )
     eig *= float(np.prod([2.0 * (r - 1) for r in grid.res]))
     eig.flags.writeable = False
     return eig

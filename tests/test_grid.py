@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from doublephase.grid import (
     gradient_values,
     node_to_cell,
     node_to_cell_adjoint,
+    node_to_cell_values,
     pairing,
 )
 
@@ -123,24 +126,99 @@ def test_quadrature_of_averaged_constant():
         assert abs(got - c * g.volume) <= 1e-13 * max(1.0, abs(c) * g.volume)
 
 
-def test_adjoint_identities(rng):
-    g = DomainGrid(3, (7, 7, 7), (1.0, 0.5, 2.0))
-    u = random_field(g, rng, bc_zero=False)
-    cells = rng.standard_normal(g.cell_shape)
-    lhs = np.sum(node_to_cell(u) * cells)
-    rhs = np.sum(u.values * node_to_cell_adjoint(g, cells))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-    comps = rng.standard_normal((g.dim,) + g.cell_shape)
-    lhs = np.sum(discrete_gradient(u).comps * comps)
-    rhs = np.sum(u.values * discrete_gradient_adjoint(g, comps))
-    assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
+GRID_2D = DomainGrid(2, (7, 11), (0.5, 3.0))
+GRID_3D = DomainGrid(3, (12, 10, 9), (1.3, 0.7, 2.0))
 
 
 @pytest.mark.parametrize(
-    "grid",
-    [DomainGrid(2, (7, 11), (0.5, 3.0)), DomainGrid(3, (12, 10, 9), (1.3, 0.7, 2.0))],
+    "grid, batch",
+    [
+        (DomainGrid(3, (7, 7, 7), (1.0, 0.5, 2.0)), ()),
+        (GRID_2D, ()),
+        (GRID_3D, (2,)),
+    ],
+    ids=["3d", "2d", "3d-batch2"],
 )
+def test_adjoint_identities(grid, batch, rng):
+    def dot(a, b):  # one inner product per batch entry
+        return np.sum((a * b).reshape(batch + (-1,)), axis=-1)
+
+    u = rng.standard_normal(batch + grid.node_shape)
+    cells = rng.standard_normal(batch + grid.cell_shape)
+    lhs = dot(node_to_cell_values(grid, u), cells)
+    rhs = dot(u, node_to_cell_adjoint(grid, cells))
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(lhs)))
+
+    comps = rng.standard_normal(batch + (grid.dim,) + grid.cell_shape)
+    lhs = dot(gradient_values(grid, u), comps)
+    rhs = dot(u, discrete_gradient_adjoint(grid, comps))
+    assert np.all(np.abs(lhs - rhs) <= 1e-11 * np.maximum(1.0, np.abs(lhs)))
+
+
+# Reference: the transfer maps as plain sums over the 2^dim corners of each
+# cell, with weight 2^-dim (average) and 2^(1-dim)/h_a with the corner's sign
+# along axis a (gradient component a).
+
+
+def _corners(dim):
+    """(bits, index) per cell corner; bit 1 picks the upper node on that axis."""
+    for bits in itertools.product((0, 1), repeat=dim):
+        yield bits, (Ellipsis,) + tuple(slice(1, None) if b else slice(0, -1) for b in bits)
+
+
+def _component(grid, a):
+    return (Ellipsis, a) + (slice(None),) * grid.dim
+
+
+def corner_average(grid, vals):
+    out = np.zeros(vals.shape[: vals.ndim - grid.dim] + grid.cell_shape)
+    for _, corner in _corners(grid.dim):
+        out += 2.0 ** -grid.dim * vals[corner]
+    return out
+
+
+def corner_average_adjoint(grid, cells):
+    out = np.zeros(cells.shape[: cells.ndim - grid.dim] + grid.node_shape)
+    for _, corner in _corners(grid.dim):
+        out[corner] += 2.0 ** -grid.dim * cells
+    return out
+
+
+def corner_gradient(grid, vals):
+    out = np.zeros(vals.shape[: vals.ndim - grid.dim] + (grid.dim,) + grid.cell_shape)
+    for bits, corner in _corners(grid.dim):
+        term = 2.0 ** (1 - grid.dim) * vals[corner]
+        for a, h in enumerate(grid.h):
+            out[_component(grid, a)] += (1.0 if bits[a] else -1.0) * term / h
+    return out
+
+
+def corner_gradient_adjoint(grid, comps):
+    out = np.zeros(comps.shape[: comps.ndim - grid.dim - 1] + grid.node_shape)
+    for bits, corner in _corners(grid.dim):
+        for a, h in enumerate(grid.h):
+            sign = 1.0 if bits[a] else -1.0
+            out[corner] += sign * 2.0 ** (1 - grid.dim) * comps[_component(grid, a)] / h
+    return out
+
+
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batch2"])
+@pytest.mark.parametrize("grid", [GRID_2D, GRID_3D], ids=["2d", "3d"])
+def test_transfer_maps_match_corner_sums(grid, batch, rng):
+    vals = rng.standard_normal(batch + grid.node_shape)
+    cells = rng.standard_normal(batch + grid.cell_shape)
+    comps = rng.standard_normal(batch + (grid.dim,) + grid.cell_shape)
+    for got, ref in (
+        (node_to_cell_values(grid, vals), corner_average(grid, vals)),
+        (node_to_cell_adjoint(grid, cells), corner_average_adjoint(grid, cells)),
+        (gradient_values(grid, vals), corner_gradient(grid, vals)),
+        (discrete_gradient_adjoint(grid, comps), corner_gradient_adjoint(grid, comps)),
+    ):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", [GRID_2D, GRID_3D])
 def test_gradient_gram_inverse_is_exact(grid, rng):
     v = random_field(grid, rng).values
     gram_v = discrete_gradient_adjoint(grid, gradient_values(grid, v))
