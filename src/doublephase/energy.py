@@ -13,6 +13,11 @@ minimizers of the discrete energy are exact discrete weak solutions and
 finite-difference checks pass to rounding-dominated tolerance.  The public
 functions are shells over the kernel; :func:`energy_and_gradient` takes the
 value and the gradient from one pass.
+
+Along a ray t -> t*u the energy is an exact generalized polynomial in t, one
+term per distinct exponent value of each modular term; :func:`ray_polynomial`
+builds it from one pass, and every ray computation (ray peaks, ray scans of
+the checks) reads it instead of the cells.
 """
 from __future__ import annotations
 
@@ -44,6 +49,8 @@ __all__ = [
     "grad_energy",
     "energy_and_gradient",
     "residual_norm",
+    "ray_polynomial",
+    "ray_energy",
 ]
 
 FORMS = ("mountain", "coercive")
@@ -192,3 +199,42 @@ def grad_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> GridF
 def residual_norm(r: GridFunction) -> float:
     """Discrete L2 norm of a residual field."""
     return l2_norm(r)
+
+
+def ray_polynomial(
+    u: GridFunction, lam: float, s: ExponentSet, form: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents p_k and coefficients c_k with eval_energy(t*u).total equal
+    to sum_k c_k t^p_k for every t >= 0.
+
+    The energy has no regularization, so each term of ``TERMS`` scales
+    exactly: the cell integral of (t b)^p / p is vol * sum_cells t^p b^p / p.
+    Grouping the cells by exponent value (:attr:`ExponentField.groups`)
+    collapses each cell sum into one coefficient per distinct value, from one
+    :func:`term_table` pass and one ``np.bincount`` per term; zero
+    coefficients are dropped.  The default experiment keeps 18 terms at 16^3
+    nodes against 3375 cells.  The worst case is a field whose cell exponents
+    are all distinct: nothing compresses, and the cost is one energy pass
+    plus one bincount per term.
+    """
+    if not u.bc_zero:
+        raise ValueError("energy is defined on zero-boundary grid functions")
+    grid = u.grid
+    expos, coeffs = [], []
+    table = term_table(grid, u.values, lam, s, form)
+    with np.errstate(over="ignore"):
+        for (_, name, _), (p, _, base, c) in zip(TERMS, table):
+            values, inverse = getattr(s, name).groups
+            sums = np.bincount(inverse, weights=(base**p).reshape(-1), minlength=values.size)
+            expos.append(values)
+            coeffs.append((grid.cell_volume * c) * sums / values)
+    expos, coeffs = np.concatenate(expos), np.concatenate(coeffs)
+    keep = coeffs != 0.0
+    return expos[keep], coeffs[keep]
+
+
+def ray_energy(poly: tuple[np.ndarray, np.ndarray], t) -> np.ndarray:
+    """Energy sum_k c_k t^p_k of a :func:`ray_polynomial` at each t >= 0."""
+    expos, coeffs = poly
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.power.outer(np.asarray(t, dtype=float), expos) @ coeffs

@@ -7,6 +7,7 @@ field and always bracket the cell samples.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,15 @@ class ExponentField:
 
     def is_constant(self) -> bool:
         return self.lo == self.hi
+
+    @functools.cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct cell values and, per cell in flat order, the index of
+        its value (``np.unique`` with ``return_inverse``), computed on first
+        use and kept: the ray polynomials of one field group by it on every
+        call."""
+        values, inverse = np.unique(self.values, return_inverse=True)
+        return values, inverse.reshape(-1)
 
 
 @dataclass

@@ -277,15 +277,20 @@ def discrete_gradient_adjoint(grid: DomainGrid, comps: np.ndarray) -> np.ndarray
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _sine_matrix(n: int) -> np.ndarray:
+    """The symmetric DST-I matrix 2 sin(pi j k / (n + 1)), j, k = 1..n."""
+    k = np.arange(1, n + 1)
+    mat = 2.0 * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    mat.flags.writeable = False
+    return mat
+
+
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized DST-I along ``axis`` (its own inverse up to 2(n+1)),
-    read off the real FFT of the odd extension [0, x, 0, -reversed x]."""
+    """Unnormalized DST-I along ``axis`` (its own inverse up to 2(n+1)), as
+    a product with the cached sine matrix of that length."""
     x = np.moveaxis(x, axis, -1)
-    n = x.shape[-1]
-    zero = np.zeros(x.shape[:-1] + (1,))
-    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
-    out = -np.fft.rfft(odd, axis=-1).imag[..., 1 : n + 1]
-    return np.moveaxis(out, -1, axis)
+    return np.moveaxis(x @ _sine_matrix(x.shape[-1]), -1, axis)
 
 
 @functools.lru_cache(maxsize=16)

@@ -7,6 +7,7 @@ the payload checksums; it is the one file that differs between identical runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
@@ -36,16 +37,17 @@ def _fmt(x: float) -> str:
 
 
 def write_field_csv(path: Path, u: GridFunction) -> Path:
-    """One node per row in lexicographic index order, coordinates first."""
+    """One node per row in lexicographic index order, coordinates first.
+
+    Each row prefix "x1,...,xN," is joined from the per-axis coordinate
+    strings, and each value is formatted by ``repr`` of its Python float."""
     grid = u.grid
-    mesh = grid.node_mesh()
     header = ",".join(f"x{k + 1}" for k in range(grid.dim)) + ",value"
-    flat = [m.reshape(-1) for m in mesh] + [u.values.reshape(-1)]
-    lines = [header]
-    for row in zip(*flat):
-        lines.append(",".join(_fmt(x) for x in row))
+    axes = [[repr(x) + "," for x in ax.tolist()] for ax in grid.node_axes()]
+    prefixes = map("".join, itertools.product(*axes))
+    rows = map(str.__add__, prefixes, map(repr, u.values.reshape(-1).tolist()))
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
 
 

@@ -8,11 +8,14 @@ its exact inverse is a sine transform (:func:`gradient_gram_inverse`), so
 its iteration counts do not grow with the grid.  A retraction hook maps
 each trial point: the identity for global minimization of the coercive form,
 the ray-peak projection for the saddle search on the mountain form (descent
-on the set of ray maxima, started from the peak of the seed's ray).  Each
-trial point takes its energy and gradient from one call of
-:func:`energy_and_gradient`.  Every accepted step is certified, by an Armijo
-energy decrease while that is resolvable above summation roundoff or else by
-a strict residual decrease, and the certificate is recorded per step.
+on the set of ray maxima, started from the peak of the seed's ray).  Ray
+computations read the ray's polynomial (:func:`ray_polynomial`), not the
+cells: a ray peak is a safeguarded Newton root of its slope, and
+:func:`find_endpoint` scans its doublings.  Each trial point takes its
+energy and gradient from one call of :func:`energy_and_gradient`.  Every
+accepted step is certified, by an Armijo energy decrease while that is
+resolvable above summation roundoff or else by a strict residual decrease,
+and the certificate is recorded per step.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (
-    EnergyReport, coefficients, energy_and_gradient, eval_energy, residual_norm, term_table,
+    EnergyReport, coefficients, energy_and_gradient, eval_energy, ray_energy, ray_polynomial,
+    residual_norm,
 )
 from .errors import (
     EndpointScheduleError,
@@ -335,99 +339,99 @@ def lambda_star_search(
 def find_endpoint(
     lam: float, s: ExponentSet, u0: GridFunction, max_doublings: int = 60
 ) -> tuple[GridFunction, float]:
-    """Scale ``u0`` by doubling until the mountain-form energy goes negative."""
+    """Scale ``u0`` by doubling until the mountain-form energy goes negative;
+    the doublings t = 1, 2, 4, ... are scanned on the ray polynomial of ``u0``."""
     if float(np.max(np.abs(u0.values))) == 0.0:
         raise ValueError("direction must be nonzero")
-    t = 1.0
-    for _ in range(max_doublings + 1):
-        e = t * u0
-        if eval_energy(e, lam, s, "mountain").total < 0.0:
-            return e, t
-        t *= 2.0
-    raise EndpointScheduleError(
-        f"energy stayed nonnegative through {max_doublings} doublings"
-    )
+    ts = 2.0 ** np.arange(max_doublings + 1)
+    negative = np.flatnonzero(ray_energy(ray_polynomial(u0, lam, s, "mountain"), ts) < 0.0)
+    if negative.size == 0:
+        raise EndpointScheduleError(
+            f"energy stayed nonnegative through {max_doublings} doublings"
+        )
+    t = float(ts[negative[0]])
+    return t * u0, t
 
 
 class _RaySlope:
-    """Cached derivative of t -> energy(t*z) along a fixed ray (mountain form).
+    """Slope and curvature of t -> energy(t*z) along a fixed ray (mountain form).
 
-    Built from the energy's term table of z: each term, with exponent p,
-    cell base b (|grad z| or |avg z|) and coefficient c, contributes
-    c * t^(p-1) * b^p per cell.  The b^p are cached as logs so huge t only
-    saturates to inf instead of poisoning sums with 0 * inf.
+    Read off the ray polynomial E(t) = sum c_k t^p_k of z
+    (:func:`ray_polynomial`), built once from one pass over the cells: a call
+    returns E'(t) = sum c_k p_k t^(p_k-1) and E''(t) from the same powers, so
+    each evaluation costs a few dozen terms, not a pass over the cells.
     """
 
     def __init__(self, z: GridFunction, lam: float, s: ExponentSet):
-        self.vol = z.grid.cell_volume
-        with np.errstate(divide="ignore"):
-            self.terms = [
-                (p - 1.0, p * np.log(base), c)
-                for p, _, base, c in term_table(z.grid, z.values, lam, s, "mountain")
-            ]
+        p, c = ray_polynomial(z, lam, s, "mountain")
+        self.expo = p - 1.0
+        self.d1 = c * p
+        self.d2 = self.d1 * self.expo
 
-    def __call__(self, t: float) -> float:
-        lt = np.log(t)
-        total = 0.0
-        with np.errstate(over="ignore"):
-            for expo, logbase, coeff in self.terms:
-                total += coeff * float(np.sum(np.exp(expo * lt + logbase)))
-        return self.vol * total
+    def __call__(self, t: float) -> tuple[float, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = t**self.expo
+            return float(self.d1 @ powers), float(self.d2 @ powers) / t
+
+
+# window of the ray-peak search around the first trial t, in doublings
+_PEAK_DOUBLINGS = 90
+_PEAK_HALVINGS = 400
+_LN2 = float(np.log(2.0))
 
 
 def _ray_peak(z: GridFunction, lam, s, t_init: float = 1.0, rel_tol: float = 1e-13):
     """Maximizer of the mountain energy along the ray through ``z``.
 
     The slope is positive near the origin (the barrier rises) and negative
-    far out (the focusing term wins), so a sign bracket always exists for a
-    nonzero direction; the root is polished by an Illinois iteration.
-    Returns the peak point t * z only; its energy is left to the caller.
+    far out (the focusing term wins), so a sign change exists for a nonzero
+    direction.  Its root is found by safeguarded Newton in x = log t on the
+    ray polynomial (:class:`_RaySlope`), in the manner of
+    :func:`luxemburg_norm_cells`: every evaluation narrows the sign bracket
+    [lo, hi] in x, and the Newton step -E'/(t E'') is kept only inside it.
+    Otherwise the bracket midpoint is taken, or, while no slope of one sign
+    has been seen, a doubling (halving) of t; a search that leaves the
+    window of 90 doublings above and 400 halvings below ``t_init`` raises
+    PathCollapseError.  Stops at a move below ``rel_tol`` in log t; inside
+    the descent, whose trial points lie near the peak at t = 1, that takes
+    about three evaluations.  Returns the peak point t * z only; its energy
+    is left to the caller.
     """
     slope_of = _RaySlope(z, lam, s)
-    t = max(t_init, np.finfo(float).tiny)
-    slope = slope_of(t)
-    if slope > 0.0:
-        lo, s_lo = t, slope
-        hi = None
-        for _ in range(90):
-            t *= 2.0
-            slope = slope_of(t)
-            if slope <= 0.0:
-                hi, s_hi = t, slope
-                break
-            lo, s_lo = t, slope
-        if hi is None:
-            raise PathCollapseError("no interior energy peak along the ray")
-    else:
-        hi, s_hi = t, slope
-        lo = None
-        for _ in range(400):
-            t *= 0.5
-            slope = slope_of(t)
-            if slope > 0.0:
-                lo, s_lo = t, slope
-                break
-            hi, s_hi = t, slope
-        if lo is None:
-            raise PathCollapseError("ray energy has no barrier (degenerate direction)")
-    # Illinois iteration on the slope sign change
-    for _ in range(240):
-        if hi - lo <= rel_tol * hi:
+    x = float(np.log(max(t_init, np.finfo(float).tiny)))
+    lo, hi = x - _PEAK_HALVINGS * _LN2, x + _PEAK_DOUBLINGS * _LN2
+    seen_lo = seen_hi = False
+    # enough to walk the whole window and then bisect it to rounding
+    for _ in range(_PEAK_DOUBLINGS + _PEAK_HALVINGS + 200):
+        t = float(np.exp(x))
+        slope, curv = slope_of(t)
+        if slope > 0.0:
+            lo, seen_lo = x, True
+        else:  # a slope that is not finite counts as past the peak
+            hi, seen_hi = x, True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -slope / (t * curv)
+        # a Newton step of rounding size ends the search; it may land on x
+        # itself, that is on a bracket end
+        if abs(step) <= rel_tol:
+            x += step
             break
-        denom = s_hi - s_lo
-        mid = (lo * s_hi - hi * s_lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not (lo < mid < hi) or not np.isfinite(mid):
-            mid = 0.5 * (lo + hi)
-        s_mid = slope_of(mid)
-        if s_mid > 0.0:
-            if s_lo > 0.0:
-                s_hi *= 0.5
-            lo, s_lo = mid, s_mid
-        else:
-            if s_hi <= 0.0:
-                s_lo *= 0.5
-            hi, s_hi = mid, s_mid
-    return 0.5 * (lo + hi) * z
+        x_new = x + step
+        if not lo < x_new < hi:
+            if seen_lo and seen_hi:
+                x_new = 0.5 * (lo + hi)
+            else:
+                x_new = x + (_LN2 if seen_lo else -_LN2)
+                if not lo < x_new < hi:
+                    raise PathCollapseError(
+                        "no interior energy peak along the ray" if seen_lo
+                        else "ray energy has no barrier (degenerate direction)"
+                    )
+        done = abs(x_new - x) <= rel_tol
+        x = x_new
+        if done:
+            break
+    return float(np.exp(x)) * z
 
 
 def mountain_pass(

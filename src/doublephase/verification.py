@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import eval_energy
+from .energy import eval_energy, ray_energy, ray_polynomial
 from .errors import (
     DoublePhaseError,
     HypothesisGateError,
@@ -194,7 +194,12 @@ def check_mp_geometry(
 ) -> CheckReport:
     """Sphere barrier of the mountain form: find the largest tested radius
     whose energy minimum over random directions stays positive, and check the
-    scalar barrier profile built from measured embedding ratios."""
+    scalar barrier profile built from measured embedding ratios.
+
+    The sphere of radius eta meets the ray of a direction d at
+    t = eta / |d|, so all radii are scanned on the directions' ray polynomials
+    (:func:`ray_polynomial`); the reported level alpha at the chosen radius
+    is evaluated by the cell kernel, like every energy of the reports."""
     report = validate_hypotheses(s, "mountain")
     if not report.passed and not override_hypotheses:
         raise HypothesisGateError("mountain hypotheses fail; geometry check skipped")
@@ -207,31 +212,31 @@ def check_mp_geometry(
     dirs = [_random_direction(grid, rng) for _ in range(n_directions)]
     qlo_field = ExponentField.from_values(grid, s.q.lo)
     qhi_field = ExponentField.from_values(grid, s.q.hi)
+    norms = []
     c1_samples = []
     c2_samples = []
     for d in dirs:
         nm = sobolev_norm(d, s.pmax)
         nqhi, _ = luxemburg_norm(d, qhi_field)
         nqlo, _ = luxemburg_norm(d, qlo_field)
+        norms.append(nm)
         c1_samples.append(nm / nqhi)
         c2_samples.append(nm / nqlo)
     c1 = float(min(c1_samples))
     c2 = float(min(c2_samples))
 
-    best_eta = 0.0
-    best_alpha = 0.0
-    any_positive = False
-    for eta in eta_grid:
-        vals = [
-            eval_energy(_scaled_to_norm(d, s, eta), lam, s, "mountain").total
-            for d in dirs
-        ]
-        low = min(vals)
-        if low > 0.0:
-            any_positive = True
-            best_eta, best_alpha = float(eta), float(low)
-    if not any_positive:
+    low = np.min([
+        ray_energy(ray_polynomial(d, lam, s, "mountain"), eta_grid / nm)
+        for d, nm in zip(dirs, norms)
+    ], axis=0)
+    positive = np.flatnonzero(low > 0.0)
+    if positive.size == 0:
         raise SphereGeometryError("no tested radius kept the energy positive")
+    best_eta = float(eta_grid[positive[-1]])
+    best_alpha = float(min(
+        eval_energy((best_eta / nm) * d, lam, s, "mountain").total
+        for d, nm in zip(dirs, norms)
+    ))
 
     # scalar barrier profile from the measured embedding ratios
     beta = 1.0 / s.pmax.hi
@@ -269,7 +274,11 @@ def check_ray_boundedness(
     seed=0,
 ) -> CheckReport:
     """Every ray in a random bump-spanned subspace eventually has negative
-    mountain-form energy; reports the largest crossing radius."""
+    mountain-form energy; reports the largest crossing radius.
+
+    Each ray is scanned at the doublings t = 1, 2, ..., 2^max_doublings on
+    its polynomial (:func:`ray_polynomial`), one pass over the cells per ray;
+    the crossing is the first doubling after the last nonnegative energy."""
     if subspace_dim > 8:
         raise ValueError("subspace dimension capped at 8")
     rng = _rng(seed)
@@ -280,6 +289,7 @@ def check_ray_boundedness(
         side = rng.uniform(0.15, 0.3) * min(grid.extent)
         t0 = rng.uniform(1.5, 3.0)
         basis.append(bump_function(grid, t0, SubBox.centered(center, side)).fn)
+    ts = 2.0 ** np.arange(max_doublings + 1)
     crossings = []
     for _ in range(n_rays):
         coeff = rng.standard_normal(subspace_dim)
@@ -287,22 +297,12 @@ def check_ray_boundedness(
         w = GridFunction.zeros(grid)
         for c, b in zip(coeff, basis):
             w = w + c * b
-        t = 1.0
-        cross = None
-        last_nonneg = 0.0
-        for _ in range(max_doublings + 1):
-            total = eval_energy(t * w, lam, s, "mountain").total
-            if total >= 0.0:
-                last_nonneg = t
-                cross = None
-            elif cross is None:
-                cross = t
-            t *= 2.0
-        if cross is None:
+        nonneg = np.flatnonzero(ray_energy(ray_polynomial(w, lam, s, "mountain"), ts) >= 0.0)
+        if nonneg.size and nonneg[-1] == ts.size - 1:
             raise RayScheduleError(
-                f"a ray stayed nonnegative through t = {last_nonneg:.3e}"
+                f"a ray stayed nonnegative through t = {ts[-1]:.3e}"
             )
-        crossings.append(cross)
+        crossings.append(ts[nonneg[-1] + 1] if nonneg.size else ts[0])
     return CheckReport(
         "ray_boundedness", n_rays, 0, float(min(crossings)),
         constants={"sup_T": float(max(crossings)), "subspace_dim": subspace_dim},

@@ -119,6 +119,22 @@ def test_field_csv_round_trip(tmp_path, rng):
         read_field_csv(path, DomainGrid(3, (7, 7, 7)))
 
 
+def _field_csv_row_by_row(grid, values):
+    # one repr per coordinate and value, row by row
+    flat = [m.reshape(-1) for m in grid.node_mesh()] + [values.reshape(-1)]
+    lines = [",".join(f"x{k + 1}" for k in range(grid.dim)) + ",value"]
+    lines += [",".join(repr(float(x)) for x in row) for row in zip(*flat)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("grid", [DomainGrid(2, (4, 5), (1.0, 3.0)), DomainGrid(3, (4, 5, 6))])
+def test_field_csv_matches_row_by_row_writer(tmp_path, rng, grid):
+    vals = rng.standard_normal(grid.node_shape) * 10.0 ** rng.uniform(-300, 300, grid.node_shape)
+    vals.flat[:3] = (-0.0, 5e-324, 1.0)
+    path = write_field_csv(tmp_path / "field.csv", GridFunction(grid, vals))
+    assert path.read_bytes() == _field_csv_row_by_row(grid, vals)
+
+
 def test_cmd_verify_small(tmp_path, small_cfg):
     out = tmp_path / "verify"
     code = main(["verify", "--config", str(small_cfg), "--out", str(out)])

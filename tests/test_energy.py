@@ -8,8 +8,11 @@ from doublephase.energy import (
     eval_energy,
     eval_energy_many,
     grad_energy,
+    ray_energy,
+    ray_polynomial,
     residual_norm,
 )
+from doublephase.exponents import ExponentField, ExponentSet
 from doublephase.grid import DomainGrid, GridFunction, cell_quadrature, pairing
 from doublephase.solvers import SubBox, bump_function
 
@@ -115,6 +118,44 @@ def test_batched_matches_single(set12, rng):
             fused, grad = energy_and_gradient(u, 0.9, set12, form)
             assert fused == rep
             assert np.array_equal(grad.values, grad_energy(u, 0.9, set12, form).values)
+
+
+def _all_distinct_set(grid, rng):
+    # every cell exponent distinct, so grouping by value compresses nothing
+    def field(lo, hi):
+        return ExponentField.from_values(grid, rng.uniform(lo, hi, grid.cell_shape))
+
+    p1, p2 = field(2.0, 2.4), field(2.0, 2.5)
+    pmax = ExponentField.from_values(grid, np.maximum(p1.values, p2.values))
+    return ExponentSet(p1, p2, pmax, field(3.5, 4.0))
+
+
+@pytest.mark.parametrize("grouped", [True, False])
+def test_ray_polynomial_matches_the_energy(set12, rng, grouped):
+    s = set12 if grouped else _all_distinct_set(set12.grid, rng)
+    ncells = set12.grid.cell_count
+    sizes = [f.groups[0].size for f in (s.p1, s.p2, s.pmax, s.q)]
+    if grouped:
+        assert sum(sizes) < 30  # the exponents depend on x1 only
+    else:
+        assert sizes == [ncells] * 4
+    u = random_field(set12.grid, rng)
+    for form in ("mountain", "coercive"):
+        poly = ray_polynomial(u, 0.9, s, form)
+        assert poly[0].size <= sum(sizes)
+        for t in (1e-3, 1.0, 1e3):
+            rep = eval_energy(t * u, 0.9, s, form)
+            got = float(ray_energy(poly, t))
+            assert abs(got - rep.total) <= 1e-12 * abs(rep.total)
+        ts = np.array([1e-3, 1.0, 1e3])
+        scalar = [float(ray_energy(poly, t)) for t in ts]
+        assert np.allclose(ray_energy(poly, ts), scalar, rtol=1e-14, atol=0.0)
+
+
+def test_ray_polynomial_of_the_zero_field(set12):
+    expos, coeffs = ray_polynomial(GridFunction.zeros(set12.grid), 1.0, set12, "mountain")
+    assert expos.size == coeffs.size == 0
+    assert ray_energy((expos, coeffs), 2.0) == 0.0
 
 
 def test_barrier_lower_bound_chain(set12, rng):

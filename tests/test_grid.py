@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from doublephase.grid import (
     CellVectorField,
+    _dst1,
     DomainGrid,
     GridFunction,
     cell_quadrature,
@@ -231,6 +232,25 @@ def test_gradient_gram_inverse_is_exact(grid, rng):
     inner = ~grid.boundary_mask()
     assert np.max(np.abs(again[0][inner] - v[inner])) <= 1e-12 * np.max(np.abs(v))
     assert np.max(np.abs(again[1][inner] - 3.0 * v[inner])) <= 3e-12 * np.max(np.abs(v))
+
+
+def _dst1_by_fft(x, axis):
+    # DST-I read off the real FFT of the odd extension [0, x, 0, -reversed x]
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    return np.moveaxis(-np.fft.rfft(odd, axis=-1).imag[..., 1 : n + 1], -1, axis)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_dst1_matches_the_fft_formula(n, rng):
+    x = rng.standard_normal((2, n, n + 3, n))
+    for axis in range(1, 4):
+        got = _dst1(x, axis)
+        ref = _dst1_by_fft(x, axis)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_vector_field_magnitude():

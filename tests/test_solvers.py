@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from doublephase.energy import eval_energy, grad_energy, residual_norm
+from doublephase.energy import eval_energy, grad_energy, ray_polynomial, residual_norm
 from doublephase.errors import (
     EndpointScheduleError,
     HypothesisGateError,
     LambdaGridError,
+    PathCollapseError,
     SubdomainBoundsError,
 )
 from doublephase.grid import DomainGrid, GridFunction, pairing
 from doublephase.solvers import (
     SolverOptions,
+    _ray_peak,
     SubBox,
     bump_function,
     dedupe_with_negatives,
@@ -260,6 +262,26 @@ def test_mountain_pass_starts_at_the_ray_peak(s8, bump8):
         assert start.energy == rep and rep.total > 0.0
         slope = pairing(grad_energy(u, 1.0, s8, "mountain"), u)
         assert abs(slope) <= 1e-9 * sum(rep.terms)
+
+
+def test_ray_peak_zeroes_the_ray_slope(s8, bump8):
+    # at the returned point the slope sum_k c_k p_k of its own ray polynomial
+    # at t = 1 vanishes relative to the sum of its terms' magnitudes, from
+    # starts below, near and far above the peak
+    rng = np.random.default_rng(7)
+    directions = [bump8.fn] + [random_field(s8.grid, rng) for _ in range(3)]
+    for d in directions:
+        for scale in (1e-6, 1.0, 1e6):
+            peak = _ray_peak(scale * d, 1.0, s8)
+            expos, coeffs = ray_polynomial(peak, 1.0, s8, "mountain")
+            slope = coeffs * expos
+            assert abs(slope.sum()) <= 1e-12 * np.abs(slope).sum()
+
+
+def test_ray_peak_outside_the_search_window(s8, bump8):
+    # the peak of 1e-40 * bump lies about 133 doublings out, past the 90
+    with pytest.raises(PathCollapseError):
+        _ray_peak(1e-40 * bump8.fn, 1.0, s8)
 
 
 def test_multi_solution_single_seed_gives_mirror_pair(s8, bump8):
