@@ -7,25 +7,32 @@ Both forms are signed sums of the same four modular terms, the cell integrals
 of base^p / p listed in ``TERMS``; :func:`coefficients` gives their signs per
 form.  One batch-aware kernel passes a stack of node fields (leading batch
 axes) through the corner-average and cell-gradient maps once and returns the
-four terms, the total and, on request, the nodal residual.  The residual is
-assembled by differentiating the discrete energy through those same maps, so
-minimizers of the discrete energy are exact discrete weak solutions and
-finite-difference checks pass to rounding-dominated tolerance.  The public
-functions are shells over the kernel; :func:`energy_and_gradient` takes the
-value and the gradient from one pass.
+four terms, the total and, on request, the nodal residual.  Each term takes
+one power per cell, of the squared base x2: the weight x2^((p-2)/2) of the
+residual, whose product with x2 is the cell value base^p (p < 2 cells,
+regularized, take a second; constant p = 2 and p = 4 take none).  The
+residual is assembled by differentiating the discrete energy through those
+same maps, so minimizers of the discrete energy are exact discrete weak
+solutions and finite-difference checks pass to rounding-dominated tolerance.
+The public functions are shells over the kernel; :func:`energy_and_gradient`
+takes the value and the gradient from one pass.
 
 Along a ray t -> t*u the energy is an exact generalized polynomial in t, one
-term per distinct exponent value of each modular term; :func:`ray_polynomial`
-builds it from one pass, and every ray computation (ray peaks, ray scans of
-the checks) reads it instead of the cells.
+term per distinct exponent value of each modular term.  :class:`RayEnergy`
+builds it from one pass over the cells of u and keeps that pass, so the
+energy and the gradient at any point t*u of the ray need no second pass: a
+saddle-search trial finds its ray peak and evaluates there from one pass.
+Every ray computation (ray peaks, ray scans of the checks) reads the
+polynomial instead of the cells.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .exponents import ExponentSet
+from .exponents import ExponentField, ExponentSet
 from .grid import (
     DomainGrid,
     GridFunction,
@@ -43,12 +50,12 @@ __all__ = [
     "TERMS",
     "EnergyReport",
     "coefficients",
-    "term_table",
     "eval_energy",
     "eval_energy_many",
     "grad_energy",
     "energy_and_gradient",
     "residual_norm",
+    "RayEnergy",
     "ray_polynomial",
     "ray_energy",
 ]
@@ -106,37 +113,84 @@ class EnergyReport:
         return {"form": self.form, "lambda": self.lam, "total": self.total, **fields}
 
 
-def _cell_pass(grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str):
-    """One pass of a node stack through the transfer maps: the cell gradients,
-    their squared magnitudes, the cell averages and the term table."""
-    g = gradient_values(grid, vals)
-    mag2 = np.sum(g * g, axis=-(grid.dim + 1))
-    a = node_to_cell_values(grid, vals)
-    bases = {"grad": np.sqrt(mag2), "avg": np.abs(a)}
-    table = [
-        (getattr(s, name).values, kind, bases[kind], c)
-        for (_, name, kind), c in zip(TERMS, coefficients(lam, form))
-    ]
-    return g, mag2, a, table
+class _Term(NamedTuple):
+    """One row of ``TERMS`` on a cell pass: the exponent field, the signed
+    coefficient, the base kind, the squared cell base x2 (|grad u|^2 or the
+    squared corner average), the weight w and the cell value b^p."""
+
+    p: ExponentField
+    c: float
+    kind: str
+    x2: np.ndarray
+    w: np.ndarray | float
+    bp: np.ndarray
 
 
-def term_table(grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str):
-    """One row (exponent values, base kind, cell base, coefficient) per term
-    of ``TERMS`` for a stack of node fields (leading batch axes)."""
-    return _cell_pass(grid, vals, lam, s, form)[3]
+def _exponent(p: ExponentField):
+    """The scalar exponent of a constant field, else the cell values."""
+    return p.lo if p.is_constant() else p.values
 
 
-def _power_weight(mag2: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Weight w with w*vec = |vec|^(p-2) vec, given the squared magnitude.
+def _powers(x2: np.ndarray, p: ExponentField):
+    """Weight w = x2^((p-2)/2) and cell value b^p = w * x2 of one term, from
+    one power of the squared base x2 = b^2.
 
-    For p >= 2 the continuous extension by 0 at the origin is used (0^0 = 1
-    handles p = 2); for p < 2 the magnitude is shifted by REG_EPS.
+    w * x is the derivative of |x|^p / p in the cell quantity x, with the
+    extension by 0 at x = 0 for p >= 2 (0^0 = 1 covers p = 2).  A constant
+    field takes p = 2 and p = 4 as products, without a power.  Cells with
+    p < 2 take the weight of x2 + REG_EPS^2 and the value x2^(p/2) by a
+    second power; that masked work is skipped when ``p.lo >= 2``.
     """
-    expo = 0.5 * (p - 2.0)
+    e = _exponent(p)
+    constant = p.is_constant()
+    expo = 0.5 * (e - 2.0)
+    # 0^expo is inf on the p < 2 cells with x2 = 0; they are overwritten
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        plain = mag2**expo
-        reg = (mag2 + REG_EPS * REG_EPS) ** expo
-    return np.where(p < 2.0, reg, plain)
+        if constant and e == 2.0:
+            return 1.0, x2
+        if constant and e == 4.0:
+            return x2, x2 * x2
+        if constant and e < 2.0:
+            return (x2 + REG_EPS * REG_EPS) ** expo, x2 ** (0.5 * e)
+        w = np.power(x2, expo)
+        bp = w * x2
+        if p.lo >= 2.0:
+            return w, bp
+        low = p.values < 2.0
+        x2_low, expo_low = x2[..., low], expo[low]
+        w[..., low] = (x2_low + REG_EPS * REG_EPS) ** expo_low
+        bp[..., low] = x2_low ** (expo_low + 1.0)
+    return w, bp
+
+
+def _cell_pass(grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str):
+    """One pass of a node stack (leading batch axes) through the transfer
+    maps: the cell gradients, the cell averages and one :class:`_Term` per
+    row of ``TERMS``."""
+    g = gradient_values(grid, vals)
+    a = node_to_cell_values(grid, vals)
+    with np.errstate(over="ignore"):
+        x2 = {"grad": np.sum(g * g, axis=-(grid.dim + 1)), "avg": a * a}
+    rows = []
+    for (_, name, kind), c in zip(TERMS, coefficients(lam, form)):
+        p = getattr(s, name)
+        rows.append(_Term(p, c, kind, x2[kind], *_powers(x2[kind], p)))
+    return g, a, rows
+
+
+def _residual(grid: DomainGrid, g: np.ndarray, a: np.ndarray, rows, weights) -> np.ndarray:
+    """Nodal residual from the cell gradients, the cell averages and one
+    weight per term: |x|^(p-2) x in the term's cell quantity x (the gradient
+    vector of a "grad" term, the average of an "avg" term), summed with the
+    signs of the form and taken back to the nodes by the adjoint maps."""
+    flux_w = sum(row.c * w for row, w in zip(rows, weights) if row.kind == "grad")
+    source_w = sum(row.c * w for row, w in zip(rows, weights) if row.kind == "avg")
+    if np.ndim(flux_w):
+        flux_w = np.expand_dims(flux_w, -(grid.dim + 1))
+    r = discrete_gradient_adjoint(grid, flux_w * g) + node_to_cell_adjoint(grid, source_w * a)
+    for face in grid.boundary_faces:
+        r[face] = 0.0
+    return r
 
 
 def _kernel(
@@ -144,21 +198,12 @@ def _kernel(
 ):
     """Terms (``TERMS`` order), total and, if ``residual``, the nodal residual
     of a stack of zero-boundary node fields (leading batch axes)."""
-    g, mag2, a, table = _cell_pass(grid, vals, lam, s, form)
-    with np.errstate(over="ignore"):
-        terms = [cell_quadrature_values(grid, base**p / p) for p, _, base, _ in table]
-    total = sum(c * t for (_, _, _, c), t in zip(table, terms))
+    g, a, rows = _cell_pass(grid, vals, lam, s, form)
+    terms = [cell_quadrature_values(grid, row.bp / _exponent(row.p)) for row in rows]
+    total = sum(row.c * t for row, t in zip(rows, terms))
     if not residual:
         return terms, total, None
-    # base^p / p differentiates to |x|^(p-2) x in its cell quantity x: the
-    # gradient vector of a "grad" term (the flux), the average of an "avg" term
-    a2 = a * a
-    flux_w = sum(c * _power_weight(mag2, p) for p, kind, _, c in table if kind == "grad")
-    source = sum(c * (_power_weight(a2, p) * a) for p, kind, _, c in table if kind == "avg")
-    flux = np.expand_dims(flux_w, -(grid.dim + 1)) * g
-    r = discrete_gradient_adjoint(grid, flux) + node_to_cell_adjoint(grid, source)
-    r[..., grid.boundary_mask()] = 0.0
-    return terms, total, r
+    return terms, total, _residual(grid, g, a, rows, [row.w for row in rows])
 
 
 def _evaluate(u: GridFunction, lam: float, s: ExponentSet, form: str, residual: bool):
@@ -201,36 +246,81 @@ def residual_norm(r: GridFunction) -> float:
     return l2_norm(r)
 
 
+class RayEnergy:
+    """The energy and gradient along the ray t -> t*u, from one pass over the
+    cells of ``u``.
+
+    The energy has no regularization, so each term of ``TERMS`` scales
+    exactly: the cell value (t b)^p is t^p b^p.  Grouping the cells by
+    exponent value (:attr:`ExponentField.groups`; a constant field is one
+    group) collapses each term into one coefficient per distinct value, from
+    one ``np.bincount`` per term: the ray polynomial :attr:`poly`, with
+    E(t*u) = sum_k c_k t^p_k and zero coefficients dropped.  The default
+    experiment keeps 18 terms at 16^3 nodes against 3375 cells.  The worst
+    case is a field whose cell exponents are all distinct: nothing
+    compresses, and the cost is one energy pass plus one bincount per term.
+
+    :meth:`at` gives the energy report and the residual at t*u from the kept
+    cell arrays: the gradient and the average scale by t and each weight by
+    t^(p-2), gathered from the group values, so only the regularized cells
+    (p < 2) take a fresh power.  Both agree with :func:`energy_and_gradient`
+    of t*u to rounding.
+    """
+
+    def __init__(self, u: GridFunction, lam: float, s: ExponentSet, form: str):
+        if not u.bc_zero:
+            raise ValueError("energy is defined on zero-boundary grid functions")
+        self.grid, self.lam, self.form = u.grid, lam, form
+        self._g, self._a, self._rows = _cell_pass(u.grid, u.values, lam, s, form)
+        self._sums = []
+        for row in self._rows:
+            if row.p.is_constant():
+                self._sums.append((np.array([row.p.lo]), np.array([row.bp.sum()])))
+            else:
+                values, inverse = row.p.groups
+                sums = np.bincount(inverse, weights=row.bp.reshape(-1), minlength=values.size)
+                self._sums.append((values, sums))
+        expos = np.concatenate([values for values, _ in self._sums])
+        coeffs = np.concatenate([
+            (self.grid.cell_volume * row.c) * sums / values
+            for row, (values, sums) in zip(self._rows, self._sums)
+        ])
+        keep = coeffs != 0.0
+        self.poly = (expos[keep], coeffs[keep])
+
+    def _weight(self, row: _Term, t: float):
+        """Weight of ``row`` at t*u times t, the scale of its cell quantity."""
+        if row.p.is_constant():
+            scale = t ** (row.p.lo - 1.0)
+        else:
+            values, inverse = row.p.groups
+            scale = np.take(t ** (values - 1.0), inverse).reshape(self.grid.cell_shape)
+        w = row.w * scale
+        if row.p.lo < 2.0:
+            low = row.p.values < 2.0
+            expo = 0.5 * (row.p.values[low] - 2.0)
+            w[low] = t * ((t * t) * row.x2[low] + REG_EPS * REG_EPS) ** expo
+        return w
+
+    def at(self, t: float) -> tuple[EnergyReport, GridFunction]:
+        """Energy report and residual of t*u, for t > 0."""
+        vol = self.grid.cell_volume
+        with np.errstate(over="ignore"):
+            terms = [vol * float(np.sum(sums * t**values / values)) for values, sums in self._sums]
+            weights = [self._weight(row, t) for row in self._rows]
+        total = sum(row.c * term for row, term in zip(self._rows, terms))
+        fields = {field: term for (field, _, _), term in zip(TERMS, terms)}
+        r = _residual(self.grid, self._g, self._a, self._rows, weights)
+        rep = EnergyReport(self.form, self.lam, total, **fields)
+        return rep, GridFunction(self.grid, r, bc_zero=True)
+
+
 def ray_polynomial(
     u: GridFunction, lam: float, s: ExponentSet, form: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exponents p_k and coefficients c_k with eval_energy(t*u).total equal
-    to sum_k c_k t^p_k for every t >= 0.
-
-    The energy has no regularization, so each term of ``TERMS`` scales
-    exactly: the cell integral of (t b)^p / p is vol * sum_cells t^p b^p / p.
-    Grouping the cells by exponent value (:attr:`ExponentField.groups`)
-    collapses each cell sum into one coefficient per distinct value, from one
-    :func:`term_table` pass and one ``np.bincount`` per term; zero
-    coefficients are dropped.  The default experiment keeps 18 terms at 16^3
-    nodes against 3375 cells.  The worst case is a field whose cell exponents
-    are all distinct: nothing compresses, and the cost is one energy pass
-    plus one bincount per term.
-    """
-    if not u.bc_zero:
-        raise ValueError("energy is defined on zero-boundary grid functions")
-    grid = u.grid
-    expos, coeffs = [], []
-    table = term_table(grid, u.values, lam, s, form)
-    with np.errstate(over="ignore"):
-        for (_, name, _), (p, _, base, c) in zip(TERMS, table):
-            values, inverse = getattr(s, name).groups
-            sums = np.bincount(inverse, weights=(base**p).reshape(-1), minlength=values.size)
-            expos.append(values)
-            coeffs.append((grid.cell_volume * c) * sums / values)
-    expos, coeffs = np.concatenate(expos), np.concatenate(coeffs)
-    keep = coeffs != 0.0
-    return expos[keep], coeffs[keep]
+    to sum_k c_k t^p_k for every t >= 0 (:attr:`RayEnergy.poly`)."""
+    return RayEnergy(u, lam, s, form).poly
 
 
 def ray_energy(poly: tuple[np.ndarray, np.ndarray], t) -> np.ndarray:

@@ -110,8 +110,8 @@ class ExponentField:
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct cell values and, per cell in flat order, the index of
         its value (``np.unique`` with ``return_inverse``), computed on first
-        use and kept: the ray polynomials of one field group by it on every
-        call."""
+        use and kept: the ray polynomials of one field group by it, and the
+        on-ray weights gather from it, on every call."""
         values, inverse = np.unique(self.values, return_inverse=True)
         return values, inverse.reshape(-1)
 

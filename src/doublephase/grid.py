@@ -104,13 +104,20 @@ class DomainGrid:
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.node_shape, dtype=bool)
-        for a in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[a] = 0
-            mask[tuple(sl)] = True
-            sl[a] = -1
-            mask[tuple(sl)] = True
+        for face in self.boundary_faces:
+            mask[face] = True
         return mask
+
+    @functools.cached_property
+    def boundary_faces(self) -> tuple[tuple, ...]:
+        """Index of each of the 2*dim boundary faces of the trailing node
+        axes (leading axes are batch): ``x[face] = 0`` zeroes one face by a
+        slice assignment, far cheaper than indexing by the boolean mask."""
+        return tuple(
+            (Ellipsis,) + (slice(None),) * a + (end,) + (slice(None),) * (self.dim - 1 - a)
+            for a in range(self.dim)
+            for end in (0, -1)
+        )
 
     @functools.cached_property
     def stencils(self) -> tuple[tuple[tuple[float, float], ...], ...]:
@@ -140,7 +147,7 @@ class GridFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
-        if self.bc_zero and np.any(vals[self.grid.boundary_mask()] != 0.0):
+        if self.bc_zero and any(np.count_nonzero(vals[face]) for face in self.grid.boundary_faces):
             raise ValueError("bc_zero grid function has nonzero boundary values")
         self.values = vals
 
@@ -154,7 +161,8 @@ class GridFunction:
         vals = np.asarray(fn(*grid.node_mesh()), dtype=float)
         vals = np.broadcast_to(vals, grid.node_shape).copy()
         if bc_zero:
-            vals[grid.boundary_mask()] = 0.0
+            for face in grid.boundary_faces:
+                vals[face] = 0.0
         return cls(grid, vals, bc_zero=bc_zero)
 
     def copy(self) -> "GridFunction":

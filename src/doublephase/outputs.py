@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# rows of a field CSV formatted and written at a time
+_CSV_CHUNK = 4096
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -40,14 +44,21 @@ def write_field_csv(path: Path, u: GridFunction) -> Path:
     """One node per row in lexicographic index order, coordinates first.
 
     Each row prefix "x1,...,xN," is joined from the per-axis coordinate
-    strings, and each value is formatted by ``repr`` of its Python float."""
+    strings, and each value is formatted by ``repr`` of its Python float.
+    Rows are written ``_CSV_CHUNK`` at a time, so the file is never held in
+    memory whole."""
     grid = u.grid
     header = ",".join(f"x{k + 1}" for k in range(grid.dim)) + ",value"
     axes = [[repr(x) + "," for x in ax.tolist()] for ax in grid.node_axes()]
     prefixes = map("".join, itertools.product(*axes))
-    rows = map(str.__add__, prefixes, map(repr, u.values.reshape(-1).tolist()))
+    flat = u.values.reshape(-1)
     path = Path(path)
-    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    with path.open("w") as f:
+        f.write(header + "\n")
+        for start in range(0, flat.size, _CSV_CHUNK):
+            values = map(repr, flat[start : start + _CSV_CHUNK].tolist())
+            rows = map(str.__add__, itertools.islice(prefixes, _CSV_CHUNK), values)
+            f.write("\n".join(rows) + "\n")
     return path
 
 

@@ -5,27 +5,28 @@ the coercive minimum negative, and one descent core shared by both energy
 forms.  The core (:func:`_descent`) takes Barzilai-Borwein steps along the
 Sobolev gradient P^-1 g, where P is the p = 2 operator of the energies and
 its exact inverse is a sine transform (:func:`gradient_gram_inverse`), so
-its iteration counts do not grow with the grid.  A retraction hook maps
-each trial point: the identity for global minimization of the coercive form,
-the ray-peak projection for the saddle search on the mountain form (descent
-on the set of ray maxima, started from the peak of the seed's ray).  Ray
-computations read the ray's polynomial (:func:`ray_polynomial`), not the
-cells: a ray peak is a safeguarded Newton root of its slope, and
-:func:`find_endpoint` scans its doublings.  Each trial point takes its
-energy and gradient from one call of :func:`energy_and_gradient`.  Every
-accepted step is certified, by an Armijo energy decrease while that is
-resolvable above summation roundoff or else by a strict residual decrease,
-and the certificate is recorded per step.
+its iteration counts do not grow with the grid.  One evaluation hook maps
+each trial field to its candidate point with that point's energy and
+gradient: :func:`energy_and_gradient` of the field itself for global
+minimization of the coercive form, the ray-peak projection for the saddle
+search on the mountain form (descent on the set of ray maxima, started from
+the peak of the seed's ray).  A saddle trial takes one pass over the cells
+(:class:`RayEnergy`): the ray's polynomial gives the peak, a safeguarded
+Newton root of its slope, and the kept pass the energy and gradient there;
+:func:`find_endpoint` scans the polynomial's doublings.  Every accepted step
+is certified, by an Armijo energy decrease while that is resolvable above
+summation roundoff or else by a strict residual decrease, and the
+certificate is recorded per step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .energy import (
-    EnergyReport, coefficients, energy_and_gradient, eval_energy, ray_energy, ray_polynomial,
-    residual_norm,
+    EnergyReport, RayEnergy, coefficients, energy_and_gradient, eval_energy, ray_energy,
+    ray_polynomial, residual_norm,
 )
 from .errors import (
     EndpointScheduleError,
@@ -168,24 +169,17 @@ def _fp_energy_floor(rep: EnergyReport) -> float:
     return 64.0 * np.finfo(float).eps * max(scale, 1.0)
 
 
-def _descent(
-    u: GridFunction,
-    lam: float,
-    s: ExponentSet,
-    form: str,
-    retract,
-    opts: SolverOptions,
-) -> SolveResult:
-    """Preconditioned Barzilai-Borwein descent with a retraction hook.
+def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
+    """Preconditioned Barzilai-Borwein descent with an evaluation hook.
 
-    The search direction is the Sobolev gradient d = P^-1 g, P = G^T G the
-    p = 2 operator, inverted exactly by :func:`gradient_gram_inverse`; the
-    first trial step is ``STEP_INIT``, later ones the spectral length
-    s'Ps / s'y of the last unretracted step s = -t d_prev (capped at
-    ``STEP_MAX``), where Ps = -t g_prev needs no transform.
-    ``retract(z)`` maps a trial field to the candidate point, whose energy
-    and gradient come from one :func:`energy_and_gradient` call.  Each
-    accepted step carries one certificate:
+    ``evaluate(z)`` maps a trial field z to (point, energy report, gradient)
+    of its candidate point; the run starts at ``evaluate(z0)``.  The search
+    direction is the Sobolev gradient d = P^-1 g, P = G^T G the p = 2
+    operator, inverted exactly by :func:`gradient_gram_inverse`; the first
+    trial step is ``STEP_INIT``, later ones the spectral length s'Ps / s'y
+    of the last step s = -t d_prev before the hook (capped at
+    ``STEP_MAX``), where Ps = -t g_prev needs no transform.  Each accepted
+    step carries one certificate:
 
     * ``armijo``: the energy falls below both the current and the last
       certified level by ARMIJO * t * vol * sum(g d), a decrease required to
@@ -198,9 +192,9 @@ def _descent(
     The energy column of the history repeats the last certified level on
     residual steps, so it never increases.
     """
+    u, rep, g = evaluate(z0)
     grid = u.grid
     vol = grid.cell_volume
-    rep, g = energy_and_gradient(u, lam, s, form)
     res = residual_norm(g)
     certified = rep.total
     history = [(certified, res)]
@@ -221,11 +215,12 @@ def _descent(
         stop = 1e-18 * trial
         while trial > stop:
             try:
-                u_new = retract(GridFunction(grid, u.values - trial * d, bc_zero=True))
+                u_new, rep_new, g_new = evaluate(
+                    GridFunction(grid, u.values - trial * d, bc_zero=True)
+                )
             except PathCollapseError:
                 trial *= STEP_SHRINK
                 continue
-            rep_new, g_new = energy_and_gradient(u_new, lam, s, form)
             required = ARMIJO * trial * vol * gd
             if required > floor and rep_new.total <= min(rep.total, certified) - required:
                 kind = "armijo"
@@ -265,7 +260,7 @@ def minimize_energy(
     override_hypotheses: bool = False,
 ) -> SolveResult:
     """Global minimization of the coercive form by the preconditioned
-    descent core with the identity retraction.
+    descent core, evaluating each trial field itself.
 
     Every accepted step is certified by an Armijo energy decrease or, once
     decreases fall below summation roundoff, by a strict residual decrease
@@ -275,7 +270,9 @@ def minimize_energy(
     _gate(s, "coercive", override_hypotheses)
     if not init.bc_zero:
         raise ValueError("initial iterate must be zero on the boundary")
-    return _descent(init.copy(), lam, s, "coercive", lambda z: z, opts)
+    return _descent(
+        init.copy(), lambda z: (z, *energy_and_gradient(z, lam, s, "coercive")), opts
+    )
 
 
 @dataclass
@@ -357,13 +354,13 @@ class _RaySlope:
     """Slope and curvature of t -> energy(t*z) along a fixed ray (mountain form).
 
     Read off the ray polynomial E(t) = sum c_k t^p_k of z
-    (:func:`ray_polynomial`), built once from one pass over the cells: a call
+    (:attr:`RayEnergy.poly`), built once from one pass over the cells: a call
     returns E'(t) = sum c_k p_k t^(p_k-1) and E''(t) from the same powers, so
     each evaluation costs a few dozen terms, not a pass over the cells.
     """
 
-    def __init__(self, z: GridFunction, lam: float, s: ExponentSet):
-        p, c = ray_polynomial(z, lam, s, "mountain")
+    def __init__(self, poly: tuple[np.ndarray, np.ndarray]):
+        p, c = poly
         self.expo = p - 1.0
         self.d1 = c * p
         self.d2 = self.d1 * self.expo
@@ -381,7 +378,8 @@ _LN2 = float(np.log(2.0))
 
 
 def _ray_peak(z: GridFunction, lam, s, t_init: float = 1.0, rel_tol: float = 1e-13):
-    """Maximizer of the mountain energy along the ray through ``z``.
+    """Maximizer of the mountain energy along the ray through ``z``, with its
+    energy report and gradient, from one pass over the cells of ``z``.
 
     The slope is positive near the origin (the barrier rises) and negative
     far out (the focusing term wins), so a sign change exists for a nonzero
@@ -394,10 +392,13 @@ def _ray_peak(z: GridFunction, lam, s, t_init: float = 1.0, rel_tol: float = 1e-
     window of 90 doublings above and 400 halvings below ``t_init`` raises
     PathCollapseError.  Stops at a move below ``rel_tol`` in log t; inside
     the descent, whose trial points lie near the peak at t = 1, that takes
-    about three evaluations.  Returns the peak point t * z only; its energy
-    is left to the caller.
+    about three evaluations.  Returns (t * z, report, gradient), the last
+    two from the cell pass the polynomial was built from
+    (:meth:`RayEnergy.at`); they match :func:`energy_and_gradient` of
+    t * z to rounding.
     """
-    slope_of = _RaySlope(z, lam, s)
+    ray = RayEnergy(z, lam, s, "mountain")
+    slope_of = _RaySlope(ray.poly)
     x = float(np.log(max(t_init, np.finfo(float).tiny)))
     lo, hi = x - _PEAK_HALVINGS * _LN2, x + _PEAK_DOUBLINGS * _LN2
     seen_lo = seen_hi = False
@@ -431,7 +432,8 @@ def _ray_peak(z: GridFunction, lam, s, t_init: float = 1.0, rel_tol: float = 1e-
         x = x_new
         if done:
             break
-    return float(np.exp(x)) * z
+    t = float(np.exp(x))
+    return (t * z, *ray.at(t))
 
 
 def mountain_pass(
@@ -446,20 +448,37 @@ def mountain_pass(
     Starts at the energy peak of the ray through ``direction`` (any nonzero
     zero-boundary field; only its ray matters).  From there the
     preconditioned descent core runs with :func:`_ray_peak` as its
-    retraction, so every iterate is the energy maximum along its ray (a
+    evaluation hook, so every iterate is the energy maximum along its ray (a
     point of the ray-peak set, in the manner of Li and Zhou's minimax
     method) and each accepted step is certified by an Armijo decrease of the
-    peak level or a strict residual decrease.  The peak level stays above
-    zero, so the search can neither tunnel to the trivial solution nor
+    peak level or a strict residual decrease.  Each trial takes one pass
+    over the cells for its peak, energy and gradient.  The peak level stays
+    above zero, so the search can neither tunnel to the trivial solution nor
     plunge into the unbounded-below region.  Stops when the full residual
     meets the tolerance.
+
+    The returned energy and residual are the kernel's own at the returned
+    field (one closing :func:`energy_and_gradient`), so they equal
+    :func:`eval_energy` and :func:`grad_energy` of it bitwise, and the
+    termination is decided from that residual.
     """
     opts = opts or SolverOptions()
     _gate(s, "mountain", override_hypotheses)
     if float(np.max(np.abs(direction.values))) == 0.0:
         raise ValueError("direction must be nonzero")
-    u = _ray_peak(direction, lam, s)
-    return _descent(u, lam, s, "mountain", lambda z: _ray_peak(z, lam, s), opts)
+    result = _descent(direction, lambda z: _ray_peak(z, lam, s), opts)
+    rep, g = energy_and_gradient(result.u, lam, s, "mountain")
+    res = residual_norm(g)
+    # the on-ray residual the descent stopped on differs from the kernel's
+    # by rounding; a stop it counted converged that the kernel does not
+    # certify is reported as stagnated
+    if res <= opts.tol:
+        termination = "converged"
+    elif result.converged:
+        termination = "stagnated"
+    else:
+        termination = result.termination
+    return replace(result, energy=rep, residual=res, termination=termination)
 
 
 def _negated(result: SolveResult, lam: float, s: ExponentSet) -> SolveResult:

@@ -127,7 +127,12 @@ def _field_csv_row_by_row(grid, values):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("grid", [DomainGrid(2, (4, 5), (1.0, 3.0)), DomainGrid(3, (4, 5, 6))])
+# rows are written 4096 at a time: the last two grids fill exactly one
+# chunk, and two chunks and a part
+@pytest.mark.parametrize("grid", [
+    DomainGrid(2, (4, 5), (1.0, 3.0)), DomainGrid(3, (4, 5, 6)),
+    DomainGrid(3, (16, 16, 16)), DomainGrid(3, (20, 20, 21)),
+])
 def test_field_csv_matches_row_by_row_writer(tmp_path, rng, grid):
     vals = rng.standard_normal(grid.node_shape) * 10.0 ** rng.uniform(-300, 300, grid.node_shape)
     vals.flat[:3] = (-0.0, 5e-324, 1.0)

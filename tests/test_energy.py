@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from doublephase.energy import (
+    REG_EPS,
+    RayEnergy,
+    _powers,
     energy_and_gradient,
     eval_energy,
     eval_energy_many,
@@ -150,6 +153,67 @@ def test_ray_polynomial_matches_the_energy(set12, rng, grouped):
         ts = np.array([1e-3, 1.0, 1e3])
         scalar = [float(ray_energy(poly, t)) for t in ts]
         assert np.allclose(ray_energy(poly, ts), scalar, rtol=1e-14, atol=0.0)
+
+
+def _low_p1_set(grid, rng, constant):
+    # p1 below 2 on some cells (crossing 2) or on all (constant 1.5), so the
+    # regularized weights take their own power
+    p1_values = 1.5 if constant else rng.uniform(1.5, 2.5, grid.cell_shape)
+    p1 = ExponentField.from_values(grid, p1_values)
+    p2 = ExponentField.from_values(grid, rng.uniform(2.0, 2.5, grid.cell_shape))
+    pmax = ExponentField.from_values(grid, np.maximum(p1.values, p2.values))
+    return ExponentSet(p1, p2, pmax, ExponentField.from_values(grid, 4.0))
+
+
+@pytest.mark.parametrize("kind", ["grouped", "distinct", "p1-crossing-2", "p1-constant-1.5"])
+def test_ray_energy_matches_the_kernel_on_the_ray(set12, rng, kind):
+    grid = set12.grid
+    s = {
+        "grouped": lambda: set12,
+        "distinct": lambda: _all_distinct_set(grid, rng),
+        "p1-crossing-2": lambda: _low_p1_set(grid, rng, constant=False),
+        "p1-constant-1.5": lambda: _low_p1_set(grid, rng, constant=True),
+    }[kind]()
+    vals = random_field(grid, rng).values
+    vals[2:5, 2:5, 2:5] = 0.0  # cells with zero gradient and zero average
+    vals[6:10, 6:10, 6:10] = 0.5  # cells with zero gradient only
+    u = GridFunction(grid, vals, bc_zero=True)
+    for form in ("mountain", "coercive"):
+        ray = RayEnergy(u, 0.9, s, form)
+        for t in (0.3, 1.0, 7.0):
+            rep, r = ray.at(t)
+            want, r_want = energy_and_gradient(t * u, 0.9, s, form)
+            assert (rep.form, rep.lam) == (want.form, want.lam)
+            for got, ref in zip(rep.terms, want.terms):
+                assert abs(got - ref) <= 1e-12 * ref
+            # relative to the terms' sum, as the signed total may cancel
+            assert abs(rep.total - want.total) <= 1e-12 * sum(want.terms)
+            assert np.max(np.abs(r.values - r_want.values)) <= 1e-12 * np.max(np.abs(r_want.values))
+
+
+def _power_weight_reference(x2, p):
+    # the weight before one power per term: both powers, merged per cell
+    expo = 0.5 * (p - 2.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        plain = x2**expo
+        reg = (x2 + REG_EPS * REG_EPS) ** expo
+    return np.where(p < 2.0, reg, plain)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 4.0, 3.0, 1.5, "mixed"])
+def test_one_power_weights_match_the_two_power_formulas(rng, exponent):
+    grid = DomainGrid(3, (6, 6, 6))
+    x2 = rng.uniform(0.0, 3.0, (2,) + grid.cell_shape) ** 4  # a leading batch axis
+    x2[:, ::2, 1, :] = 0.0
+    if exponent == "mixed":  # cells below, at and above 2
+        exponent = rng.choice([1.5, 1.9, 2.0, 2.3, 3.0, 4.0], grid.cell_shape)
+    p = ExponentField.from_values(grid, exponent)
+    w, bp = _powers(x2, p)
+    w_ref = _power_weight_reference(x2, p.values)
+    bp_ref = np.sqrt(x2) ** p.values  # the cell value base^p before
+    # zero cells are compared exactly (0, 1 at p = 2, regularized below 2)
+    assert np.allclose(np.broadcast_to(w, x2.shape), w_ref, rtol=1e-14, atol=0.0)
+    assert np.allclose(bp, bp_ref, rtol=1e-14, atol=0.0)
 
 
 def test_ray_polynomial_of_the_zero_field(set12):

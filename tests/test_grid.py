@@ -24,6 +24,8 @@ from doublephase.grid import (
 
 from conftest import random_field
 
+GRID_2D = DomainGrid(2, (7, 11), (0.5, 3.0))
+GRID_3D = DomainGrid(3, (12, 10, 9), (1.3, 0.7, 2.0))
 
 def test_grid_invariants():
     g = DomainGrid(2, (8, 12), (1.0, 2.0))
@@ -46,6 +48,27 @@ def test_gridfunction_validation():
         GridFunction(g, vals, bc_zero=True)  # nonzero boundary
     vals[g.boundary_mask()] = 0.0
     GridFunction(g, vals, bc_zero=True)
+
+
+@pytest.mark.parametrize("grid, batch", [(GRID_2D, ()), (GRID_3D, ()), (GRID_3D, (2,))],
+                         ids=["2d", "3d", "3d-batch2"])
+def test_boundary_faces_zero_the_boundary_mask(grid, batch, rng):
+    vals = rng.standard_normal(batch + grid.node_shape)
+    by_mask = vals.copy()
+    by_mask[..., grid.boundary_mask()] = 0.0
+    by_faces = vals.copy()
+    for face in grid.boundary_faces:
+        by_faces[face] = 0.0
+    assert len(grid.boundary_faces) == 2 * grid.dim
+    assert np.array_equal(by_faces, by_mask)
+    # from_nodes zeroes the same nodes, and a nonzero on any face is refused
+    u = GridFunction.from_nodes(grid, lambda *x: vals[(0,) * len(batch)], bc_zero=True)
+    assert np.array_equal(u.values, by_mask[(0,) * len(batch)])
+    for face in grid.boundary_faces:
+        bad = u.values.copy()
+        bad[face] = 1.0
+        with pytest.raises(ValueError):
+            GridFunction(grid, bad, bc_zero=True)
 
 
 def test_gradient_zero_field():
@@ -125,10 +148,6 @@ def test_quadrature_of_averaged_constant():
         u = GridFunction(g, np.full(g.node_shape, c))
         got = cell_quadrature(g, node_to_cell(u))
         assert abs(got - c * g.volume) <= 1e-13 * max(1.0, abs(c) * g.volume)
-
-
-GRID_2D = DomainGrid(2, (7, 11), (0.5, 3.0))
-GRID_3D = DomainGrid(3, (12, 10, 9), (1.3, 0.7, 2.0))
 
 
 @pytest.mark.parametrize(

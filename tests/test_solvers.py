@@ -272,7 +272,7 @@ def test_ray_peak_zeroes_the_ray_slope(s8, bump8):
     directions = [bump8.fn] + [random_field(s8.grid, rng) for _ in range(3)]
     for d in directions:
         for scale in (1e-6, 1.0, 1e6):
-            peak = _ray_peak(scale * d, 1.0, s8)
+            peak, _, _ = _ray_peak(scale * d, 1.0, s8)
             expos, coeffs = ray_polynomial(peak, 1.0, s8, "mountain")
             slope = coeffs * expos
             assert abs(slope.sum()) <= 1e-12 * np.abs(slope).sum()
