@@ -19,8 +19,7 @@ class NormBracketError(DoublePhaseError):
     Raised for overflow-scale input: a field whose largest value exceeds
     float-max/2**60 (about 1.5e290), or is not finite.  Every smaller nonzero
     scale, down to the smallest subnormal double, is served.  Also raised if
-    the root cannot be bracketed or its residual on the normalized field
-    exceeds ``spaces.NORM_TOL``.
+    the root's residual on the normalized field exceeds ``spaces.NORM_TOL``.
     """
 
 

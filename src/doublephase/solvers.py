@@ -11,8 +11,9 @@ gradient: :func:`energy_and_gradient` of the field itself for global
 minimization of the coercive form, the ray-peak projection for the saddle
 search on the mountain form (descent on the set of ray maxima, started from
 the peak of the seed's ray).  A saddle trial takes one pass over the cells
-(:class:`RayEnergy`): the ray's polynomial gives the peak, a safeguarded
-Newton root of its slope, and the kept pass the energy and gradient there;
+(:class:`RayEnergy`): the ray's polynomial gives the peak, where the
+rising and falling parts of its slope balance (:func:`decreasing_root` on
+their log ratio), and the kept pass the energy and gradient there;
 :func:`find_endpoint` scans the polynomial's doublings.  Every accepted step
 is certified, by an Armijo energy decrease while that is resolvable above
 summation roundoff or else by a strict residual decrease, and the
@@ -20,6 +21,7 @@ certificate is recorded per step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .exponents import ExponentSet, validate_hypotheses
 from .grid import DomainGrid, GridFunction, gradient_gram_inverse
-from .spaces import sobolev_norm
+from .spaces import decreasing_root, sobolev_norm
 
 __all__ = [
     "SolverOptions",
@@ -351,88 +353,68 @@ def find_endpoint(
 
 
 class _RaySlope:
-    """Slope and curvature of t -> energy(t*z) along a fixed ray (mountain form).
+    """log(P/N) of the ray slope in x = log t, with its derivative in x.
 
-    Read off the ray polynomial E(t) = sum c_k t^p_k of z
-    (:attr:`RayEnergy.poly`), built once from one pass over the cells: a call
-    returns E'(t) = sum c_k p_k t^(p_k-1) and E''(t) from the same powers, so
-    each evaluation costs a few dozen terms, not a pass over the cells.
+    Along the ray of z the mountain energy is the polynomial
+    E(t) = sum c_k t^p_k (:attr:`RayEnergy.poly`, built once from one pass
+    over the cells), and t E'(t) = P - N: P sums the rising terms
+    c_k p_k t^p_k with c_k > 0, N the falling ones with their sign flipped.
+    Their log ratio is zero exactly at the peak and nearly linear in x when
+    the exponents vary little, so Newton on it is nearly exact from any
+    start.  A call takes one ``exp`` of p x shifted by its maximum, so
+    nothing overflows, and a part that underflows to 0 gives an infinite
+    value of the correct sign.
+
+    The constructor raises PathCollapseError when the ray has no barrier
+    (the net coefficient at the lowest power is not positive) or no peak
+    (the net coefficient at the highest power is not negative); otherwise
+    log(P/N) runs from positive to negative, and the peak exists.
     """
 
     def __init__(self, poly: tuple[np.ndarray, np.ndarray]):
         p, c = poly
-        self.expo = p - 1.0
-        self.d1 = c * p
-        self.d2 = self.d1 * self.expo
+        lo, hi = p.min(initial=np.inf), p.max(initial=-np.inf)
+        if not c[p == lo].sum() > 0.0:
+            raise PathCollapseError("ray energy has no barrier (degenerate direction)")
+        if not c[p == hi].sum() < 0.0:
+            raise PathCollapseError("no interior energy peak along the ray")
+        cp = c * p
+        rise = np.maximum(cp, 0.0)
+        fall = rise - cp
+        self.parts = np.array([rise, fall, rise * p, fall * p])
+        # p x - max(p x) is (p - max p) x for x > 0 and (p - min p) x below
+        self.below_max, self.above_min = p - hi, p - lo
 
-    def __call__(self, t: float) -> tuple[float, float]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = t**self.expo
-            return float(self.d1 @ powers), float(self.d2 @ powers) / t
+    def __call__(self, x: float) -> tuple[float, float]:
+        shifted = (self.below_max if x > 0.0 else self.above_min) * x
+        pos, neg, d_pos, d_neg = (self.parts @ np.exp(shifted)).tolist()
+        if not pos:
+            return -math.inf, math.nan
+        if not neg:
+            return math.inf, math.nan
+        return math.log(pos / neg), d_pos / pos - d_neg / neg
 
 
-# window of the ray-peak search around the first trial t, in doublings
-_PEAK_DOUBLINGS = 90
-_PEAK_HALVINGS = 400
-_LN2 = float(np.log(2.0))
-
-
-def _ray_peak(z: GridFunction, lam, s, t_init: float = 1.0, rel_tol: float = 1e-13):
+def _ray_peak(z: GridFunction, lam, s):
     """Maximizer of the mountain energy along the ray through ``z``, with its
     energy report and gradient, from one pass over the cells of ``z``.
 
-    The slope is positive near the origin (the barrier rises) and negative
-    far out (the focusing term wins), so a sign change exists for a nonzero
-    direction.  Its root is found by safeguarded Newton in x = log t on the
-    ray polynomial (:class:`_RaySlope`), in the manner of
-    :func:`luxemburg_norm_cells`: every evaluation narrows the sign bracket
-    [lo, hi] in x, and the Newton step -E'/(t E'') is kept only inside it.
-    Otherwise the bracket midpoint is taken, or, while no slope of one sign
-    has been seen, a doubling (halving) of t; a search that leaves the
-    window of 90 doublings above and 400 halvings below ``t_init`` raises
-    PathCollapseError.  Stops at a move below ``rel_tol`` in log t; inside
-    the descent, whose trial points lie near the peak at t = 1, that takes
-    about three evaluations.  Returns (t * z, report, gradient), the last
-    two from the cell pass the polynomial was built from
-    (:meth:`RayEnergy.at`); they match :func:`energy_and_gradient` of
-    t * z to rounding.
+    The peak t is the root of log(P/N) in x = log t (:class:`_RaySlope`),
+    found by :func:`decreasing_root` from t = 1; inside the descent, whose
+    trial points lie near their peak at t = 1, that takes about three
+    evaluations, and a start 1e6 times too close or too far about five.  A
+    ray without barrier or peak, or a peak t that is not a finite positive
+    double, raises PathCollapseError.  Returns (t * z, report, gradient),
+    the last two from the cell pass the polynomial was built from
+    (:meth:`RayEnergy.at`); they match :func:`energy_and_gradient` of t * z
+    to rounding.
     """
     ray = RayEnergy(z, lam, s, "mountain")
-    slope_of = _RaySlope(ray.poly)
-    x = float(np.log(max(t_init, np.finfo(float).tiny)))
-    lo, hi = x - _PEAK_HALVINGS * _LN2, x + _PEAK_DOUBLINGS * _LN2
-    seen_lo = seen_hi = False
-    # enough to walk the whole window and then bisect it to rounding
-    for _ in range(_PEAK_DOUBLINGS + _PEAK_HALVINGS + 200):
+    x, _, _ = decreasing_root(_RaySlope(ray.poly))
+    with np.errstate(over="ignore"):
         t = float(np.exp(x))
-        slope, curv = slope_of(t)
-        if slope > 0.0:
-            lo, seen_lo = x, True
-        else:  # a slope that is not finite counts as past the peak
-            hi, seen_hi = x, True
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -slope / (t * curv)
-        # a Newton step of rounding size ends the search; it may land on x
-        # itself, that is on a bracket end
-        if abs(step) <= rel_tol:
-            x += step
-            break
-        x_new = x + step
-        if not lo < x_new < hi:
-            if seen_lo and seen_hi:
-                x_new = 0.5 * (lo + hi)
-            else:
-                x_new = x + (_LN2 if seen_lo else -_LN2)
-                if not lo < x_new < hi:
-                    raise PathCollapseError(
-                        "no interior energy peak along the ray" if seen_lo
-                        else "ray energy has no barrier (degenerate direction)"
-                    )
-        done = abs(x_new - x) <= rel_tol
-        x = x_new
-        if done:
-            break
-    t = float(np.exp(x))
+    if not 0.0 < t < math.inf:
+        raise PathCollapseError(f"ray peak at log t = {x:.3e} is not a finite positive scale")
     return (t * z, *ray.at(t))
 
 

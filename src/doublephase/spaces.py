@@ -2,10 +2,14 @@
 
 Modulars integrate the cell-averaged absolute value, so the norm-modular
 relations and the Hoelder pairing hold exactly in the discrete model (up to
-roundoff), not just asymptotically.
+roundoff), not just asymptotically.  The Luxemburg norm is a root of the
+decreasing function log rho(a/e^x), found by the package's one
+one-dimensional root finder, :func:`decreasing_root` (safeguarded Newton in
+a sign bracket), which also finds the solvers' ray peaks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +21,7 @@ from .grid import DomainGrid, GridFunction, cell_quadrature, discrete_gradient, 
 __all__ = [
     "NORM_TOL",
     "NormSolveTrace",
+    "decreasing_root",
     "modular",
     "modular_cells",
     "luxemburg_norm",
@@ -28,13 +33,14 @@ __all__ = [
 ]
 
 # asserted bound on the root residual |rho(a/nu) - 1| of the normalized field;
-# the Newton iteration stops at |rho - 1| <= 8 eps or at a rounding-size step,
-# so the realized residual is ~1e-15
+# the Newton iteration stops at an exact zero of log rho or at a rounding-size
+# step, so the realized residual is ~1e-15
 NORM_TOL = 1e-10
+# cap on the evaluations of one decreasing_root search
 _MAX_ITER = 200
-_BRACKET_SPAN = 2.0**60
-_LOG_SPAN = float(np.log(_BRACKET_SPAN))
-_EXPAND_LIMIT = 3
+# the largest served field scale is float-max / _SCALE_HEADROOM, so that the
+# norm mu = scale * nu stays finite for a normalized norm nu up to 2**60
+_SCALE_HEADROOM = 2.0**60
 
 _REL_SLACK = 1e-12
 
@@ -43,19 +49,63 @@ _REL_SLACK = 1e-12
 class NormSolveTrace:
     """How a Luxemburg norm was solved.
 
-    ``root`` and the verified bracket the iteration started in are in the
-    units of the field; for subnormal-scale fields the bracket ends may round
-    to 0.  ``iterations`` counts passes over the cells (safeguarded Newton
-    steps in log nu, not counting the two bracket checks).  ``residual`` is
-    |rho(a/nu) - 1| certified on the normalized field a = |w|/max|w|, whose
-    norm nu = root/max|w| is what the iteration solves for.
+    ``root`` is the norm, in the units of the field.  ``iterations`` counts
+    passes over the cells, one per evaluation of :func:`decreasing_root`.
+    ``residual`` is |rho(a/nu) - 1| certified on the normalized field
+    a = |w|/max|w|, whose norm nu = root/max|w| is what the iteration solves
+    for.
     """
 
     root: float
-    bracket_lo: float
-    bracket_hi: float
     iterations: int
     residual: float
+
+
+def decreasing_root(f, x: float = 0.0) -> tuple[float, float, int]:
+    """Root of a decreasing function by safeguarded Newton, from ``x``.
+
+    ``f(x)`` returns (value, slope) with the value decreasing in x; a value
+    of +inf or NaN counts as left of the root, -inf as right of it.  Every
+    evaluation narrows the sign bracket (lo, hi), which starts open at
+    (-inf, inf).  The Newton step -value/slope is kept only inside the
+    bracket; otherwise the next point is the bracket midpoint or, while one
+    end is still open, a move of 1, 2, 4, ... towards that end.  The search
+    stops at an exact zero, at a Newton step or a move of rounding size
+    (4 eps max(1, |x|); a Newton step below half an ulp of x would land on x
+    itself), or after ``_MAX_ITER`` evaluations.  Newton steps are not
+    limited in size: both callers pass a log form (log rho, log(P/N)), on
+    which Newton is nearly exact far from the root too.  Returns the
+    evaluated x with the smallest |value|, that value and the number of
+    evaluations.
+    """
+    rounding = 4.0 * np.finfo(float).eps
+    lo, hi = -math.inf, math.inf
+    best, best_value = x, math.inf
+    move = 1.0
+    for evals in range(1, _MAX_ITER + 1):
+        value, slope = f(x)
+        if abs(value) < abs(best_value):
+            best, best_value = x, value
+        if value == 0.0:
+            break
+        if value < 0.0:
+            hi = x
+        else:
+            lo = x
+        step = -value / slope if slope and math.isfinite(slope) else math.nan
+        x_new = x + step
+        if not lo < x_new < hi:
+            if hi == math.inf:
+                x_new, move = lo + move, 2.0 * move
+            elif lo == -math.inf:
+                x_new, move = hi - move, 2.0 * move
+            else:
+                x_new = 0.5 * (lo + hi)
+        tol = rounding * max(1.0, abs(x))
+        if abs(step) <= tol or abs(x_new - x) <= tol:
+            break
+        x = x_new
+    return best, best_value, evals
 
 
 def modular_cells(grid: DomainGrid, w: np.ndarray, p: ExponentField) -> float:
@@ -79,88 +129,50 @@ def luxemburg_norm_cells(
 
     By absolute homogeneity mu = scale * nu, where scale = max|w| and nu is
     the norm of the normalized field a = |w|/scale (max a = 1).  The root is
-    solved in x = log nu, so no bracket end underflows or overflows: after a
-    sign change of rho - 1 is verified on a bracket in x, Newton steps on
-    log rho(a/e^x), which is convex and decreasing in x, start from x = 0.
-    Each pass over the cells gives rho = vol * sum(w) and
-    d log rho/dx = -sum(p w)/sum(w) from the same powers w = (a/e^x)^p; a
-    step that leaves the open bracket, or a rho that is not finite and
-    positive, is replaced by the bracket midpoint.  |rho(a/nu) - 1| <=
-    NORM_TOL is certified before returning.  Every scale from the smallest
-    subnormal double up to float-max/2**60 (about 1.5e290) is served; a
-    larger or non-finite scale raises NormBracketError.  A true norm below
-    the smallest subnormal double rounds to 0, and a subnormal norm carries
-    only the precision of a subnormal.
+    solved in x = log nu, so no iterate underflows or overflows:
+    :func:`decreasing_root` runs from x = 0 on log rho(a/e^x), which is
+    convex and decreasing in x.  Each pass over the cells gives
+    rho = vol * sum(w) and d log rho/dx = -sum(p w)/sum(w) from the same
+    powers w = (a/e^x)^p; a rho that overflows counts as left of the root,
+    one that underflows to 0 as right of it.  |rho(a/nu) - 1| <= NORM_TOL is
+    certified before returning.  Every scale from the smallest subnormal
+    double up to float-max/2**60 (about 1.5e290) is served; a larger or
+    non-finite scale raises NormBracketError.  A true norm below the smallest
+    subnormal double rounds to 0, and a subnormal norm carries only the
+    precision of a subnormal.
     """
     absw = np.abs(np.asarray(w, dtype=float))
     scale = float(absw.max())
     if scale == 0.0:
-        return 0.0, NormSolveTrace(0.0, 0.0, 0.0, 0, 0.0)
-    if not np.isfinite(scale * _BRACKET_SPAN):
+        return 0.0, NormSolveTrace(0.0, 0, 0.0)
+    if not np.isfinite(scale * _SCALE_HEADROOM):
         raise NormBracketError(
             f"field scale {scale:.3e} exceeds the served limit "
-            f"{np.finfo(float).max / _BRACKET_SPAN:.3e}"
+            f"{np.finfo(float).max / _SCALE_HEADROOM:.3e}"
         )
 
     a = absw / scale
     pv = p.values
     vol = grid.cell_volume
 
-    def powers(log_nu: float) -> tuple[np.ndarray, float]:
-        """w = (a/nu)^p at nu = e^log_nu, and sum(w)."""
+    def log_rho(x: float) -> tuple[float, float]:
+        """log rho(a/e^x) and its slope in x, from w = (a/e^x)^p."""
         with np.errstate(over="ignore"):
-            wx = (a / np.exp(log_nu)) ** pv
-            return wx, float(np.sum(wx))
+            wx = (a / np.exp(x)) ** pv
+            total = float(np.sum(wx))
+            r = vol * total
+            if not 0.0 < r < math.inf:
+                return (math.inf if r else -math.inf), math.nan
+            return math.log(r), -float(np.sum(pv * wx)) / total
 
-    def rho(log_nu: float) -> float:
-        return vol * powers(log_nu)[1]
-
-    lo, hi = -_LOG_SPAN, _LOG_SPAN
-    for _ in range(_EXPAND_LIMIT):
-        if rho(lo) >= 1.0 and rho(hi) <= 1.0:
-            break
-        lo -= _LOG_SPAN
-        hi += _LOG_SPAN
-    else:
-        raise NormBracketError(
-            f"could not bracket the norm root (scale {scale:.3e})"
-        )
-    bracket = (scale * float(np.exp(lo)), scale * float(np.exp(hi)))
-
-    eps = np.finfo(float).eps
-    x, best, res = 0.0, 0.0, np.inf
-    iters = 0
-    for iters in range(1, _MAX_ITER + 1):
-        wx, total = powers(x)
-        r = vol * total
-        if abs(r - 1.0) < res:
-            best, res = x, abs(r - 1.0)
-        if res <= 8.0 * eps:
-            break
-        if r > 1.0:
-            lo = x
-        else:
-            hi = x
-        step = np.nan
-        if np.isfinite(r) and r > 0.0:
-            # -log rho / (d log rho/dx), with d log rho/dx = -sum(p w)/sum(w)
-            with np.errstate(over="ignore"):
-                step = np.log(r) * total / float(np.sum(pv * wx))
-        x_new = x + step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        # a Newton step or a bisection move of rounding size ends the search
-        # (a Newton step below half an ulp of x would land on x itself)
-        tol = 4.0 * eps * max(1.0, abs(x))
-        if abs(step) <= tol or abs(x_new - x) <= tol:
-            break
-        x = x_new
-    if res > NORM_TOL:
+    x, value, iters = decreasing_root(log_rho)
+    res = abs(math.expm1(value))
+    if not res <= NORM_TOL:
         raise NormBracketError(
             f"norm root residual {res:.3e} exceeds {NORM_TOL} after {iters} iterations"
         )
-    mu = scale * float(np.exp(best))
-    return mu, NormSolveTrace(mu, *bracket, iters, res)
+    mu = scale * float(np.exp(x))
+    return mu, NormSolveTrace(mu, iters, res)
 
 
 def luxemburg_norm(u: GridFunction, p: ExponentField) -> tuple[float, NormSolveTrace]:

@@ -190,7 +190,6 @@ def check_mp_geometry(
     eta_grid=None,
     n_directions: int = 8,
     seed=0,
-    override_hypotheses: bool = False,
 ) -> CheckReport:
     """Sphere barrier of the mountain form: find the largest tested radius
     whose energy minimum over random directions stays positive, and check the
@@ -200,8 +199,7 @@ def check_mp_geometry(
     t = eta / |d|, so all radii are scanned on the directions' ray polynomials
     (:func:`ray_polynomial`); the reported level alpha at the chosen radius
     is evaluated by the cell kernel, like every energy of the reports."""
-    report = validate_hypotheses(s, "mountain")
-    if not report.passed and not override_hypotheses:
+    if not validate_hypotheses(s, "mountain").passed:
         raise HypothesisGateError("mountain hypotheses fail; geometry check skipped")
     rng = _rng(seed)
     if eta_grid is None:
@@ -314,12 +312,10 @@ def check_coercivity(
     s: ExponentSet,
     n_samples: int = 500,
     seed=0,
-    override_hypotheses: bool = False,
 ) -> CheckReport:
     """Coercivity floor of the coercive form on fields with gradient norm > 1,
     together with the uniform bulk-difference bound that drives it."""
-    report = validate_hypotheses(s, "coercive")
-    if not report.passed and not override_hypotheses:
+    if not validate_hypotheses(s, "coercive").passed:
         raise HypothesisGateError("coercive hypotheses fail; coercivity check skipped")
     rng = _rng(seed)
     grid = s.grid
@@ -353,55 +349,59 @@ def check_coercivity(
     )
 
 
+def _sampled(name: str, n: int, trial) -> CheckReport:
+    """Run ``trial(i)`` for i < n; each returns (margin, passed), and the
+    report counts the failures and keeps the smallest margin."""
+    failures = 0
+    worst = np.inf
+    for i in range(n):
+        margin, passed = trial(i)
+        worst = min(worst, margin)
+        failures += not passed
+    return CheckReport(name, n, failures, float(worst))
+
+
 def check_holder_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckReport:
     """Randomized pairing bound on the p1 exponent field."""
     rng = _rng(seed)
     grid = s.grid
-    failures = 0
-    worst = np.inf
-    for _ in range(n_samples):
+
+    def trial(_):
         u = GridFunction(grid, rng.standard_normal(grid.node_shape) * rng.uniform(0.1, 5.0))
         v = GridFunction(grid, rng.standard_normal(grid.node_shape) * rng.uniform(0.1, 5.0))
         rep = check_holder(u, v, s.p1)
-        margin = (rep.rhs - rep.lhs) / max(rep.rhs, 1e-300)
-        worst = min(worst, margin)
-        if not rep.passed:
-            failures += 1
-    return CheckReport("holder_pairing", n_samples, failures, float(worst))
+        return (rep.rhs - rep.lhs) / max(rep.rhs, 1e-300), rep.passed
+
+    return _sampled("holder_pairing", n_samples, trial)
 
 
 def check_sandwich_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckReport:
     """Randomized norm-modular sandwich on the p2 exponent field, both sides of 1."""
     rng = _rng(seed)
     grid = s.grid
-    failures = 0
-    worst = np.inf
-    for i in range(n_samples):
+
+    def trial(i):
         amp = rng.uniform(0.05, 0.5) if i % 2 else rng.uniform(1.0, 20.0)
         u = GridFunction(grid, amp * rng.standard_normal(grid.node_shape))
         rep = check_modular_norm_relations(u, s.p2)
         lo_m = (rep.modular - rep.lower) / max(rep.upper, 1e-300)
         hi_m = (rep.upper - rep.modular) / max(rep.upper, 1e-300)
-        worst = min(worst, lo_m, hi_m)
-        if not rep.passed:
-            failures += 1
-    return CheckReport("norm_modular_sandwich", n_samples, failures, float(worst))
+        return min(lo_m, hi_m), rep.passed
+
+    return _sampled("norm_modular_sandwich", n_samples, trial)
 
 
 def check_inclusion_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckReport:
     """Randomized embedding bound with the p1 <= pmax pairing."""
     rng = _rng(seed)
     grid = s.grid
-    failures = 0
-    worst = np.inf
-    for _ in range(n_samples):
+
+    def trial(_):
         u = GridFunction(grid, rng.standard_normal(grid.node_shape) * rng.uniform(0.1, 10.0))
         rep = check_inclusion_bound(u, s.p1, s.pmax)
-        margin = (rep.rhs - rep.lhs) / max(rep.rhs, 1e-300)
-        worst = min(worst, margin)
-        if not rep.passed:
-            failures += 1
-    return CheckReport("inclusion_bound", n_samples, failures, float(worst))
+        return (rep.rhs - rep.lhs) / max(rep.rhs, 1e-300), rep.passed
+
+    return _sampled("inclusion_bound", n_samples, trial)
 
 
 def run_all_checks(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from doublephase import solvers
 from doublephase.energy import eval_energy, grad_energy, ray_polynomial, residual_norm
 from doublephase.errors import (
     EndpointScheduleError,
@@ -9,6 +10,7 @@ from doublephase.errors import (
     PathCollapseError,
     SubdomainBoundsError,
 )
+from doublephase.exponents import build_exponent_set
 from doublephase.grid import DomainGrid, GridFunction, pairing
 from doublephase.solvers import (
     SolverOptions,
@@ -173,8 +175,6 @@ def test_minimize_gate(s8):
     bad = default_set(8)
     bad = type(bad)(bad.p1, bad.p2, bad.pmax, bad.q)
     # supercritical source exponent: gate must refuse without the override
-    from doublephase.exponents import build_exponent_set
-
     bad = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "7", DomainGrid(3, (8, 8, 8)))
     with pytest.raises(HypothesisGateError):
         minimize_energy(1.0, bad, GridFunction.zeros(bad.grid), SolverOptions(max_iter=1))
@@ -264,24 +264,60 @@ def test_mountain_pass_starts_at_the_ray_peak(s8, bump8):
         assert abs(slope) <= 1e-9 * sum(rep.terms)
 
 
-def test_ray_peak_zeroes_the_ray_slope(s8, bump8):
-    # at the returned point the slope sum_k c_k p_k of its own ray polynomial
-    # at t = 1 vanishes relative to the sum of its terms' magnitudes, from
-    # starts below, near and far above the peak
+def _zero_ray_slope(peak, s):
+    """The slope sum_k c_k p_k of the ray polynomial of ``peak`` at t = 1
+    vanishes relative to the sum of its terms' magnitudes."""
+    expos, coeffs = ray_polynomial(peak, 1.0, s, "mountain")
+    slope = coeffs * expos
+    return abs(slope.sum()) <= 1e-12 * np.abs(slope).sum()
+
+
+def test_ray_peak_zeroes_the_ray_slope(s8, bump8, monkeypatch):
+    # from starts below, near and far above the peak, and from 1e-40 * bump,
+    # whose peak lies about 133 doublings out; a start 1e6 times too close or
+    # too far takes at most six slope evaluations
+    evals = []
+    slope = solvers._RaySlope.__call__
+
+    def counted(self, x):
+        evals[-1] += 1
+        return slope(self, x)
+
+    monkeypatch.setattr(solvers._RaySlope, "__call__", counted)
     rng = np.random.default_rng(7)
     directions = [bump8.fn] + [random_field(s8.grid, rng) for _ in range(3)]
-    for d in directions:
-        for scale in (1e-6, 1.0, 1e6):
-            peak, _, _ = _ray_peak(scale * d, 1.0, s8)
-            expos, coeffs = ray_polynomial(peak, 1.0, s8, "mountain")
-            slope = coeffs * expos
-            assert abs(slope.sum()) <= 1e-12 * np.abs(slope).sum()
+    cases = [(scale, d) for d in directions for scale in (1e-6, 1.0, 1e6)]
+    for scale, d in cases + [(1e-40, bump8.fn)]:
+        evals.append(0)
+        peak, _, _ = _ray_peak(scale * d, 1.0, s8)
+        assert _zero_ray_slope(peak, s8), scale
+        if scale != 1.0:
+            assert evals[-1] <= 6, (scale, evals[-1])
 
 
-def test_ray_peak_outside_the_search_window(s8, bump8):
-    # the peak of 1e-40 * bump lies about 133 doublings out, past the 90
-    with pytest.raises(PathCollapseError):
-        _ray_peak(1e-40 * bump8.fn, 1.0, s8)
+def test_ray_peak_with_overlapping_powers():
+    # p2 reaches 3 and q starts at 2.8, so rising and falling powers overlap
+    # (the mountain hypotheses fail; --override-hypotheses admits this set)
+    s = build_exponent_set("2", "2 + sin(pi*x1)", "2.8 + 0.5*x1", DomainGrid(3, (8, 8, 8)))
+    rng = np.random.default_rng(13)
+    bump = bump_function(s.grid, 2.0, SubBox.centered((0.5, 0.5, 0.5), 0.5)).fn
+    for d in (bump, random_field(s.grid, rng)):
+        peak, _, _ = _ray_peak(d, 1.0, s)
+        assert _zero_ray_slope(peak, s)
+
+
+@pytest.mark.parametrize(
+    "p1, p2, q, reason",
+    [("3", "3", "2.5", "no barrier"), ("2", "4", "3", "no interior energy peak")],
+    ids=["no-barrier", "no-peak"],
+)
+def test_ray_peak_collapse(bump8, p1, p2, q, reason):
+    # q = 2.5 lies below the gradient powers, so a falling term leads at
+    # small t (no barrier); p2 = 4 lies above q, so a rising term leads at
+    # large t (no peak)
+    s = build_exponent_set(p1, p2, q, bump8.fn.grid)
+    with pytest.raises(PathCollapseError, match=reason):
+        _ray_peak(bump8.fn, 1.0, s)
 
 
 def test_multi_solution_single_seed_gives_mirror_pair(s8, bump8):

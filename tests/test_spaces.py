@@ -1,8 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from doublephase import spaces
 from doublephase.exponents import ExponentField, build_exponent_set
 from doublephase.grid import DomainGrid, GridFunction
 from doublephase.spaces import (
@@ -10,6 +12,7 @@ from doublephase.spaces import (
     check_holder,
     check_inclusion_bound,
     check_modular_norm_relations,
+    decreasing_root,
     luxemburg_norm,
     luxemburg_norm_cells,
     modular,
@@ -268,11 +271,11 @@ def test_luxemburg_spread_exponent():
 @pytest.mark.parametrize("log_rho0, c", [(-48.0, 30.0), (-82.0, 40.0)])
 def test_luxemburg_newton_safeguard(log_rho0, c):
     # tiny cells: eight cells a = 1 at p = 1.01 and one a = e^-c at p = 20,
-    # with 8 vol = e^log_rho0.  Newton steps from right of the root follow
-    # the p = 1.01 cells towards x = log_rho0/1.01, which leaves the verified
-    # bracket [-41.6, 41.6] (first case) or lands where the p = 20 cell
-    # overflows rho (second case, bracket widened to [-83.2, 83.2]); the
-    # midpoint must take over.
+    # with 8 vol = e^log_rho0.  The first Newton step, from right of the
+    # root, follows the p = 1.01 cells to x = log_rho0/1.01, far left of the
+    # root, where the p = 20 cell makes rho huge (first case) or overflow
+    # (second case, which counts as left of the root); the sign bracket must
+    # take over.
     h = np.exp(0.5 * (log_rho0 - np.log(8.0)))
     g = DomainGrid(2, (4, 4), extent=3.0 * h)
     w = np.ones(g.cell_shape)
@@ -283,6 +286,40 @@ def test_luxemburg_newton_safeguard(log_rho0, c):
         warnings.simplefilter("error")
         value = _certified(g, w, pv)
     assert abs(value - bisected_norm(g, w, pv)) <= 1e-14 * value
+
+
+def _flat(x):
+    """tanh(5 - x): from x = 0 the slope is -1.8e-4, so the first Newton step
+    lands 5500 out, on a plateau whose slope rounds to 0."""
+    t = math.tanh(5.0 - x)
+    return t, t * t - 1.0
+
+
+def _overflow(x):
+    """log(2 e^-x + e^(-30 (x + 20))), whose value overflows left of -43.6."""
+    try:
+        a, b = 2.0 * math.exp(-x), math.exp(-30.0 * (x + 20.0))
+    except OverflowError:
+        return math.inf, math.nan
+    return math.log(a + b), -(a + 30.0 * b) / (a + b)
+
+
+def _overshoot(x):
+    """-atan(x - 1): Newton diverges from any start more than 1.39 away."""
+    return -math.atan(x - 1.0), -1.0 / (1.0 + (x - 1.0) ** 2)
+
+
+@pytest.mark.parametrize(
+    "f, x0, root",
+    [(_flat, 0.0, 5.0), (_overflow, -60.0, math.log(2.0)), (_overshoot, 3.0, 1.0),
+     (_overshoot, -40.0, 1.0)],
+)
+def test_decreasing_root_safeguards(f, x0, root):
+    x, value, evals = decreasing_root(f, x0)
+    tol = 8.0 * np.finfo(float).eps * max(1.0, abs(root))
+    assert evals < spaces._MAX_ITER
+    assert abs(value) <= tol and abs(x - root) <= tol
+    assert value == f(x)[0]
 
 
 def test_sobolev_norm_requires_zero_boundary(rng):

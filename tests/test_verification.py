@@ -78,6 +78,13 @@ def test_mp_geometry_gate():
         check_mp_geometry(1.0, bad, seed=0)
 
 
+def test_coercivity_gate():
+    # the supercritical q = 7 fails the coercive hypotheses too
+    bad = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "7", DomainGrid(3, (8, 8, 8)))
+    with pytest.raises(HypothesisGateError):
+        check_coercivity(1.0, bad, n_samples=5, seed=0)
+
+
 def test_ray_boundedness(s8):
     rep = check_ray_boundedness(1.0, s8, subspace_dim=3, n_rays=20, seed=0)
     assert rep.passed
