@@ -362,23 +362,27 @@ class _RaySlope:
     Their log ratio is zero exactly at the peak and nearly linear in x when
     the exponents vary little, so Newton on it is nearly exact from any
     start.  A call takes one ``exp`` of p x shifted by its maximum, so
-    nothing overflows, and a part that underflows to 0 gives an infinite
-    value of the correct sign.
+    nothing overflows; the value is log P - log N, so a ratio below the
+    smallest double does not underflow, and a part that underflows to 0
+    gives an infinite value of the correct sign.
 
-    The constructor raises PathCollapseError when the ray has no barrier
-    (the net coefficient at the lowest power is not positive) or no peak
-    (the net coefficient at the highest power is not negative); otherwise
-    log(P/N) runs from positive to negative, and the peak exists.
+    The constructor raises PathCollapseError when a term c_k p_k is not
+    finite (the direction is too large for its ray polynomial), or when the
+    ray has no barrier (the net coefficient at the lowest power is not positive)
+    or no peak (the net coefficient at the highest power is not negative);
+    otherwise log(P/N) runs from positive to negative, and the peak exists.
     """
 
     def __init__(self, poly: tuple[np.ndarray, np.ndarray]):
         p, c = poly
+        cp = c * p
+        if not np.isfinite(cp).all():
+            raise PathCollapseError("ray energy coefficients overflow (direction too large)")
         lo, hi = p.min(initial=np.inf), p.max(initial=-np.inf)
         if not c[p == lo].sum() > 0.0:
             raise PathCollapseError("ray energy has no barrier (degenerate direction)")
         if not c[p == hi].sum() < 0.0:
             raise PathCollapseError("no interior energy peak along the ray")
-        cp = c * p
         rise = np.maximum(cp, 0.0)
         fall = rise - cp
         self.parts = np.array([rise, fall, rise * p, fall * p])
@@ -392,7 +396,7 @@ class _RaySlope:
             return -math.inf, math.nan
         if not neg:
             return math.inf, math.nan
-        return math.log(pos / neg), d_pos / pos - d_neg / neg
+        return math.log(pos) - math.log(neg), d_pos / pos - d_neg / neg
 
 
 def _ray_peak(z: GridFunction, lam, s):
@@ -403,18 +407,19 @@ def _ray_peak(z: GridFunction, lam, s):
     found by :func:`decreasing_root` from t = 1; inside the descent, whose
     trial points lie near their peak at t = 1, that takes about three
     evaluations, and a start 1e6 times too close or too far about five.  A
-    ray without barrier or peak, or a peak t that is not a finite positive
-    double, raises PathCollapseError.  Returns (t * z, report, gradient),
+    ray without barrier or peak, a search whose best log(P/N) is not finite,
+    or a peak t that is not a finite positive double raises
+    PathCollapseError.  Returns (t * z, report, gradient),
     the last two from the cell pass the polynomial was built from
     (:meth:`RayEnergy.at`); they match :func:`energy_and_gradient` of t * z
     to rounding.
     """
     ray = RayEnergy(z, lam, s, "mountain")
-    x, _, _ = decreasing_root(_RaySlope(ray.poly))
+    x, value, _ = decreasing_root(_RaySlope(ray.poly))
     with np.errstate(over="ignore"):
         t = float(np.exp(x))
-    if not 0.0 < t < math.inf:
-        raise PathCollapseError(f"ray peak at log t = {x:.3e} is not a finite positive scale")
+    if not (math.isfinite(value) and 0.0 < t < math.inf):
+        raise PathCollapseError(f"no ray peak found: log t = {x:.3e}, log(P/N) = {value:.3e}")
     return (t * z, *ray.at(t))
 
 

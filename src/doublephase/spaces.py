@@ -61,8 +61,8 @@ class NormSolveTrace:
     residual: float
 
 
-def decreasing_root(f, x: float = 0.0) -> tuple[float, float, int]:
-    """Root of a decreasing function by safeguarded Newton, from ``x``.
+def decreasing_root(f) -> tuple[float, float, int]:
+    """Root of a decreasing function by safeguarded Newton, from x = 0.
 
     ``f(x)`` returns (value, slope) with the value decreasing in x; a value
     of +inf or NaN counts as left of the root, -inf as right of it.  Every
@@ -79,7 +79,7 @@ def decreasing_root(f, x: float = 0.0) -> tuple[float, float, int]:
     evaluations.
     """
     rounding = 4.0 * np.finfo(float).eps
-    lo, hi = -math.inf, math.inf
+    x, lo, hi = 0.0, -math.inf, math.inf
     best, best_value = x, math.inf
     move = 1.0
     for evals in range(1, _MAX_ITER + 1):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,30 @@ def test_ray_peak_collapse(bump8, p1, p2, q, reason):
     s = build_exponent_set(p1, p2, q, bump8.fn.grid)
     with pytest.raises(PathCollapseError, match=reason):
         _ray_peak(bump8.fn, 1.0, s)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_ray_peak_of_an_overflowing_direction(s8, bump8, scale):
+    # the ray polynomial of so large a direction has infinite coefficients
+    with pytest.raises(PathCollapseError, match="overflow"):
+        _ray_peak(scale * bump8.fn, 1.0, s8)
+
+
+def test_ray_peak_rejects_a_search_without_finite_values(s8, bump8, monkeypatch):
+    # when no evaluation of log(P/N) is finite, the search returns its start
+    # t = 1 with an infinite value, which is no peak
+    monkeypatch.setattr(solvers._RaySlope, "__call__", lambda self, x: (math.nan, math.nan))
+    with pytest.raises(PathCollapseError, match="no ray peak"):
+        _ray_peak(bump8.fn, 1.0, s8)
+
+
+def test_ray_slope_far_right_of_the_peak():
+    # E = t^2 - 1e10 t^3: at x = log t = 740 the rising part P = 2 e^-740 is
+    # subnormal and P/N underflows to 0, but log P - log N stays finite
+    slope = solvers._RaySlope((np.array([2.0, 3.0]), np.array([1.0, -1e10])))
+    value, d_value = slope(740.0)
+    assert abs(value - (math.log(2.0) - 740.0 - math.log(3e10))) <= 0.05
+    assert d_value == -1.0
 
 
 def test_multi_solution_single_seed_gives_mirror_pair(s8, bump8):

@@ -315,11 +315,13 @@ def _overshoot(x):
      (_overshoot, -40.0, 1.0)],
 )
 def test_decreasing_root_safeguards(f, x0, root):
-    x, value, evals = decreasing_root(f, x0)
-    tol = 8.0 * np.finfo(float).eps * max(1.0, abs(root))
+    # the search starts at x = 0, so f is shifted to start it at x0; the
+    # root it searches for, and whose size sets its rounding, is root - x0
+    x, value, evals = decreasing_root(lambda y: f(y + x0))
+    tol = 8.0 * np.finfo(float).eps * max(1.0, abs(root - x0))
     assert evals < spaces._MAX_ITER
-    assert abs(value) <= tol and abs(x - root) <= tol
-    assert value == f(x)[0]
+    assert abs(value) <= tol and abs(x - (root - x0)) <= tol
+    assert value == f(x + x0)[0]
 
 
 def test_sobolev_norm_requires_zero_boundary(rng):
