@@ -173,7 +173,7 @@ def cmd_solve_min(args) -> int:
     written = [
         write_json(out_dir / "lambda_star.json", star.to_dict()),
         write_field_csv(out_dir / "solution.csv", result.u),
-        write_history_csv(out_dir / "history.csv", result.history, result.kinds),
+        write_history_csv(out_dir / "history.csv", result.history),
         write_json(out_dir / "solve_min.json", summary),
     ]
     write_manifest(
@@ -203,9 +203,7 @@ def cmd_solve_mp(args) -> int:
     summary = []
     for j, sol in enumerate(solutions):
         written.append(write_field_csv(out_dir / f"solution_{j:02d}.csv", sol.u))
-        written.append(
-            write_history_csv(out_dir / f"history_{j:02d}.csv", sol.history, sol.kinds)
-        )
+        written.append(write_history_csv(out_dir / f"history_{j:02d}.csv", sol.history))
         summary.append(
             {
                 "index": j,

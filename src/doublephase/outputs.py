@@ -83,11 +83,11 @@ def read_field_csv(path: Path, grid: DomainGrid, bc_zero: bool = False) -> GridF
     return GridFunction(grid, vals.reshape(grid.node_shape), bc_zero=bc_zero)
 
 
-def write_history_csv(path: Path, history, kinds) -> Path:
-    """One row per history entry; ``kind`` names the step's certificate."""
-    lines = ["iteration,energy,residual,kind"]
-    for i, ((energy, residual), kind) in enumerate(zip(history, kinds, strict=True)):
-        lines.append(f"{i},{_fmt(energy)},{_fmt(residual)},{kind}")
+def write_history_csv(path: Path, history) -> Path:
+    """One row per history entry: iteration, energy, residual."""
+    lines = ["iteration,energy,residual"]
+    for i, (energy, residual) in enumerate(history):
+        lines.append(f"{i},{_fmt(energy)},{_fmt(residual)}")
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -14,15 +14,15 @@ the peak of the seed's ray).  A saddle trial takes one pass over the cells
 (:class:`RayEnergy`): the ray's polynomial gives the peak, where the
 rising and falling parts of its slope balance (:func:`decreasing_root` on
 their log ratio), and the kept pass the energy and gradient there;
-:func:`find_endpoint` scans the polynomial's doublings.  Every accepted step
-is certified, by an Armijo energy decrease while that is resolvable above
-summation roundoff or else by a strict residual decrease, and the
-certificate is recorded per step.
+:func:`find_endpoint` scans the polynomial's doublings.  A step is accepted
+by one test: Armijo against the lowest energy accepted so far, relaxed by
+the summation roundoff of the energy, so once decreases are no longer
+resolvable any step without a resolvable rise is taken.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,8 +80,6 @@ class SolveResult:
     iterations: int
     history: list[tuple[float, float]]  # (energy, residual) per iteration
     termination: str  # "converged" | "max_iter" | "stagnated"
-    # certificate per history row: "start", then "armijo" or "residual"
-    kinds: list[str] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -180,27 +178,26 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
     operator, inverted exactly by :func:`gradient_gram_inverse`; the first
     trial step is ``STEP_INIT``, later ones the spectral length s'Ps / s'y
     of the last step s = -t d_prev before the hook (capped at
-    ``STEP_MAX``), where Ps = -t g_prev needs no transform.  Each accepted
-    step carries one certificate:
+    ``STEP_MAX``), where Ps = -t g_prev needs no transform.  A trial step t
+    is accepted when its energy satisfies
 
-    * ``armijo``: the energy falls below both the current and the last
-      certified level by ARMIJO * t * vol * sum(g d), a decrease required to
-      exceed the summation-roundoff floor;
-    * ``residual``: otherwise, the residual strictly decreases while the
-      energy stays within 1e3 floors of the last certified level.
+        E_new <= best - ARMIJO * t * vol * sum(g d) + floor,
 
-    Trial steps shrink by ``STEP_SHRINK`` until one is certified; when the
+    ``best`` the lowest energy accepted so far and ``floor`` the summation
+    roundoff of the current energy (:func:`_fp_energy_floor`), an allowance
+    proportional to |E| as in the CG_DESCENT line search of Hager and
+    Zhang: while decreases are resolvable this is Armijo against the best
+    level, once they are not it accepts any step without a resolvable rise.
+    Trial steps shrink by ``STEP_SHRINK`` until one is accepted; when the
     step falls 18 decades below its first trial the run ends ``stagnated``.
-    The energy column of the history repeats the last certified level on
-    residual steps, so it never increases.
+    The energy column of the history is ``best``, so it never increases.
     """
     u, rep, g = evaluate(z0)
     grid = u.grid
     vol = grid.cell_volume
     res = residual_norm(g)
-    certified = rep.total
-    history = [(certified, res)]
-    kinds = ["start"]
+    best = rep.total
+    history = [(best, res)]
     step = STEP_INIT
     termination = "max_iter"
     iterations = 0
@@ -212,7 +209,6 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
         d = gradient_gram_inverse(grid, g.values)
         gd = float(np.sum(g.values * d))
         floor = _fp_energy_floor(rep)
-        accepted = None
         trial = min(step, STEP_MAX)
         stop = 1e-18 * trial
         while trial > stop:
@@ -223,35 +219,23 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
             except PathCollapseError:
                 trial *= STEP_SHRINK
                 continue
-            required = ARMIJO * trial * vol * gd
-            if required > floor and rep_new.total <= min(rep.total, certified) - required:
-                kind = "armijo"
-            elif rep_new.total <= certified + 1e3 * floor:
-                kind = "residual"
-            else:
-                trial *= STEP_SHRINK
-                continue
-            res_new = residual_norm(g_new)
-            if kind == "armijo" or res_new < res:
-                accepted = kind
+            if rep_new.total <= best - ARMIJO * trial * vol * gd + floor:
                 break
             trial *= STEP_SHRINK
-        if accepted is None:
+        else:
             termination = "stagnated"
             break
 
         sy = trial * float(np.sum(d * (g.values - g_new.values)))
         step = trial * trial * gd / sy if sy > 0.0 else trial
-        u, rep, g, res = u_new, rep_new, g_new, res_new
-        if accepted == "armijo":
-            certified = rep.total
-        history.append((certified, res))
-        kinds.append(accepted)
+        u, rep, g, res = u_new, rep_new, g_new, residual_norm(g_new)
+        best = min(best, rep.total)
+        history.append((best, res))
         iterations += 1
 
     if res <= opts.tol:
         termination = "converged"
-    return SolveResult(u, rep, res, iterations, history, termination, kinds)
+    return SolveResult(u, rep, res, iterations, history, termination)
 
 
 def minimize_energy(
@@ -264,9 +248,9 @@ def minimize_energy(
     """Global minimization of the coercive form by the preconditioned
     descent core, evaluating each trial field itself.
 
-    Every accepted step is certified by an Armijo energy decrease or, once
-    decreases fall below summation roundoff, by a strict residual decrease
-    (see :func:`_descent`); the history's energy column is non-increasing.
+    Every accepted step passes the core's one test, an Armijo decrease of
+    the best level relaxed by the summation roundoff of the energy (see
+    :func:`_descent`); the history's energy column is non-increasing.
     """
     opts = opts or SolverOptions()
     _gate(s, "coercive", override_hypotheses)
@@ -437,12 +421,12 @@ def mountain_pass(
     preconditioned descent core runs with :func:`_ray_peak` as its
     evaluation hook, so every iterate is the energy maximum along its ray (a
     point of the ray-peak set, in the manner of Li and Zhou's minimax
-    method) and each accepted step is certified by an Armijo decrease of the
-    peak level or a strict residual decrease.  Each trial takes one pass
-    over the cells for its peak, energy and gradient.  The peak level stays
-    above zero, so the search can neither tunnel to the trivial solution nor
-    plunge into the unbounded-below region.  Stops when the full residual
-    meets the tolerance.
+    method) and each accepted step passes the core's test, an Armijo
+    decrease of the best peak level relaxed by its summation roundoff.  Each
+    trial takes one pass over the cells for its peak, energy and gradient.
+    The peak level stays above zero, so the search can neither tunnel to the
+    trivial solution nor plunge into the unbounded-below region.  Stops when
+    the full residual meets the tolerance.
 
     The returned energy and residual are the kernel's own at the returned
     field (one closing :func:`energy_and_gradient`), so they equal
@@ -468,37 +452,18 @@ def mountain_pass(
     return replace(result, energy=rep, residual=res, termination=termination)
 
 
-def _negated(result: SolveResult, lam: float, s: ExponentSet) -> SolveResult:
-    u = -result.u
-    return SolveResult(
-        u,
-        eval_energy(u, lam, s, "mountain"),
-        result.residual,
-        result.iterations,
-        list(result.history),
-        result.termination,
-        list(result.kinds),
-    )
-
-
-def dedupe_with_negatives(
-    results: list[SolveResult],
-    lam: float,
-    s: ExponentSet,
-    delta: float | None = None,
-) -> list[SolveResult]:
+def dedupe_with_negatives(results: list[SolveResult], s: ExponentSet) -> list[SolveResult]:
     """Add the sign-flipped copy of every converged saddle (the energy is
-    even) and merge near-duplicates by the gradient-norm distance."""
+    even and negation exact, so the copy keeps the energy report) and merge
+    candidates whose gradient-norm distance is at most 1e-2 of the largest
+    gradient norm."""
     found: list[SolveResult] = []
     for result in results:
         if result.converged:
-            found.append(result)
-            found.append(_negated(result, lam, s))
+            found += [result, replace(result, u=-result.u)]
     if not found:
         return []
-    norms = [sobolev_norm(r.u, s.pmax) for r in found]
-    if delta is None:
-        delta = 1e-2 * max(norms)
+    delta = 1e-2 * max(sobolev_norm(r.u, s.pmax) for r in found)
     distinct: list[SolveResult] = []
     for cand in found:
         dup = any(
@@ -513,13 +478,12 @@ def multi_solution_search(
     lam: float,
     s: ExponentSet,
     seeds: list[GridFunction],
-    delta: float | None = None,
     opts: SolverOptions | None = None,
     override_hypotheses: bool = False,
 ) -> list[SolveResult]:
     """Saddle search per seed direction, then sign-mirroring and dedup."""
     found = [mountain_pass(lam, s, seed, opts, override_hypotheses) for seed in seeds]
-    return dedupe_with_negatives(found, lam, s, delta)
+    return dedupe_with_negatives(found, s)
 
 
 def distinctness_matrix(results: list[SolveResult], s: ExponentSet) -> np.ndarray:

@@ -208,9 +208,8 @@ def test_manifest_lists_only_the_stage_files(tmp_path, small_cfg):
     for name, digest in manifest["outputs"].items():
         assert sha256_of(out / name) == digest
     header, *rows = (out / "history.csv").read_text().splitlines()
-    assert header == "iteration,energy,residual,kind"
-    assert rows[0].endswith(",start")
-    assert all(r.rsplit(",", 1)[1] in ("armijo", "residual") for r in rows[1:])
+    assert header == "iteration,energy,residual"
+    assert rows and all(len(r.split(",")) == 3 for r in rows)
 
 
 def test_coercive_gate_allows_low_exponent(tmp_path):
