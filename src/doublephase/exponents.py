@@ -52,8 +52,12 @@ def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]
     """(min, max) of each spec and of max(p1, p2) over the dense lattice.
 
     The lattice is evaluated one slab of x1 planes at a time and reduced as
-    it goes, so no full lattice array is ever held; min and max are exact,
-    so the result does not depend on the slab size.
+    it goes, so no full lattice array is ever held.  Each slab is a sparse
+    (broadcast) mesh: a spec that depends on few coordinates returns an
+    array of only their extent, and since a broadcast repeats its operand's
+    values, its min and max are the operand's.  A result that does not
+    broadcast to the slab is refused.  Min and max are exact, so the result
+    depends neither on the slab size nor on the mesh being sparse.
     """
     axes = _dense_axes(grid)
     plane = int(np.prod([len(ax) for ax in axes[1:]]))
@@ -61,7 +65,16 @@ def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]
     ranges = {}
     for i in range(0, len(axes[0]), step):
         slab_axes = [axes[0][i : i + step]] + axes[1:]
-        vals = {name: _sample(fn, slab_axes) for name, fn in fns.items()}
+        shape = tuple(len(ax) for ax in slab_axes)
+        mesh = np.meshgrid(*slab_axes, indexing="ij", sparse=True)
+        vals = {}
+        for name, fn in fns.items():
+            v = np.asarray(fn(*mesh), dtype=float)
+            if np.broadcast_shapes(v.shape, shape) != shape:
+                raise ValueError(
+                    f"exponent {name} of shape {v.shape} does not fit the lattice {shape}"
+                )
+            vals[name] = v
         vals["pmax"] = np.maximum(vals["p1"], vals["p2"])
         for name, v in vals.items():
             lo, hi = ranges.get(name, (np.inf, -np.inf))

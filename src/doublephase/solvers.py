@@ -15,13 +15,17 @@ the peak of the seed's ray).  A saddle trial takes one pass over the cells
 rising and falling parts of its slope balance (:func:`decreasing_root` on
 their log ratio), and the kept pass the energy and gradient there;
 :func:`find_endpoint` scans the polynomial's doublings.  A step is accepted
-by one test: Armijo against the lowest energy accepted so far, relaxed by
-the summation roundoff of the energy, so once decreases are no longer
-resolvable any step without a resolvable rise is taken.
+by one test: the nonmonotone Armijo test of Grippo, Lampariello and Lucidi
+against the highest of the last ``LOOKBACK`` accepted energies, as in
+Raydan's globalized Barzilai-Borwein method, relaxed by the summation
+roundoff of the energy, so most spectral steps are taken as they come, and
+once decreases are no longer resolvable any step without a resolvable rise
+above that level is taken.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,11 +63,13 @@ __all__ = [
 
 
 # line search of the descent core: sufficient-decrease factor, first trial
-# step, cap on the spectral step, backtracking factor
+# step, cap on the spectral step, backtracking factor, and the number of
+# accepted levels the nonmonotone test compares against
 ARMIJO = 1e-4
 STEP_INIT = 1.0
 STEP_MAX = 1e6
 STEP_SHRINK = 0.5
+LOOKBACK = 10
 
 
 @dataclass
@@ -181,22 +187,30 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
     ``STEP_MAX``), where Ps = -t g_prev needs no transform.  A trial step t
     is accepted when its energy satisfies
 
-        E_new <= best - ARMIJO * t * vol * sum(g d) + floor,
+        E_new <= max(levels) - ARMIJO * t * vol * sum(g d) + floor,
 
-    ``best`` the lowest energy accepted so far and ``floor`` the summation
-    roundoff of the current energy (:func:`_fp_energy_floor`), an allowance
-    proportional to |E| as in the CG_DESCENT line search of Hager and
-    Zhang: while decreases are resolvable this is Armijo against the best
-    level, once they are not it accepts any step without a resolvable rise.
-    Trial steps shrink by ``STEP_SHRINK`` until one is accepted; when the
-    step falls 18 decades below its first trial the run ends ``stagnated``.
-    The energy column of the history is ``best``, so it never increases.
+    ``levels`` the last ``LOOKBACK`` accepted energies (the start's
+    included) and ``floor`` the summation roundoff of the current energy
+    (:func:`_fp_energy_floor`), an allowance proportional to |E| as in the
+    CG_DESCENT line search of Hager and Zhang.  Comparing against the
+    highest recent level rather than the lowest one so far is the
+    nonmonotone test of Grippo, Lampariello and Lucidi that Raydan's
+    globalized Barzilai-Borwein method uses: the spectral step, which does
+    not lower the energy at every step, is taken as it comes far more often,
+    while the highest of the last ``LOOKBACK`` levels never rises by more
+    than the floor.  Once decreases are not resolvable the test accepts any
+    step without a resolvable rise above that level.  Trial steps shrink by
+    ``STEP_SHRINK`` until one is accepted; when the step falls 18 decades
+    below its first trial the run ends ``stagnated``.  The returned point is
+    the last accepted one.  The energy column of the history is ``best``,
+    the lowest energy accepted so far, so it never increases.
     """
     u, rep, g = evaluate(z0)
     grid = u.grid
     vol = grid.cell_volume
     res = residual_norm(g)
     best = rep.total
+    levels = deque([best], maxlen=LOOKBACK)
     history = [(best, res)]
     step = STEP_INIT
     termination = "max_iter"
@@ -219,7 +233,7 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
             except PathCollapseError:
                 trial *= STEP_SHRINK
                 continue
-            if rep_new.total <= best - ARMIJO * trial * vol * gd + floor:
+            if rep_new.total <= max(levels) - ARMIJO * trial * vol * gd + floor:
                 break
             trial *= STEP_SHRINK
         else:
@@ -229,6 +243,7 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
         sy = trial * float(np.sum(d * (g.values - g_new.values)))
         step = trial * trial * gd / sy if sy > 0.0 else trial
         u, rep, g, res = u_new, rep_new, g_new, residual_norm(g_new)
+        levels.append(rep.total)
         best = min(best, rep.total)
         history.append((best, res))
         iterations += 1
@@ -249,8 +264,9 @@ def minimize_energy(
     descent core, evaluating each trial field itself.
 
     Every accepted step passes the core's one test, an Armijo decrease of
-    the best level relaxed by the summation roundoff of the energy (see
-    :func:`_descent`); the history's energy column is non-increasing.
+    the highest of the last ``LOOKBACK`` accepted levels relaxed by the
+    summation roundoff of the energy (see :func:`_descent`); the history's
+    energy column, the lowest level so far, is non-increasing.
     """
     opts = opts or SolverOptions()
     _gate(s, "coercive", override_hypotheses)
@@ -422,11 +438,12 @@ def mountain_pass(
     evaluation hook, so every iterate is the energy maximum along its ray (a
     point of the ray-peak set, in the manner of Li and Zhou's minimax
     method) and each accepted step passes the core's test, an Armijo
-    decrease of the best peak level relaxed by its summation roundoff.  Each
-    trial takes one pass over the cells for its peak, energy and gradient.
-    The peak level stays above zero, so the search can neither tunnel to the
-    trivial solution nor plunge into the unbounded-below region.  Stops when
-    the full residual meets the tolerance.
+    decrease of the highest of the last ``LOOKBACK`` accepted peak levels
+    relaxed by its summation roundoff.  Each trial takes one pass over the
+    cells for its peak, energy and gradient.  The peak level stays above
+    zero, so the search can neither tunnel to the trivial solution nor
+    plunge into the unbounded-below region.  Stops when the full residual
+    meets the tolerance.
 
     The returned energy and residual are the kernel's own at the returned
     field (one closing :func:`energy_and_gradient`), so they equal

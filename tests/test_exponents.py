@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from doublephase.errors import CriticalExponentError, ExponentRangeError
 from doublephase.exponents import (
     ExponentField,
+    _dense_axes,
+    _dense_ranges,
     build_exponent_set,
     conjugate_exponent,
     critical_exponent,
     validate_hypotheses,
 )
+from doublephase.fieldexpr import as_field_function
 from doublephase.grid import DomainGrid
 
 
@@ -53,6 +58,62 @@ def test_summaries_pinned(res):
         "pmax": {"lo": 2.1, "hi": p2_hi},
         "q": {"lo": 4.0, "hi": 6.718281828459045},
     }
+
+
+def _slanted(x1, x2, x3):
+    # depends on x2 and x3 only, so on a sparse mesh it returns a (1, n2, n3) array
+    return 2.0 + 0.25 * np.cos(3.0 * x2) * x3
+
+
+@pytest.mark.parametrize(
+    "spec", ["2", "2 + 0.5*sin(pi*x1)", "3.2 + 0.2*x1*x2*x3", _slanted],
+    ids=["constant", "x1-only", "product", "callable"],
+)
+def test_dense_ranges_match_the_full_lattice(spec):
+    # the slab-by-slab reduction of broadcast operands equals, bitwise, the
+    # min and max over the full dense lattice; the non-cubic grid gives axes
+    # of different lengths and several slabs
+    g = DomainGrid(3, (8, 12, 20))
+    fns = {
+        "p1": as_field_function(spec, 3),
+        "p2": as_field_function("2 + 0.5*sin(pi*x1)", 3),
+        "q": as_field_function(spec, 3),
+    }
+    mesh = np.meshgrid(*_dense_axes(g), indexing="ij")
+    full = {
+        name: np.broadcast_to(np.asarray(fn(*mesh), dtype=float), mesh[0].shape)
+        for name, fn in fns.items()
+    }
+    full["pmax"] = np.maximum(full["p1"], full["p2"])
+    expected = {name: (float(v.min()), float(v.max())) for name, v in full.items()}
+    assert _dense_ranges(fns, g) == expected
+
+
+def test_dense_ranges_hold_no_lattice_array():
+    # the default specs depend on x1 at most, so the reduction holds arrays
+    # of the x1 extent of one slab, not of the 125^3 lattice at 32^3
+    g = DomainGrid(3, (32, 32, 32))
+    fns = {
+        name: as_field_function(spec, 3)
+        for name, spec in (("p1", "2"), ("p2", "2 + 0.5*sin(pi*x1)"), ("q", "4"))
+    }
+    tracemalloc.start()
+    try:
+        _dense_ranges(fns, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [lambda x1, x2, x3: np.full(7, 2.5), lambda x1, x2, x3: np.stack([x1 + 2.0, x2 + 2.0])],
+    ids=["wrong-length", "extra-axis"],
+)
+def test_rejects_a_callable_that_does_not_fit_the_lattice(spec):
+    with pytest.raises(ValueError):
+        build_exponent_set(spec, "3", "4", DomainGrid(3, (8, 8, 8)))
 
 
 def test_rejects_non_admissible():

@@ -193,6 +193,46 @@ def test_iterations_do_not_grow_with_the_grid(res):
     assert saddle.converged and saddle.iterations <= 150
 
 
+def _trial_passes_per_step(monkeypatch, hook, run):
+    """Run ``run()`` counting the calls of the solvers' evaluation ``hook``:
+    the first evaluates the start, each other one a trial step."""
+    calls = []
+    fn = getattr(solvers, hook)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(solvers, hook, counted)
+    result = run()
+    assert result.converged
+    return (len(calls) - 1) / result.iterations
+
+
+def test_minimizer_accepts_most_spectral_steps(monkeypatch):
+    # the spectral step is mostly taken as it comes; an Armijo test against
+    # the lowest level so far halves it often here (75 trials for 54 steps)
+    s = default_set(12)
+    bump = bump_function(s.grid, 2.0, SubBox.centered((0.5, 0.5, 0.5), 0.5))
+    lam = 2.0 * lambda_star_search(s, bump, LAM_GRID).lam_star
+    ratio = _trial_passes_per_step(
+        monkeypatch, "energy_and_gradient",
+        lambda: minimize_energy(lam, s, bump.fn, SolverOptions()),
+    )
+    assert ratio <= 1.2
+
+
+def test_saddle_search_accepts_most_spectral_steps(monkeypatch):
+    # the same on the ray-peak set, from the off-centre default seed (82
+    # trials for 59 steps against the lowest level so far)
+    s = default_set(12)
+    seed = bump_function(s.grid, 2.0, SubBox.centered((0.3, 0.3, 0.3), 0.25))
+    ratio = _trial_passes_per_step(
+        monkeypatch, "_ray_peak", lambda: mountain_pass(1.0, s, seed.fn, SolverOptions())
+    )
+    assert ratio <= 1.2
+
+
 def test_saddle_search_leaves_the_symmetric_saddle():
     # the centred bump's saddle is symmetric under x1 -> 1 - x1 and unstable
     # along an antisymmetric direction; a restart perturbed by a relative
