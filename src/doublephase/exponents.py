@@ -128,6 +128,19 @@ class ExponentField:
         values, inverse = np.unique(self.values, return_inverse=True)
         return values, inverse.reshape(-1)
 
+    @functools.cached_property
+    def conjugate(self) -> "ExponentField":
+        """Pointwise dual exponent p/(p-1), computed on first use and kept
+        (with its own cached groups): the Hoelder check pairs every sample
+        of one field with it.  Involutive to rounding."""
+        vals = self.values / (self.values - 1.0)
+        # the map is decreasing, so the summaries swap roles
+        lo = self.hi / (self.hi - 1.0)
+        hi = self.lo / (self.lo - 1.0)
+        return ExponentField(
+            self.grid, vals, min(lo, float(vals.min())), max(hi, float(vals.max()))
+        )
+
 
 @dataclass
 class ExponentSet:
@@ -197,12 +210,8 @@ def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSe
 
 
 def conjugate_exponent(p: ExponentField) -> ExponentField:
-    """Pointwise dual exponent p/(p-1).  Involutive to rounding."""
-    vals = p.values / (p.values - 1.0)
-    # the map is decreasing, so the summaries swap roles
-    lo = p.hi / (p.hi - 1.0)
-    hi = p.lo / (p.lo - 1.0)
-    return ExponentField(p.grid, vals, min(lo, float(vals.min())), max(hi, float(vals.max())))
+    """Pointwise dual exponent p/(p-1) (:attr:`ExponentField.conjugate`)."""
+    return p.conjugate
 
 
 def critical_exponent(p: ExponentField) -> ExponentField:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import eval_energy, ray_energy, ray_polynomial
+from .energy import RayEnergy, eval_energy, ray_energy, ray_polynomial
 from .errors import (
     DoublePhaseError,
     HypothesisGateError,
@@ -25,7 +25,7 @@ from .spaces import (
     check_inclusion_bound,
     check_modular_norm_relations,
     luxemburg_norm,
-    modular,
+    luxemburg_norm_cells,
     sobolev_norm,
 )
 
@@ -45,6 +45,9 @@ __all__ = [
 
 _REL_SLACK = 1e-12  # generic inequality slack
 _EXACT_SLACK = 1e-15  # slack for exact-arithmetic pointwise facts
+# sample-by-point values evaluated at once by the vectorized checks, which
+# draw all their samples first and then evaluate them in row blocks
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass
@@ -114,26 +117,37 @@ def check_pointwise_inequalities(n_samples: int = 10_000, seed=0) -> CheckReport
     )
 
 
+def _row_blocks(n: int, width: int):
+    """Slices of ``_BLOCK_ELEMENTS // width`` rows (at least one) covering n rows."""
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
 def check_auxiliary_inequality(
     n_samples: int = 10_000, t_points: int = 64, seed=0
 ) -> CheckReport:
     """Power-difference bound a t^k - b t^l <= a (a/b)^(k/(l-k)) for t >= 0,
-    over a t-grid covering twice the crossing radius."""
+    over a t-grid covering twice the crossing radius.  The samples are
+    drawn at once and evaluated in row blocks; the report does not depend
+    on the block size."""
     rng = _rng(seed)
     a = 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
     b = 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
     k = rng.uniform(0.1, 4.0, size=n_samples)
     l = k + rng.uniform(0.1, 4.0, size=n_samples)
+    unit = np.linspace(0.0, 1.0, t_points)[None, :]
+    worst, failures = [], 0
     with np.errstate(over="ignore"):
         rhs = a * (a / b) ** (k / (l - k))
         t_hi = 2.0 * (a / b) ** (1.0 / (l - k))
-        t = np.linspace(0.0, 1.0, t_points)[None, :] * t_hi[:, None]
-        lhs = a[:, None] * t ** k[:, None] - b[:, None] * t ** l[:, None]
-        margin = (rhs[:, None] - lhs) / np.maximum(rhs[:, None], 1.0)
-    worst = float(np.min(margin))
-    failures = int(np.sum(np.any(margin < -_REL_SLACK, axis=1)))
+        for rows in _row_blocks(n_samples, t_points):
+            t = unit * t_hi[rows, None]
+            lhs = a[rows, None] * t ** k[rows, None] - b[rows, None] * t ** l[rows, None]
+            margin = (rhs[rows, None] - lhs) / np.maximum(rhs[rows, None], 1.0)
+            worst.append(np.min(margin))
+            failures += int(np.sum(np.any(margin < -_REL_SLACK, axis=1)))
     return CheckReport(
-        "auxiliary_inequality", n_samples, failures, worst,
+        "auxiliary_inequality", n_samples, failures, float(np.min(worst)),
         notes=f"{t_points} t-points per sample, grid reaches twice the crossing radius",
     )
 
@@ -142,33 +156,42 @@ def check_strong_monotonicity(
     r: float, n_samples: int = 100_000, dim: int = 3, seed=0
 ) -> CheckReport:
     """Vector monotonicity (|x|^(r-2) x - |y|^(r-2) y).(x - y) >= C |x - y|^r
-    for r >= 2; measures the empirical C and asserts nonnegativity."""
+    for r >= 2; measures the empirical C and asserts nonnegativity.  The
+    samples are drawn at once and evaluated in row blocks; the report does
+    not depend on the block size."""
     if r < 2.0:
         raise ValueError(f"exponent must be at least 2, got {r}")
     rng = _rng(seed)
-    xi = rng.normal(size=(n_samples, dim))
-    psi = rng.normal(size=(n_samples, dim))
-    nxi = np.linalg.norm(xi, axis=1)
-    npsi = np.linalg.norm(psi, axis=1)
-    diff = xi - psi
-    ndiff = np.linalg.norm(diff, axis=1)
-    keep = ndiff > 0.0
-    skipped = int(np.sum(~keep))
-    xi, psi, nxi, npsi, diff, ndiff = (
-        arr[keep] for arr in (xi, psi, nxi, npsi, diff, ndiff)
-    )
-    lhs = np.einsum(
-        "ij,ij->i", nxi[:, None] ** (r - 2.0) * xi - npsi[:, None] ** (r - 2.0) * psi, diff
-    )
-    scale = (nxi + npsi) ** r + 1.0
-    failures = int(np.sum(lhs < -_REL_SLACK * scale))
-    ratio = lhs / ndiff**r
-    c_hat = float(np.min(ratio))
-    worst = float(np.min(lhs / scale))
+    xi_all = rng.normal(size=(n_samples, dim))
+    psi_all = rng.normal(size=(n_samples, dim))
+    kept = skipped = failures = 0
+    ratios, worst = [], []
+    for rows in _row_blocks(n_samples, dim):
+        xi, psi = xi_all[rows], psi_all[rows]
+        nxi = np.linalg.norm(xi, axis=1)
+        npsi = np.linalg.norm(psi, axis=1)
+        diff = xi - psi
+        ndiff = np.linalg.norm(diff, axis=1)
+        keep = ndiff > 0.0
+        skipped += int(np.sum(~keep))
+        if not keep.any():
+            continue
+        xi, psi, nxi, npsi, diff, ndiff = (
+            arr[keep] for arr in (xi, psi, nxi, npsi, diff, ndiff)
+        )
+        lhs = np.einsum(
+            "ij,ij->i", nxi[:, None] ** (r - 2.0) * xi - npsi[:, None] ** (r - 2.0) * psi, diff
+        )
+        scale = (nxi + npsi) ** r + 1.0
+        failures += int(np.sum(lhs < -_REL_SLACK * scale))
+        ratios.append(np.min(lhs / ndiff**r))
+        worst.append(np.min(lhs / scale))
+        kept += lhs.size
+    c_hat = float(np.min(ratios))
     if c_hat <= 0.0:
         failures += 1
     return CheckReport(
-        f"strong_monotonicity_r{r:g}", int(lhs.size), failures, worst,
+        f"strong_monotonicity_r{r:g}", kept, failures, float(np.min(worst)),
         constants={"C_hat": c_hat, "r": float(r), "skipped_degenerate": skipped},
     )
 
@@ -177,11 +200,6 @@ def _random_direction(grid, rng) -> GridFunction:
     vals = rng.standard_normal(grid.node_shape)
     vals[grid.boundary_mask()] = 0.0
     return GridFunction(grid, vals, bc_zero=True)
-
-
-def _scaled_to_norm(u: GridFunction, s: ExponentSet, target: float) -> GridFunction:
-    norm = sobolev_norm(u, s.pmax)
-    return (target / norm) * u
 
 
 def check_mp_geometry(
@@ -314,7 +332,14 @@ def check_coercivity(
     seed=0,
 ) -> CheckReport:
     """Coercivity floor of the coercive form on fields with gradient norm > 1,
-    together with the uniform bulk-difference bound that drives it."""
+    together with the uniform bulk-difference bound that drives it.
+
+    Each sample draws a direction w and a target gradient norm, and tests
+    u = t*w with t = target/|grad w|_pmax.  One cell pass of w
+    (:class:`RayEnergy`) gives all of it: the gradient norm, from the cell
+    gradient magnitude it holds; the two bulk modulars of u, as sums over
+    the pmax and q exponent groups of S_k t^p_k; and the energy of u, from
+    the ray polynomial.  They match the cell formulas on u to rounding."""
     if not validate_hypotheses(s, "coercive").passed:
         raise HypothesisGateError("coercive hypotheses fail; coercivity check skipped")
     rng = _rng(seed)
@@ -330,13 +355,14 @@ def check_coercivity(
     for _ in range(n_samples):
         w = _random_direction(grid, rng)
         target = 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0))
-        u = _scaled_to_norm(w, s, target)
-        bulk_m = modular(u, s.pmax)
-        bulk_q = modular(u, s.q)
+        ray = RayEnergy(w, lam, s, "coercive")
+        norm, _ = luxemburg_norm_cells(grid, ray.grad_magnitude(), s.pmax)
+        t = target / norm
+        _, _, bulk_m, bulk_q = ray.modulars(t)
         lhs = (lam / mlo) * bulk_m - (1.0 / qhi) * bulk_q
         scale = max(1.0, abs(lhs), d_const)
         m1 = (d_const - lhs) / scale
-        total = eval_energy(u, lam, s, "coercive").total
+        total = float(ray_energy(ray.poly, t))
         floor = (1.0 / mhi) * target**mlo - d_const
         scale2 = max(1.0, abs(total), abs(floor))
         m2 = (total - floor) / scale2

@@ -192,6 +192,16 @@ def test_conjugate_values_and_involution():
     assert np.max(np.abs(twice.values - s.p2.values)) <= 1e-13
 
 
+def test_conjugate_is_cached_and_exact():
+    g = DomainGrid(3, (8, 8, 8))
+    s = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "4", g)
+    for p in (s.p1, s.p2, s.pmax):
+        dual = conjugate_exponent(p)
+        assert conjugate_exponent(p) is dual and p.conjugate is dual
+        assert np.array_equal(dual.values, p.values / (p.values - 1.0))
+        assert (dual.lo, dual.hi) == (p.hi / (p.hi - 1.0), p.lo / (p.lo - 1.0))
+
+
 def test_summary_dict():
     g = DomainGrid(3, (8, 8, 8))
     s = build_exponent_set("2", "3", "4", g)

@@ -268,24 +268,59 @@ def test_luxemburg_spread_exponent():
             assert abs(value - ref) <= 1e-14 * ref
 
 
-@pytest.mark.parametrize("log_rho0, c", [(-48.0, 30.0), (-82.0, 40.0)])
-def test_luxemburg_newton_safeguard(log_rho0, c):
-    # tiny cells: eight cells a = 1 at p = 1.01 and one a = e^-c at p = 20,
-    # with 8 vol = e^log_rho0.  The first Newton step, from right of the
-    # root, follows the p = 1.01 cells to x = log_rho0/1.01, far left of the
-    # root, where the p = 20 cell makes rho huge (first case) or overflow
-    # (second case, which counts as left of the root); the sign bracket must
-    # take over.
+def _safeguard_case(log_rho0, c):
+    """Eight cells a = 1 at p = 1.01 and one a = e^-c at p = 20, with
+    8 vol = e^log_rho0."""
     h = np.exp(0.5 * (log_rho0 - np.log(8.0)))
     g = DomainGrid(2, (4, 4), extent=3.0 * h)
     w = np.ones(g.cell_shape)
     w[1, 1] = np.exp(-c)
     pv = np.full(g.cell_shape, 1.01)
     pv[1, 1] = 20.0
+    return g, w, pv
+
+
+@pytest.mark.parametrize("log_rho0, c", [(-48.0, 30.0), (-82.0, 40.0)])
+def test_luxemburg_newton_safeguard(log_rho0, c):
+    # tiny cells (_safeguard_case).  The first Newton step, from right of the
+    # root, follows the p = 1.01 cells to x = log_rho0/1.01, far left of the
+    # root, where the p = 20 cell makes rho huge (first case) or overflow
+    # (second case, which counts as left of the root); the sign bracket must
+    # take over.
+    g, w, pv = _safeguard_case(log_rho0, c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = _certified(g, w, pv)
     assert abs(value - bisected_norm(g, w, pv)) <= 1e-14 * value
+
+
+def test_luxemburg_newton_step_skips_the_overflowing_end():
+    # from the midpoint of the bracket the Newton model of the p = 1.01
+    # cells leads back to within 2e-11 of the overflowing end; the search
+    # takes the midpoint instead of evaluating that end again
+    g, w, pv = _safeguard_case(-82.0, 40.0)
+    _, trace = luxemburg_norm_cells(g, w, ExponentField.from_values(g, pv))
+    assert trace.iterations == 5
+
+
+def test_luxemburg_groups_far_below_the_maximum():
+    # a p = 20 group at most 1e-20 of the field maximum next to a p = 1.01
+    # group, both sizable at the root: scaled by the field maximum, the p = 20
+    # group's powers (1e-20)^20 would underflow to 0, so each group is scaled
+    # by its own top
+    g = DomainGrid(3, (8, 8, 8), extent=7e-8)
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.5, 1.0, g.cell_shape)
+    pv = np.full(g.cell_shape, 1.01)
+    w[:2] *= 1e-20
+    pv[:2] = 20.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _certified(g, w, pv)
+    share = g.cell_volume * np.sum((w[:2] / value) ** 20.0)
+    assert 0.1 < share < 0.9
+    ref = bisected_norm(g, w, pv)
+    assert abs(value - ref) <= 1e-14 * ref
 
 
 def _flat(x):

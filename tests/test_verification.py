@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from doublephase import energy, grid
 from doublephase.energy import eval_energy
 from doublephase.errors import HypothesisGateError, SphereGeometryError
 from doublephase.exponents import build_exponent_set
-from doublephase.grid import DomainGrid
+from doublephase.grid import DomainGrid, GridFunction
 from doublephase.solvers import SubBox, bump_function
+from doublephase.spaces import modular, sobolev_norm
 from doublephase.verification import (
+    CheckReport,
     check_auxiliary_inequality,
     check_coercivity,
     check_holder_random,
@@ -57,6 +62,73 @@ def test_strong_monotonicity_r3():
         check_strong_monotonicity(1.5, 10, dim=3)
 
 
+def _unblocked_auxiliary(n_samples, t_points, seed):
+    # the check as one full-width evaluation, before row blocks
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
+    b = 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
+    k = rng.uniform(0.1, 4.0, size=n_samples)
+    l = k + rng.uniform(0.1, 4.0, size=n_samples)
+    with np.errstate(over="ignore"):
+        rhs = a * (a / b) ** (k / (l - k))
+        t_hi = 2.0 * (a / b) ** (1.0 / (l - k))
+        t = np.linspace(0.0, 1.0, t_points)[None, :] * t_hi[:, None]
+        lhs = a[:, None] * t ** k[:, None] - b[:, None] * t ** l[:, None]
+        margin = (rhs[:, None] - lhs) / np.maximum(rhs[:, None], 1.0)
+    failures = int(np.sum(np.any(margin < -1e-12, axis=1)))
+    return CheckReport(
+        "auxiliary_inequality", n_samples, failures, float(np.min(margin)),
+        notes=f"{t_points} t-points per sample, grid reaches twice the crossing radius",
+    )
+
+
+def _unblocked_monotonicity(r, n_samples, dim, seed):
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=(n_samples, dim))
+    psi = rng.normal(size=(n_samples, dim))
+    nxi, npsi = np.linalg.norm(xi, axis=1), np.linalg.norm(psi, axis=1)
+    diff = xi - psi
+    ndiff = np.linalg.norm(diff, axis=1)
+    lhs = np.einsum(
+        "ij,ij->i", nxi[:, None] ** (r - 2.0) * xi - npsi[:, None] ** (r - 2.0) * psi, diff
+    )
+    scale = (nxi + npsi) ** r + 1.0
+    c_hat = float(np.min(lhs / ndiff**r))
+    failures = int(np.sum(lhs < -1e-12 * scale)) + (c_hat <= 0.0)
+    return CheckReport(
+        f"strong_monotonicity_r{r:g}", n_samples, failures, float(np.min(lhs / scale)),
+        constants={"C_hat": c_hat, "r": float(r), "skipped_degenerate": 0},
+    )
+
+
+def test_vectorized_checks_hold_bounded_temporaries():
+    # full-width evaluation peaks at 20.1 MiB (aux) and 18.4 MiB (r = 3)
+    tracemalloc.start()
+    try:
+        aux = check_auxiliary_inequality(10_000, seed=1)
+        aux_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        mono = check_strong_monotonicity(3.0, 100_000, dim=3, seed=3)
+        mono_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aux_peak <= 5 * 2**20 and mono_peak <= 8 * 2**20
+    assert aux.to_dict() == _unblocked_auxiliary(10_000, 64, 1).to_dict()
+    assert mono.to_dict() == _unblocked_monotonicity(3.0, 100_000, 3, 3).to_dict()
+
+
+@pytest.mark.parametrize("n_samples, t_points", [(1, 64), (257, 64), (1000, 3)])
+def test_auxiliary_report_does_not_depend_on_blocks(n_samples, t_points):
+    got = check_auxiliary_inequality(n_samples, t_points, seed=5).to_dict()
+    assert got == _unblocked_auxiliary(n_samples, t_points, 5).to_dict()
+
+
+@pytest.mark.parametrize("r, n_samples, dim", [(2.0, 1, 3), (3.0, 50, 2), (4.5, 30_000, 5)])
+def test_monotonicity_report_does_not_depend_on_blocks(r, n_samples, dim):
+    got = check_strong_monotonicity(r, n_samples, dim=dim, seed=3).to_dict()
+    assert got == _unblocked_monotonicity(r, n_samples, dim, 3).to_dict()
+
+
 def test_mp_geometry_reports_positive_barrier(s8):
     rep = check_mp_geometry(1.0, s8, seed=0)
     assert rep.passed
@@ -105,6 +177,59 @@ def test_coercivity_constant_formula(set16):
 def test_coercivity_samples_pass(s8):
     rep = check_coercivity(1.0, s8, n_samples=200, seed=4)
     assert rep.passed and rep.failures == 0
+
+
+def _coercivity_on_cells(lam, s, n_samples, seed):
+    # the check's draws, with u = t*w built and measured cell by cell:
+    # gradient norm, two bulk modulars and the energy of u
+    rng = np.random.default_rng(seed)
+    g = s.grid
+    mlo, mhi, qlo, qhi = s.pmax.lo, s.pmax.hi, s.q.lo, s.q.hi
+    base = lam * qhi / mlo
+    d_const = (lam / mlo) * (base ** (mhi / (qlo - mhi)) + base ** (mlo / (qhi - mlo))) * g.volume
+    failures, worst = 0, np.inf
+    for _ in range(n_samples):
+        vals = rng.standard_normal(g.node_shape)
+        vals[g.boundary_mask()] = 0.0
+        w = GridFunction(g, vals, bc_zero=True)
+        target = 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0))
+        u = (target / sobolev_norm(w, s.pmax)) * w
+        lhs = (lam / mlo) * modular(u, s.pmax) - (1.0 / qhi) * modular(u, s.q)
+        m1 = (d_const - lhs) / max(1.0, abs(lhs), d_const)
+        total = eval_energy(u, lam, s, "coercive").total
+        floor = (1.0 / mhi) * target**mlo - d_const
+        m2 = (total - floor) / max(1.0, abs(total), abs(floor))
+        worst = min(worst, m1, m2)
+        failures += m1 < -1e-12 or m2 < -1e-12
+    return failures, worst, d_const
+
+
+@pytest.mark.parametrize(
+    "p2, q", [("2 + 0.5*sin(pi*x1)", "4"), ("2 + 0.5*x1*x2*x3", "3.5 + 0.5*x2*x3")],
+    ids=["default", "non-separable"],
+)
+def test_coercivity_matches_the_cell_formulas(p2, q):
+    s = build_exponent_set("2", p2, q, DomainGrid(3, (8, 8, 8)))
+    for lam in (1.0, 40.0):
+        rep = check_coercivity(lam, s, n_samples=30, seed=2)
+        failures, worst, d_const = _coercivity_on_cells(lam, s, 30, 2)
+        assert rep.failures == failures
+        assert abs(rep.worst_margin - worst) <= 1e-12 * abs(worst)
+        assert rep.constants["D"] == d_const
+
+
+def test_coercivity_takes_one_gradient_pass_per_sample(s8, monkeypatch):
+    calls = []
+    cell_gradient = grid.gradient_values
+
+    def counted(*args):
+        calls.append(1)
+        return cell_gradient(*args)
+
+    for module in (grid, energy):
+        monkeypatch.setattr(module, "gradient_values", counted)
+    check_coercivity(1.0, s8, n_samples=7, seed=0)
+    assert len(calls) == 7
 
 
 def test_coercivity_floor_trend_along_bump_ray(s8):
