@@ -260,13 +260,11 @@ class RayEnergy:
     case is a field whose cell exponents are all distinct: nothing
     compresses, and the cost is one energy pass plus one bincount per term.
 
-    :meth:`modulars` gives the four modulars at t*u from the group sums, and
-    :meth:`grad_magnitude` the cell gradient magnitude of u, the field of
-    its gradient norm.  :meth:`at` gives the energy report and the residual
-    at t*u from the kept cell arrays: the gradient and the average scale by
-    t and each weight by t^(p-2), gathered from the group values, so only
-    the regularized cells (p < 2) take a fresh power.  Both agree with
-    :func:`energy_and_gradient` of t*u to rounding.
+    :meth:`at` gives the energy report and the residual at t*u from the kept
+    cell arrays: the gradient and the average scale by t and each weight by
+    t^(p-2), gathered from the group values, so only the regularized cells
+    (p < 2) take a fresh power.  Both agree with :func:`energy_and_gradient`
+    of t*u to rounding.
     """
 
     def __init__(self, u: GridFunction, lam: float, s: ExponentSet, form: str):
@@ -289,19 +287,6 @@ class RayEnergy:
         ])
         keep = coeffs != 0.0
         self.poly = (expos[keep], coeffs[keep])
-
-    def modulars(self, t: float) -> list[float]:
-        """The modular of each term of ``TERMS`` at t*u, in that order: the
-        cell integral of (t b)^p, sum_k S_k t^p_k over the term's group sums
-        S_k (the energy's terms divide it by p)."""
-        vol = self.grid.cell_volume
-        with np.errstate(over="ignore"):
-            return [vol * float(np.sum(sums * t**values)) for values, sums in self._sums]
-
-    def grad_magnitude(self) -> np.ndarray:
-        """Cell gradient magnitude |grad u| of the pass, the base of the
-        gradient terms."""
-        return np.sqrt(next(row.x2 for row in self._rows if row.kind == "grad"))
 
     def _weight(self, row: _Term, t: float):
         """Weight of ``row`` at t*u times t, the scale of its cell quantity."""

@@ -129,10 +129,9 @@ class ExponentField:
         return values, inverse.reshape(-1)
 
     @functools.cached_property
-    def conjugate(self) -> "ExponentField":
-        """Pointwise dual exponent p/(p-1), computed on first use and kept
-        (with its own cached groups): the Hoelder check pairs every sample
-        of one field with it.  Involutive to rounding."""
+    def _conjugate(self) -> "ExponentField":
+        """The field of :func:`conjugate_exponent`, computed on first use and
+        kept: the Hoelder check pairs every sample of one field with it."""
         vals = self.values / (self.values - 1.0)
         # the map is decreasing, so the summaries swap roles
         lo = self.hi / (self.hi - 1.0)
@@ -210,8 +209,9 @@ def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSe
 
 
 def conjugate_exponent(p: ExponentField) -> ExponentField:
-    """Pointwise dual exponent p/(p-1) (:attr:`ExponentField.conjugate`)."""
-    return p.conjugate
+    """Pointwise dual exponent p/(p-1).  Involutive to rounding.  Computed
+    once per field and kept, so repeated calls return the same field."""
+    return p._conjugate
 
 
 def critical_exponent(p: ExponentField) -> ExponentField:

@@ -5,11 +5,7 @@ relations and the Hoelder pairing hold exactly in the discrete model (up to
 roundoff), not just asymptotically.  The Luxemburg norm is a root of the
 decreasing function log rho(a/e^x), found by the package's one
 one-dimensional root finder, :func:`decreasing_root` (safeguarded Newton in
-a sign bracket), which also finds the solvers' ray peaks.  One pass over
-the cells reduces rho to one term per distinct exponent value
-(:attr:`ExponentField.groups`), so the evaluations of the root finder cost
-a few operations on those terms, not a pass each.  The checks of this
-module take the corner average of each field once and pass the cells on.
+a sign bracket), which also finds the solvers' ray peaks.
 """
 from __future__ import annotations
 
@@ -19,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBracketError
-from .exponents import ExponentField
+from .exponents import ExponentField, conjugate_exponent
 from .grid import DomainGrid, GridFunction, cell_quadrature, discrete_gradient, node_to_cell
 
 __all__ = [
@@ -57,10 +53,10 @@ class NormSolveTrace:
     """How a Luxemburg norm was solved.
 
     ``root`` is the norm, in the units of the field.  ``iterations`` counts
-    the evaluations of :func:`decreasing_root`, each over the exponent
-    groups' terms after the one pass over the cells.  ``residual`` is
-    |rho(a/nu) - 1| certified on the normalized field a = |w|/max|w|, whose
-    norm nu = root/max|w| is what the iteration solves for.
+    passes over the cells, one per evaluation of :func:`decreasing_root`.
+    ``residual`` is |rho(a/nu) - 1| certified on the normalized field
+    a = |w|/max|w|, whose norm nu = root/max|w| is what the iteration solves
+    for.
     """
 
     root: float
@@ -131,25 +127,6 @@ def modular(u: GridFunction, p: ExponentField) -> float:
     return modular_cells(u.grid, node_to_cell(u), p)
 
 
-def _group_terms(absw: np.ndarray, p: ExponentField):
-    """Per exponent group k with a nonzero cell: p_k, the group's largest
-    |w| (top_k) and sum over its cells of (|w|/top_k)^p_k, from one pass
-    over the cells.  Each group is scaled by its own top, so the sum is at
-    least 1 and no group underflows however far below the field's maximum
-    it lies."""
-    if p.is_constant():
-        top = absw.max()
-        return np.array([p.lo]), np.array([top]), np.array([np.sum((absw / top) ** p.lo)])
-    values, inverse = p.groups
-    flat = absw.reshape(-1)
-    top = np.zeros(values.size)
-    np.maximum.at(top, inverse, flat)
-    nonzero = top > 0.0
-    ratio = flat / np.where(nonzero, top, 1.0)[inverse]
-    sums = np.bincount(inverse, weights=ratio ** p.values.reshape(-1), minlength=values.size)
-    return values[nonzero], top[nonzero], sums[nonzero]
-
-
 def luxemburg_norm_cells(
     grid: DomainGrid, w: np.ndarray, p: ExponentField
 ) -> tuple[float, NormSolveTrace]:
@@ -162,20 +139,15 @@ def luxemburg_norm_cells(
     the norm of the normalized field a = |w|/scale (max a = 1).  The root is
     solved in x = log nu, so no iterate underflows or overflows:
     :func:`decreasing_root` runs from x = 0 on log rho(a/e^x), which is
-    convex and decreasing in x.  One pass over the cells groups them by
-    exponent value (:attr:`ExponentField.groups`; a constant field is one
-    group): group k has exponent p_k, its largest normalized value top_k
-    and coef_k = vol * sum((a/top_k)^p_k) over its cells, so
-    rho(a/e^x) = sum_k coef_k (top_k/e^x)^p_k.  Every evaluation then works
-    on those K terms only: rho and d log rho/dx = -sum(p_k r_k)/sum(r_k)
-    from the same terms r_k.  A rho that overflows counts as left of the
-    root, one that underflows to 0 as right of it.  When every cell has its
-    own exponent this is the cell-wise sum vol * sum((a/e^x)^p).
-    |rho(a/nu) - 1| <= NORM_TOL is certified before returning.  Every scale
-    from the smallest subnormal double up to float-max/2**60 (about 1.5e290)
-    is served; a larger or non-finite scale raises NormBracketError.  A true
-    norm below the smallest subnormal double rounds to 0, and a subnormal
-    norm carries only the precision of a subnormal.
+    convex and decreasing in x.  Each pass over the cells gives
+    rho = vol * sum(w) and d log rho/dx = -sum(p w)/sum(w) from the same
+    powers w = (a/e^x)^p; a rho that overflows counts as left of the root,
+    one that underflows to 0 as right of it.  |rho(a/nu) - 1| <= NORM_TOL is
+    certified before returning.  Every scale from the smallest subnormal
+    double up to float-max/2**60 (about 1.5e290) is served; a larger or
+    non-finite scale raises NormBracketError.  A true norm below the smallest
+    subnormal double rounds to 0, and a subnormal norm carries only the
+    precision of a subnormal.
     """
     absw = np.abs(np.asarray(w, dtype=float))
     scale = float(absw.max())
@@ -187,20 +159,21 @@ def luxemburg_norm_cells(
             f"{np.finfo(float).max / _SCALE_HEADROOM:.3e}"
         )
 
-    pk, top, sums = _group_terms(absw, p)
-    top /= scale
-    coef = grid.cell_volume * sums
+    a = absw / scale
+    pv = p.values
+    vol = grid.cell_volume
 
     def log_rho(x: float) -> tuple[float, float]:
-        """log rho(a/e^x) and its slope in x, from the group terms."""
-        r_k = coef * (top / np.exp(x)) ** pk
-        r = float(r_k.sum())
-        if not 0.0 < r < math.inf:
-            return (math.inf if r else -math.inf), math.nan
-        return math.log(r), -float(pk @ r_k) / r
+        """log rho(a/e^x) and its slope in x, from w = (a/e^x)^p."""
+        with np.errstate(over="ignore"):
+            wx = (a / np.exp(x)) ** pv
+            total = float(np.sum(wx))
+            r = vol * total
+            if not 0.0 < r < math.inf:
+                return (math.inf if r else -math.inf), math.nan
+            return math.log(r), -float(np.sum(pv * wx)) / total
 
-    with np.errstate(over="ignore"):
-        x, value, iters = decreasing_root(log_rho)
+    x, value, iters = decreasing_root(log_rho)
     res = abs(math.expm1(value))
     if not res <= NORM_TOL:
         raise NormBracketError(
@@ -235,11 +208,10 @@ class HolderReport:
 
 def check_holder(u: GridFunction, v: GridFunction, p: ExponentField) -> HolderReport:
     """Pairing bound |int u v| <= (1/p.lo + 1/p'.lo) |u|_p |v|_p'."""
-    pc = p.conjugate
-    cu, cv = node_to_cell(u), node_to_cell(v)
-    lhs = abs(cell_quadrature(u.grid, cu * cv))
-    nu, _ = luxemburg_norm_cells(u.grid, cu, p)
-    nv, _ = luxemburg_norm_cells(v.grid, cv, pc)
+    pc = conjugate_exponent(p)
+    lhs = abs(cell_quadrature(u.grid, node_to_cell(u) * node_to_cell(v)))
+    nu, _ = luxemburg_norm(u, p)
+    nv, _ = luxemburg_norm(v, pc)
     const = 1.0 / p.lo + 1.0 / pc.lo
     rhs = const * nu * nv
     return HolderReport(lhs, rhs, nu, nv, const, lhs <= rhs + _REL_SLACK * rhs)
@@ -258,9 +230,8 @@ class SandwichReport:
 def check_modular_norm_relations(u: GridFunction, p: ExponentField) -> SandwichReport:
     """Norm-modular sandwich: the modular sits between norm^lo and norm^hi,
     with the exponents swapping roles on either side of norm = 1."""
-    cells = node_to_cell(u)
-    nu, _ = luxemburg_norm_cells(u.grid, cells, p)
-    rho = modular_cells(u.grid, cells, p)
+    nu, trace = luxemburg_norm(u, p)
+    rho = modular(u, p)
     if abs(nu - 1.0) <= NORM_TOL:
         ok = abs(rho - 1.0) <= NORM_TOL
         return SandwichReport(nu, rho, "at_one", 1.0, 1.0, ok)
@@ -289,8 +260,7 @@ def check_inclusion_bound(
     if np.any(r1.values > r2.values):
         raise ValueError("inclusion bound requires r1 <= r2 at every cell")
     const = u.grid.volume + 1.0
-    cells = node_to_cell(u)
-    n1, _ = luxemburg_norm_cells(u.grid, cells, r1)
-    n2, _ = luxemburg_norm_cells(u.grid, cells, r2)
+    n1, _ = luxemburg_norm(u, r1)
+    n2, _ = luxemburg_norm(u, r2)
     rhs = const * n2
     return InclusionReport(n1, rhs, const, n1 <= rhs + _REL_SLACK * rhs)

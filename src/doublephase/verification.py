@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import RayEnergy, eval_energy, ray_energy, ray_polynomial
+from .energy import eval_energy, ray_energy, ray_polynomial
 from .errors import (
     DoublePhaseError,
     HypothesisGateError,
@@ -25,7 +25,7 @@ from .spaces import (
     check_inclusion_bound,
     check_modular_norm_relations,
     luxemburg_norm,
-    luxemburg_norm_cells,
+    modular,
     sobolev_norm,
 )
 
@@ -202,6 +202,11 @@ def _random_direction(grid, rng) -> GridFunction:
     return GridFunction(grid, vals, bc_zero=True)
 
 
+def _scaled_to_norm(u: GridFunction, s: ExponentSet, target: float) -> GridFunction:
+    norm = sobolev_norm(u, s.pmax)
+    return (target / norm) * u
+
+
 def check_mp_geometry(
     lam: float,
     s: ExponentSet,
@@ -332,14 +337,7 @@ def check_coercivity(
     seed=0,
 ) -> CheckReport:
     """Coercivity floor of the coercive form on fields with gradient norm > 1,
-    together with the uniform bulk-difference bound that drives it.
-
-    Each sample draws a direction w and a target gradient norm, and tests
-    u = t*w with t = target/|grad w|_pmax.  One cell pass of w
-    (:class:`RayEnergy`) gives all of it: the gradient norm, from the cell
-    gradient magnitude it holds; the two bulk modulars of u, as sums over
-    the pmax and q exponent groups of S_k t^p_k; and the energy of u, from
-    the ray polynomial.  They match the cell formulas on u to rounding."""
+    together with the uniform bulk-difference bound that drives it."""
     if not validate_hypotheses(s, "coercive").passed:
         raise HypothesisGateError("coercive hypotheses fail; coercivity check skipped")
     rng = _rng(seed)
@@ -355,14 +353,13 @@ def check_coercivity(
     for _ in range(n_samples):
         w = _random_direction(grid, rng)
         target = 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0))
-        ray = RayEnergy(w, lam, s, "coercive")
-        norm, _ = luxemburg_norm_cells(grid, ray.grad_magnitude(), s.pmax)
-        t = target / norm
-        _, _, bulk_m, bulk_q = ray.modulars(t)
+        u = _scaled_to_norm(w, s, target)
+        bulk_m = modular(u, s.pmax)
+        bulk_q = modular(u, s.q)
         lhs = (lam / mlo) * bulk_m - (1.0 / qhi) * bulk_q
         scale = max(1.0, abs(lhs), d_const)
         m1 = (d_const - lhs) / scale
-        total = float(ray_energy(ray.poly, t))
+        total = eval_energy(u, lam, s, "coercive").total
         floor = (1.0 / mhi) * target**mlo - d_const
         scale2 = max(1.0, abs(total), abs(floor))
         m2 = (total - floor) / scale2

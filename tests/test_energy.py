@@ -16,14 +16,7 @@ from doublephase.energy import (
     residual_norm,
 )
 from doublephase.exponents import ExponentField, ExponentSet
-from doublephase.grid import (
-    DomainGrid,
-    GridFunction,
-    cell_quadrature,
-    discrete_gradient,
-    pairing,
-)
-from doublephase.spaces import modular
+from doublephase.grid import DomainGrid, GridFunction, cell_quadrature, pairing
 from doublephase.solvers import SubBox, bump_function
 
 from conftest import default_set, random_field
@@ -196,26 +189,6 @@ def test_ray_energy_matches_the_kernel_on_the_ray(set12, rng, kind):
             # relative to the terms' sum, as the signed total may cancel
             assert abs(rep.total - want.total) <= 1e-12 * sum(want.terms)
             assert np.max(np.abs(r.values - r_want.values)) <= 1e-12 * np.max(np.abs(r_want.values))
-
-
-@pytest.mark.parametrize("kind", ["grouped", "distinct", "p1-constant-1.5"])
-def test_ray_modulars_match_the_cell_modulars(set12, rng, kind):
-    grid = set12.grid
-    s = {
-        "grouped": lambda: set12,
-        "distinct": lambda: _all_distinct_set(grid, rng),
-        "p1-constant-1.5": lambda: _low_p1_set(grid, rng, constant=True),
-    }[kind]()
-    u = random_field(grid, rng)
-    ray = RayEnergy(u, 0.9, s, "coercive")
-    # bitwise the magnitude the gradient norm reads
-    assert np.array_equal(ray.grad_magnitude(), discrete_gradient(u).magnitude())
-    for t in (0.3, 1.0, 7.0):
-        mag = discrete_gradient(t * u).magnitude()
-        refs = [cell_quadrature(grid, mag**s.p1.values), cell_quadrature(grid, mag**s.p2.values),
-                modular(t * u, s.pmax), modular(t * u, s.q)]
-        for got, ref in zip(ray.modulars(t), refs):
-            assert abs(got - ref) <= 1e-12 * ref
 
 
 def _power_weight_reference(x2, p):

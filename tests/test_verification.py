@@ -3,13 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from doublephase import energy, grid
 from doublephase.energy import eval_energy
 from doublephase.errors import HypothesisGateError, SphereGeometryError
 from doublephase.exponents import build_exponent_set
-from doublephase.grid import DomainGrid, GridFunction
+from doublephase.grid import DomainGrid
 from doublephase.solvers import SubBox, bump_function
-from doublephase.spaces import modular, sobolev_norm
 from doublephase.verification import (
     CheckReport,
     check_auxiliary_inequality,
@@ -177,59 +175,6 @@ def test_coercivity_constant_formula(set16):
 def test_coercivity_samples_pass(s8):
     rep = check_coercivity(1.0, s8, n_samples=200, seed=4)
     assert rep.passed and rep.failures == 0
-
-
-def _coercivity_on_cells(lam, s, n_samples, seed):
-    # the check's draws, with u = t*w built and measured cell by cell:
-    # gradient norm, two bulk modulars and the energy of u
-    rng = np.random.default_rng(seed)
-    g = s.grid
-    mlo, mhi, qlo, qhi = s.pmax.lo, s.pmax.hi, s.q.lo, s.q.hi
-    base = lam * qhi / mlo
-    d_const = (lam / mlo) * (base ** (mhi / (qlo - mhi)) + base ** (mlo / (qhi - mlo))) * g.volume
-    failures, worst = 0, np.inf
-    for _ in range(n_samples):
-        vals = rng.standard_normal(g.node_shape)
-        vals[g.boundary_mask()] = 0.0
-        w = GridFunction(g, vals, bc_zero=True)
-        target = 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0))
-        u = (target / sobolev_norm(w, s.pmax)) * w
-        lhs = (lam / mlo) * modular(u, s.pmax) - (1.0 / qhi) * modular(u, s.q)
-        m1 = (d_const - lhs) / max(1.0, abs(lhs), d_const)
-        total = eval_energy(u, lam, s, "coercive").total
-        floor = (1.0 / mhi) * target**mlo - d_const
-        m2 = (total - floor) / max(1.0, abs(total), abs(floor))
-        worst = min(worst, m1, m2)
-        failures += m1 < -1e-12 or m2 < -1e-12
-    return failures, worst, d_const
-
-
-@pytest.mark.parametrize(
-    "p2, q", [("2 + 0.5*sin(pi*x1)", "4"), ("2 + 0.5*x1*x2*x3", "3.5 + 0.5*x2*x3")],
-    ids=["default", "non-separable"],
-)
-def test_coercivity_matches_the_cell_formulas(p2, q):
-    s = build_exponent_set("2", p2, q, DomainGrid(3, (8, 8, 8)))
-    for lam in (1.0, 40.0):
-        rep = check_coercivity(lam, s, n_samples=30, seed=2)
-        failures, worst, d_const = _coercivity_on_cells(lam, s, 30, 2)
-        assert rep.failures == failures
-        assert abs(rep.worst_margin - worst) <= 1e-12 * abs(worst)
-        assert rep.constants["D"] == d_const
-
-
-def test_coercivity_takes_one_gradient_pass_per_sample(s8, monkeypatch):
-    calls = []
-    cell_gradient = grid.gradient_values
-
-    def counted(*args):
-        calls.append(1)
-        return cell_gradient(*args)
-
-    for module in (grid, energy):
-        monkeypatch.setattr(module, "gradient_values", counted)
-    check_coercivity(1.0, s8, n_samples=7, seed=0)
-    assert len(calls) == 7
 
 
 def test_coercivity_floor_trend_along_bump_ray(s8):
