@@ -14,7 +14,7 @@ Library layout:
 __version__ = "0.1.0"
 
 from .exponents import ExponentField, ExponentSet, build_exponent_set, validate_hypotheses
-from .grid import CellVectorField, DomainGrid, GridFunction
+from .grid import DomainGrid, GridFunction
 from .energy import EnergyReport, energy_and_gradient, eval_energy, grad_energy, residual_norm
 from .solvers import (
     SolveResult,
@@ -31,7 +31,6 @@ from .spaces import luxemburg_norm, modular, sobolev_norm
 
 __all__ = [
     "__version__",
-    "CellVectorField",
     "DomainGrid",
     "GridFunction",
     "ExponentField",

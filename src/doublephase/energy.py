@@ -22,8 +22,10 @@ term per distinct exponent value of each modular term.  :class:`RayEnergy`
 builds it from one pass over the cells of u and keeps that pass, so the
 energy and the gradient at any point t*u of the ray need no second pass: a
 saddle-search trial finds its ray peak and evaluates there from one pass.
-Every ray computation (ray peaks, ray scans of the checks) reads the
-polynomial instead of the cells.
+Every ray computation reads one such pass instead of the cells of t*u: the
+ray peaks, the endpoint scan, and the checks of the verify battery, which
+also take the gradient magnitude (for the Sobolev norm of u) and the bulk
+modulars at t from it.
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ __all__ = [
     "energy_and_gradient",
     "residual_norm",
     "RayEnergy",
-    "ray_polynomial",
     "ray_energy",
 ]
 
@@ -264,7 +265,8 @@ class RayEnergy:
     cell arrays: the gradient and the average scale by t and each weight by
     t^(p-2), gathered from the group values, so only the regularized cells
     (p < 2) take a fresh power.  Both agree with :func:`energy_and_gradient`
-    of t*u to rounding.
+    of t*u to rounding.  :attr:`gradient_magnitude` and :meth:`modular` read
+    the same pass for the norms and modulars of the verify battery.
     """
 
     def __init__(self, u: GridFunction, lam: float, s: ExponentSet, form: str):
@@ -287,6 +289,20 @@ class RayEnergy:
         ])
         keep = coeffs != 0.0
         self.poly = (expos[keep], coeffs[keep])
+
+    @property
+    def gradient_magnitude(self) -> np.ndarray:
+        """|grad u| on each cell, the field of the Sobolev norm of u."""
+        return np.sqrt(next(row.x2 for row in self._rows if row.kind == "grad"))
+
+    def modular(self, term: str, t: float) -> float:
+        """Cell integral of base^p of the ``TERMS`` row named ``term`` (an
+        :class:`EnergyReport` field, such as ``"term_pmax"``) at t*u, from
+        its group sums: the term without its 1/p and its sign."""
+        names = [name for name, _, _ in TERMS]
+        values, sums = self._sums[names.index(term)]
+        with np.errstate(over="ignore"):
+            return self.grid.cell_volume * float(np.sum(sums * t**values))
 
     def _weight(self, row: _Term, t: float):
         """Weight of ``row`` at t*u times t, the scale of its cell quantity."""
@@ -315,16 +331,9 @@ class RayEnergy:
         return rep, GridFunction(self.grid, r, bc_zero=True)
 
 
-def ray_polynomial(
-    u: GridFunction, lam: float, s: ExponentSet, form: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents p_k and coefficients c_k with eval_energy(t*u).total equal
-    to sum_k c_k t^p_k for every t >= 0 (:attr:`RayEnergy.poly`)."""
-    return RayEnergy(u, lam, s, form).poly
-
-
 def ray_energy(poly: tuple[np.ndarray, np.ndarray], t) -> np.ndarray:
-    """Energy sum_k c_k t^p_k of a :func:`ray_polynomial` at each t >= 0."""
+    """Energy sum_k c_k t^p_k of a ray polynomial (:attr:`RayEnergy.poly`)
+    at each t >= 0."""
     expos, coeffs = poly
     with np.errstate(over="ignore", invalid="ignore"):
         return np.power.outer(np.asarray(t, dtype=float), expos) @ coeffs

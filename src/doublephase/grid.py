@@ -18,11 +18,9 @@ import numpy as np
 __all__ = [
     "DomainGrid",
     "GridFunction",
-    "CellVectorField",
     "node_to_cell",
     "node_to_cell_values",
     "node_to_cell_adjoint",
-    "discrete_gradient",
     "gradient_values",
     "discrete_gradient_adjoint",
     "gradient_gram_inverse",
@@ -191,26 +189,6 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-@dataclass
-class CellVectorField:
-    """One vector per cell; component axis first."""
-
-    grid: DomainGrid
-    comps: np.ndarray
-
-    def __post_init__(self):
-        comps = np.asarray(self.comps, dtype=float)
-        want = (self.grid.dim,) + self.grid.cell_shape
-        if comps.shape != want:
-            raise ValueError(f"component shape {comps.shape} != {want}")
-        if not np.all(np.isfinite(comps)):
-            raise ValueError("vector field entries must be finite")
-        self.comps = comps
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.comps * self.comps, axis=0))
-
-
 def _along(axis: int, index) -> tuple:
     """``index`` on the trailing axis ``axis`` (negative), all of the others."""
     return (Ellipsis, index) + (slice(None),) * (-1 - axis)
@@ -262,17 +240,13 @@ def node_to_cell_adjoint(grid: DomainGrid, cells: np.ndarray) -> np.ndarray:
 
 def gradient_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
     """Cell gradients on the trailing node axes; the component axis is
-    inserted right before the cell axes."""
+    inserted right before the cell axes.  Per axis, the mean forward
+    difference over the cell's node pairs: exact for affine fields, linear
+    in the values."""
     comps = np.empty(vals.shape[: vals.ndim - grid.dim] + (grid.dim,) + grid.cell_shape)
     for comp, row in zip(np.moveaxis(comps, -grid.dim - 1, 0), grid.stencils[1:]):
         _apply(vals, row, out=comp)
     return comps
-
-
-def discrete_gradient(u: GridFunction) -> CellVectorField:
-    """Cellwise gradient: per axis, the mean forward difference over the cell's
-    node pairs.  Exact for affine fields; linear in u."""
-    return CellVectorField(u.grid, gradient_values(u.grid, u.values))
 
 
 def discrete_gradient_adjoint(grid: DomainGrid, comps: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -63,12 +64,14 @@ def write_field_csv(path: Path, u: GridFunction) -> Path:
 
 
 def read_field_csv(path: Path, grid: DomainGrid, bc_zero: bool = False) -> GridFunction:
-    """Re-ingest a field CSV; the node count must match the grid."""
+    """Re-ingest a field CSV; the node count must match the grid, and every
+    value must be a finite number."""
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
         raise FieldShapeError(f"{path}: empty field file")
-    rows = lines[1:] if lines[0][0].isalpha() else lines
+    skip = 1 if lines[0][0].isalpha() else 0  # a header row
+    rows = lines[skip:]
     if len(rows) != grid.node_count:
         raise FieldShapeError(
             f"{path}: {len(rows)} rows but the grid has {grid.node_count} nodes"
@@ -78,8 +81,17 @@ def read_field_csv(path: Path, grid: DomainGrid, bc_zero: bool = False) -> GridF
     for i, row in enumerate(rows):
         parts = row.split(",")
         if len(parts) != want:
-            raise FieldShapeError(f"{path}: row {i + 2} has {len(parts)} columns, want {want}")
-        vals[i] = float(parts[-1])
+            raise FieldShapeError(
+                f"{path}: row {i + 1 + skip} has {len(parts)} columns, want {want}"
+            )
+        try:
+            vals[i] = float(parts[-1])
+        except ValueError:
+            vals[i] = math.nan
+        if not math.isfinite(vals[i]):
+            raise FieldShapeError(
+                f"{path}: row {i + 1 + skip} value {parts[-1]!r} is not a finite number"
+            )
     return GridFunction(grid, vals.reshape(grid.node_shape), bc_zero=bc_zero)
 
 

@@ -14,9 +14,9 @@ the peak of the seed's ray).  A saddle trial takes one pass over the cells
 (:class:`RayEnergy`): the ray's polynomial gives the peak, where the
 rising and falling parts of its slope balance (:func:`decreasing_root` on
 their log ratio), and the kept pass the energy and gradient there;
-:func:`find_endpoint` scans the polynomial's doublings.  A step is accepted
-by one test: the nonmonotone Armijo test of Grippo, Lampariello and Lucidi
-against the highest of the last ``LOOKBACK`` accepted energies, as in
+:func:`find_endpoint` scans doublings on :attr:`RayEnergy.poly`.  A step
+is accepted by one test: the nonmonotone Armijo test of Grippo, Lampariello
+and Lucidi against the highest of the last ``LOOKBACK`` accepted energies, as in
 Raydan's globalized Barzilai-Borwein method, relaxed by the summation
 roundoff of the energy, so most spectral steps are taken as they come, and
 once decreases are no longer resolvable any step without a resolvable rise
@@ -32,7 +32,7 @@ import numpy as np
 
 from .energy import (
     EnergyReport, RayEnergy, coefficients, energy_and_gradient, eval_energy, ray_energy,
-    ray_polynomial, residual_norm,
+    residual_norm,
 )
 from .errors import (
     EndpointScheduleError,
@@ -343,7 +343,7 @@ def find_endpoint(
     if float(np.max(np.abs(u0.values))) == 0.0:
         raise ValueError("direction must be nonzero")
     ts = 2.0 ** np.arange(max_doublings + 1)
-    negative = np.flatnonzero(ray_energy(ray_polynomial(u0, lam, s, "mountain"), ts) < 0.0)
+    negative = np.flatnonzero(ray_energy(RayEnergy(u0, lam, s, "mountain").poly, ts) < 0.0)
     if negative.size == 0:
         raise EndpointScheduleError(
             f"energy stayed nonnegative through {max_doublings} doublings"

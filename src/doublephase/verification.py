@@ -3,6 +3,9 @@
 Each check samples (deterministically, given a seed), measures its
 existential constants, and reports failures.  Constants are measured and
 reported, never asserted to equal a specific value.
+
+The ray checks read each sampled direction from one :class:`RayEnergy` pass
+over its cells, never from the cells of a scaled copy.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import eval_energy, ray_energy, ray_polynomial
+from .energy import RayEnergy, ray_energy
 from .errors import (
     DoublePhaseError,
     HypothesisGateError,
@@ -18,15 +21,13 @@ from .errors import (
     SphereGeometryError,
 )
 from .exponents import ExponentField, ExponentSet, validate_hypotheses
-from .grid import GridFunction
+from .grid import GridFunction, node_to_cell
 from .solvers import SubBox, bump_function
 from .spaces import (
     check_holder,
     check_inclusion_bound,
     check_modular_norm_relations,
-    luxemburg_norm,
-    modular,
-    sobolev_norm,
+    luxemburg_norm_cells,
 )
 
 __all__ = [
@@ -202,11 +203,6 @@ def _random_direction(grid, rng) -> GridFunction:
     return GridFunction(grid, vals, bc_zero=True)
 
 
-def _scaled_to_norm(u: GridFunction, s: ExponentSet, target: float) -> GridFunction:
-    norm = sobolev_norm(u, s.pmax)
-    return (target / norm) * u
-
-
 def check_mp_geometry(
     lam: float,
     s: ExponentSet,
@@ -219,9 +215,11 @@ def check_mp_geometry(
     scalar barrier profile built from measured embedding ratios.
 
     The sphere of radius eta meets the ray of a direction d at
-    t = eta / |d|, so all radii are scanned on the directions' ray polynomials
-    (:func:`ray_polynomial`); the reported level alpha at the chosen radius
-    is evaluated by the cell kernel, like every energy of the reports."""
+    t = eta / |d|, so all radii are scanned on the directions' ray
+    polynomials; one :class:`RayEnergy` pass per direction gives both the
+    polynomial and the gradient magnitude of the norm |d|.  The reported
+    level alpha is the scan's minimum over the directions at the chosen
+    radius."""
     if not validate_hypotheses(s, "mountain").passed:
         raise HypothesisGateError("mountain hypotheses fail; geometry check skipped")
     rng = _rng(seed)
@@ -233,31 +231,27 @@ def check_mp_geometry(
     dirs = [_random_direction(grid, rng) for _ in range(n_directions)]
     qlo_field = ExponentField.from_values(grid, s.q.lo)
     qhi_field = ExponentField.from_values(grid, s.q.hi)
-    norms = []
+    scans = []
     c1_samples = []
     c2_samples = []
     for d in dirs:
-        nm = sobolev_norm(d, s.pmax)
-        nqhi, _ = luxemburg_norm(d, qhi_field)
-        nqlo, _ = luxemburg_norm(d, qlo_field)
-        norms.append(nm)
+        ray = RayEnergy(d, lam, s, "mountain")
+        nm, _ = luxemburg_norm_cells(grid, ray.gradient_magnitude, s.pmax)
+        scans.append(ray_energy(ray.poly, eta_grid / nm))
+        avg = node_to_cell(d)
+        nqhi, _ = luxemburg_norm_cells(grid, avg, qhi_field)
+        nqlo, _ = luxemburg_norm_cells(grid, avg, qlo_field)
         c1_samples.append(nm / nqhi)
         c2_samples.append(nm / nqlo)
     c1 = float(min(c1_samples))
     c2 = float(min(c2_samples))
 
-    low = np.min([
-        ray_energy(ray_polynomial(d, lam, s, "mountain"), eta_grid / nm)
-        for d, nm in zip(dirs, norms)
-    ], axis=0)
+    low = np.min(scans, axis=0)
     positive = np.flatnonzero(low > 0.0)
     if positive.size == 0:
         raise SphereGeometryError("no tested radius kept the energy positive")
     best_eta = float(eta_grid[positive[-1]])
-    best_alpha = float(min(
-        eval_energy((best_eta / nm) * d, lam, s, "mountain").total
-        for d, nm in zip(dirs, norms)
-    ))
+    best_alpha = float(low[positive[-1]])
 
     # scalar barrier profile from the measured embedding ratios
     beta = 1.0 / s.pmax.hi
@@ -298,7 +292,7 @@ def check_ray_boundedness(
     mountain-form energy; reports the largest crossing radius.
 
     Each ray is scanned at the doublings t = 1, 2, ..., 2^max_doublings on
-    its polynomial (:func:`ray_polynomial`), one pass over the cells per ray;
+    its polynomial (:attr:`RayEnergy.poly`), one pass over the cells per ray;
     the crossing is the first doubling after the last nonnegative energy."""
     if subspace_dim > 8:
         raise ValueError("subspace dimension capped at 8")
@@ -318,7 +312,7 @@ def check_ray_boundedness(
         w = GridFunction.zeros(grid)
         for c, b in zip(coeff, basis):
             w = w + c * b
-        nonneg = np.flatnonzero(ray_energy(ray_polynomial(w, lam, s, "mountain"), ts) >= 0.0)
+        nonneg = np.flatnonzero(ray_energy(RayEnergy(w, lam, s, "mountain").poly, ts) >= 0.0)
         if nonneg.size and nonneg[-1] == ts.size - 1:
             raise RayScheduleError(
                 f"a ray stayed nonnegative through t = {ts[-1]:.3e}"
@@ -337,7 +331,12 @@ def check_coercivity(
     seed=0,
 ) -> CheckReport:
     """Coercivity floor of the coercive form on fields with gradient norm > 1,
-    together with the uniform bulk-difference bound that drives it."""
+    together with the uniform bulk-difference bound that drives it.
+
+    Each sample u = t*w is read from one :class:`RayEnergy` pass of the
+    random direction w: its gradient magnitude gives |w|, so t = target/|w|,
+    and the bulk modulars and the energy of u come from the pass's group
+    sums and polynomial at t."""
     if not validate_hypotheses(s, "coercive").passed:
         raise HypothesisGateError("coercive hypotheses fail; coercivity check skipped")
     rng = _rng(seed)
@@ -353,13 +352,13 @@ def check_coercivity(
     for _ in range(n_samples):
         w = _random_direction(grid, rng)
         target = 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0))
-        u = _scaled_to_norm(w, s, target)
-        bulk_m = modular(u, s.pmax)
-        bulk_q = modular(u, s.q)
-        lhs = (lam / mlo) * bulk_m - (1.0 / qhi) * bulk_q
+        ray = RayEnergy(w, lam, s, "coercive")
+        norm, _ = luxemburg_norm_cells(grid, ray.gradient_magnitude, s.pmax)
+        t = target / norm
+        lhs = (lam / mlo) * ray.modular("term_pmax", t) - (1.0 / qhi) * ray.modular("term_q", t)
         scale = max(1.0, abs(lhs), d_const)
         m1 = (d_const - lhs) / scale
-        total = eval_energy(u, lam, s, "coercive").total
+        total = float(ray_energy(ray.poly, t))
         floor = (1.0 / mhi) * target**mlo - d_const
         scale2 = max(1.0, abs(total), abs(floor))
         m2 = (total - floor) / scale2

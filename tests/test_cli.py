@@ -107,6 +107,29 @@ def test_cmd_norm_wrong_node_count(tmp_path, small_cfg):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_cmd_norm_rejects_a_bad_value(tmp_path, small_cfg, capsys, value):
+    grid = DomainGrid(3, (8, 8, 8))
+    f = tmp_path / "bad.csv"
+    write_field_csv(f, GridFunction.zeros(grid, bc_zero=False))
+    lines = f.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
+    f.write_text("\n".join(lines) + "\n")
+    code = main(["norm", str(f), "--config", str(small_cfg), "--out", str(tmp_path / "n4")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "bad.csv: row 6" in err and repr(value) in err
+
+
+def test_field_csv_error_counts_rows_without_a_header(tmp_path):
+    grid = DomainGrid(3, (4, 4, 4))
+    f = tmp_path / "bare.csv"
+    f.write_text("0,0,0,inf\n" + "0,0,0,1.0\n" * (grid.node_count - 1))
+    with pytest.raises(FieldShapeError, match="bare.csv: row 1 value 'inf'"):
+        read_field_csv(f, grid)
+
+
 def test_field_csv_round_trip(tmp_path, rng):
     grid = DomainGrid(3, (6, 6, 6))
     vals = rng.standard_normal(grid.node_shape)

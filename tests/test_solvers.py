@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doublephase import solvers
-from doublephase.energy import eval_energy, grad_energy, ray_polynomial, residual_norm
+from doublephase.energy import RayEnergy, eval_energy, grad_energy, residual_norm
 from doublephase.errors import (
     EndpointScheduleError,
     HypothesisGateError,
@@ -328,7 +328,7 @@ def test_mountain_pass_starts_at_the_ray_peak(s8, bump8):
 def _zero_ray_slope(peak, s):
     """The slope sum_k c_k p_k of the ray polynomial of ``peak`` at t = 1
     vanishes relative to the sum of its terms' magnitudes."""
-    expos, coeffs = ray_polynomial(peak, 1.0, s, "mountain")
+    expos, coeffs = RayEnergy(peak, 1.0, s, "mountain").poly
     slope = coeffs * expos
     return abs(slope.sum()) <= 1e-12 * np.abs(slope).sum()
 

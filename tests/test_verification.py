@@ -3,13 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import doublephase.energy
+import doublephase.grid
+import doublephase.spaces
 from doublephase.energy import eval_energy
 from doublephase.errors import HypothesisGateError, SphereGeometryError
-from doublephase.exponents import build_exponent_set
+from doublephase.exponents import build_exponent_set, validate_hypotheses
 from doublephase.grid import DomainGrid
 from doublephase.solvers import SubBox, bump_function
+from doublephase.spaces import modular, sobolev_norm
 from doublephase.verification import (
     CheckReport,
+    _random_direction,
     check_auxiliary_inequality,
     check_coercivity,
     check_holder_random,
@@ -175,6 +180,67 @@ def test_coercivity_constant_formula(set16):
 def test_coercivity_samples_pass(s8):
     rep = check_coercivity(1.0, s8, n_samples=200, seed=4)
     assert rep.passed and rep.failures == 0
+
+
+def _coercivity_by_cells(lam, s, n_samples, seed):
+    # the check on the cells of each sample u = t*w: its gradient norm, then
+    # both bulk modulars and the energy of u, four passes per sample
+    rng = np.random.default_rng(seed)
+    mlo, mhi = s.pmax.lo, s.pmax.hi
+    qlo, qhi = s.q.lo, s.q.hi
+    base = lam * qhi / mlo
+    c_const = (lam / mlo) * (base ** (mhi / (qlo - mhi)) + base ** (mlo / (qhi - mlo)))
+    d_const = c_const * s.grid.volume
+    failures, worst = 0, np.inf
+    for _ in range(n_samples):
+        w = _random_direction(s.grid, rng)
+        target = 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0))
+        u = (target / sobolev_norm(w, s.pmax)) * w
+        lhs = (lam / mlo) * modular(u, s.pmax) - (1.0 / qhi) * modular(u, s.q)
+        m1 = (d_const - lhs) / max(1.0, abs(lhs), d_const)
+        total = eval_energy(u, lam, s, "coercive").total
+        floor = (1.0 / mhi) * target**mlo - d_const
+        m2 = (total - floor) / max(1.0, abs(total), abs(floor))
+        worst = min(worst, m1, m2)
+        failures += m1 < -1e-12 or m2 < -1e-12
+    return failures, worst
+
+
+@pytest.mark.parametrize("p2", ["2 + 0.5*sin(pi*x1)", "2 + 0.5*x1*x2*x3"])
+def test_coercivity_matches_the_cell_passes(p2):
+    s = build_exponent_set("2", p2, "4", DomainGrid(3, (8, 8, 8)))
+    assert validate_hypotheses(s, "coercive").passed
+    rep = check_coercivity(1.3, s, n_samples=100, seed=3)
+    failures, worst = _coercivity_by_cells(1.3, s, 100, 3)
+    assert rep.failures == failures
+    assert abs(rep.worst_margin - worst) <= 1e-12 * abs(worst)
+
+
+def test_coercivity_takes_one_gradient_pass_per_sample(s8, monkeypatch):
+    calls = []
+    gradient_values = doublephase.grid.gradient_values
+
+    def counted(*args):
+        calls.append(1)
+        return gradient_values(*args)
+
+    for module in (doublephase.grid, doublephase.energy, doublephase.spaces):
+        monkeypatch.setattr(module, "gradient_values", counted)
+    check_coercivity(1.0, s8, n_samples=7, seed=0)
+    assert len(calls) == 7
+
+
+def test_mp_geometry_alpha_is_the_sphere_minimum(s8):
+    rep = check_mp_geometry(1.0, s8, n_directions=5, seed=2)
+    eta = rep.constants["eta"]
+    rng = np.random.default_rng(2)
+    dirs = [_random_direction(s8.grid, rng) for _ in range(5)]
+    alpha = min(
+        eval_energy((eta / sobolev_norm(d, s8.pmax)) * d, 1.0, s8, "mountain").total
+        for d in dirs
+    )
+    assert abs(rep.constants["alpha"] - alpha) <= 1e-12 * abs(alpha)
+    assert rep.worst_margin == rep.constants["alpha"]
 
 
 def test_coercivity_floor_trend_along_bump_ray(s8):
