@@ -196,19 +196,30 @@ def _along(axis: int, index) -> tuple:
 
 def _apply(x: np.ndarray, row, out=None) -> np.ndarray:
     """One stencil row on the trailing node axes, one pass per axis: node
-    pairs to edges, w_lo x_lo + w_hi x_hi, as one sum or difference and one
-    in-place scale.  The last pass writes into ``out`` when given."""
+    pairs to edges, w_lo x_lo + w_hi x_hi, as one sum or difference.  A
+    difference axis scales by its w_hi = 1/h in place; the average axes'
+    weights (1/2 each) are applied once, as their product, after the last
+    pass, which writes into ``out`` when given.  Scaling by a power of two
+    commutes with rounding, so the result equals scaling on every pass
+    unless an intermediate is subnormal."""
+    scale = 1.0
     for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
         lo, hi = x[_along(axis, slice(0, -1))], x[_along(axis, slice(1, None))]
         op = np.add if w_lo == w_hi else np.subtract
         x = op(hi, lo, out=out if axis == -1 else None, dtype=float)
-        x *= w_hi
+        if w_lo == w_hi:
+            scale *= w_hi
+        else:
+            x *= w_hi
+    x *= scale
     return x
 
 
 def _apply_adjoint(y: np.ndarray, row) -> np.ndarray:
     """Transpose of :func:`_apply` on the trailing cell axes: per axis, each
-    edge value back to its two nodes."""
+    edge value back to its two nodes; the average weights are applied once,
+    after the last pass, as in :func:`_apply`."""
+    scale = 1.0
     for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
         shape = list(y.shape)
         shape[axis] += 1
@@ -218,8 +229,12 @@ def _apply_adjoint(y: np.ndarray, row) -> np.ndarray:
         op(lo, hi, out=x[_along(axis, slice(1, -1))])
         x[_along(axis, 0)] = (w_lo / w_hi) * y[_along(axis, 0)]
         x[_along(axis, -1)] = y[_along(axis, -1)]
-        x *= w_hi
+        if w_lo == w_hi:
+            scale *= w_hi
+        else:
+            x *= w_hi
         y = x
+    y *= scale
     return y
 
 

@@ -5,7 +5,9 @@ relations and the Hoelder pairing hold exactly in the discrete model (up to
 roundoff), not just asymptotically.  The Luxemburg norm is a root of the
 decreasing function log rho(a/e^x), found by the package's one
 one-dimensional root finder, :func:`decreasing_root` (safeguarded Newton in
-a sign bracket), which also finds the solvers' ray peaks.
+a sign bracket), which also finds the solvers' ray peaks.  Each norm takes
+one log pass over the cells and then one exp pass per Newton step; a
+constant exponent takes one power pass, and its steps run on a single term.
 """
 from __future__ import annotations
 
@@ -53,7 +55,9 @@ class NormSolveTrace:
     """How a Luxemburg norm was solved.
 
     ``root`` is the norm, in the units of the field.  ``iterations`` counts
-    passes over the cells, one per evaluation of :func:`decreasing_root`.
+    the evaluations of log rho in :func:`decreasing_root`; each is a pass over
+    the cells, except for a constant exponent, whose evaluations read one
+    term.
     ``residual`` is |rho(a/nu) - 1| certified on the normalized field
     a = |w|/max|w|, whose norm nu = root/max|w| is what the iteration solves
     for.
@@ -139,41 +143,56 @@ def luxemburg_norm_cells(
     the norm of the normalized field a = |w|/scale (max a = 1).  The root is
     solved in x = log nu, so no iterate underflows or overflows:
     :func:`decreasing_root` runs from x = 0 on log rho(a/e^x), which is
-    convex and decreasing in x.  Each pass over the cells gives
-    rho = vol * sum(w) and d log rho/dx = -sum(p w)/sum(w) from the same
-    powers w = (a/e^x)^p; a rho that overflows counts as left of the root,
-    one that underflows to 0 as right of it.  |rho(a/nu) - 1| <= NORM_TOL is
-    certified before returning.  Every scale from the smallest subnormal
-    double up to float-max/2**60 (about 1.5e290) is served; a larger or
-    non-finite scale raises NormBracketError.  A true norm below the smallest
-    subnormal double rounds to 0, and a subnormal norm carries only the
-    precision of a subnormal.
+    convex and decreasing in x.  The modular is read from a table of terms,
+    rho(a/e^x) = vol * sum_k exp(c_k - x p_k), built in one pass over the
+    cells: one term per cell, c = p log a (-inf on a zero cell), or, for a
+    constant exponent p, the single term c = log(sum a^p).  Each evaluation
+    takes t = exp(c - x p) in one exp pass, then rho = vol * sum(t) and
+    d log rho/dx = -sum(p t)/sum(t); a constant exponent's evaluations touch
+    no cells.  A rho that overflows counts as left of the root, one that
+    underflows to 0 as right of it.  Cells are not grouped by exponent value
+    before the root is known: a group's sum of a^p can underflow where its
+    sum of (a/nu)^p does not.  The constant exponent's single sum holds the
+    cell a = 1, so a cell whose a^p underflows is below its rounding.
+
+    |rho(a/nu) - 1| <= NORM_TOL is certified before returning.  Every scale
+    from the smallest subnormal double up to float-max/2**60 (about 1.5e290)
+    is served; a larger or non-finite scale raises NormBracketError.  A true
+    norm below the smallest subnormal double rounds to 0, and a subnormal
+    norm carries only the precision of a subnormal.
     """
-    absw = np.abs(np.asarray(w, dtype=float))
-    scale = float(absw.max())
+    a = np.abs(np.asarray(w, dtype=float)).ravel()
+    scale = float(a.max())
     if scale == 0.0:
         return 0.0, NormSolveTrace(0.0, 0, 0.0)
-    if not np.isfinite(scale * _SCALE_HEADROOM):
+    if not math.isfinite(scale * _SCALE_HEADROOM):
         raise NormBracketError(
             f"field scale {scale:.3e} exceeds the served limit "
             f"{np.finfo(float).max / _SCALE_HEADROOM:.3e}"
         )
 
-    a = absw / scale
-    pv = p.values
+    a /= scale
     vol = grid.cell_volume
+    if p.is_constant():
+        exps = np.array([p.lo])
+        coefs = np.array([math.log(float(np.sum(a**p.lo)))])
+    else:
+        exps = p.values.ravel()
+        with np.errstate(divide="ignore"):
+            coefs = np.log(a, out=a)
+        coefs *= exps
 
     def log_rho(x: float) -> tuple[float, float]:
-        """log rho(a/e^x) and its slope in x, from w = (a/e^x)^p."""
-        with np.errstate(over="ignore"):
-            wx = (a / np.exp(x)) ** pv
-            total = float(np.sum(wx))
-            r = vol * total
-            if not 0.0 < r < math.inf:
-                return (math.inf if r else -math.inf), math.nan
-            return math.log(r), -float(np.sum(pv * wx)) / total
+        """log rho(a/e^x) and its slope in x, from the terms exp(c - x p)."""
+        terms = np.exp(coefs - x * exps)
+        total = float(terms.sum())
+        r = vol * total
+        if not 0.0 < r < math.inf:
+            return (math.inf if r else -math.inf), math.nan
+        return math.log(r), -float(exps @ terms) / total
 
-    x, value, iters = decreasing_root(log_rho)
+    with np.errstate(over="ignore"):
+        x, value, iters = decreasing_root(log_rho)
     res = abs(math.expm1(value))
     if not res <= NORM_TOL:
         raise NormBracketError(

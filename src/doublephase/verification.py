@@ -199,7 +199,8 @@ def check_strong_monotonicity(
 
 def _random_direction(grid, rng) -> GridFunction:
     vals = rng.standard_normal(grid.node_shape)
-    vals[grid.boundary_mask()] = 0.0
+    for face in grid.boundary_faces:
+        vals[face] = 0.0
     return GridFunction(grid, vals, bc_zero=True)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from doublephase.grid import (
+    _along,
     _dst1,
     DomainGrid,
     GridFunction,
@@ -234,6 +235,59 @@ def test_transfer_maps_match_corner_sums(grid, batch, rng):
     ):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# Reference: the transfer maps with every pass scaled by its own weight.
+# The package applies the average weights (powers of two) once per row, which
+# commutes with rounding, so the results must agree bit for bit.
+
+
+def _per_axis(x, row, out=None):
+    for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
+        lo, hi = x[_along(axis, slice(0, -1))], x[_along(axis, slice(1, None))]
+        op = np.add if w_lo == w_hi else np.subtract
+        x = op(hi, lo, out=out if axis == -1 else None, dtype=float)
+        x *= w_hi
+    return x
+
+
+def _per_axis_adjoint(y, row):
+    for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
+        shape = list(y.shape)
+        shape[axis] += 1
+        x = np.empty(shape)
+        lo, hi = y[_along(axis, slice(0, -1))], y[_along(axis, slice(1, None))]
+        op = np.add if w_lo == w_hi else np.subtract
+        op(lo, hi, out=x[_along(axis, slice(1, -1))])
+        x[_along(axis, 0)] = (w_lo / w_hi) * y[_along(axis, 0)]
+        x[_along(axis, -1)] = y[_along(axis, -1)]
+        x *= w_hi
+        y = x
+    return y
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [DomainGrid(3, (16, 16, 16)), DomainGrid(3, (32, 32, 32)),
+     DomainGrid(3, (9, 12, 7), (1.3, 0.7, 2.0)), DomainGrid(2, (33, 20), (0.5, 3.0))],
+    ids=["16", "32", "9x12x7", "2d-33x20"],
+)
+def test_transfer_maps_match_per_axis_scaling(grid, rng):
+    batch = (2,)
+    vals = rng.standard_normal(batch + grid.node_shape)
+    cells = rng.standard_normal(batch + grid.cell_shape)
+    comps = rng.standard_normal(batch + (grid.dim,) + grid.cell_shape)
+    avg, grads = grid.stencils[0], grid.stencils[1:]
+    ref_grad = np.stack([_per_axis(vals, row) for row in grads], axis=1)
+    ref_grad_adj = sum(_per_axis_adjoint(comps[:, a], row) for a, row in enumerate(grads))
+    for got, ref in (
+        (node_to_cell_values(grid, vals), _per_axis(vals, avg)),
+        (node_to_cell_adjoint(grid, cells), _per_axis_adjoint(cells, avg)),
+        (gradient_values(grid, vals), ref_grad),
+        (discrete_gradient_adjoint(grid, comps), ref_grad_adj),
+    ):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("grid", [GRID_2D, GRID_3D])

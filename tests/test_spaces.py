@@ -6,7 +6,7 @@ import pytest
 
 from doublephase import spaces
 from doublephase.exponents import ExponentField, build_exponent_set
-from doublephase.grid import DomainGrid, GridFunction
+from doublephase.grid import DomainGrid, GridFunction, gradient_values, node_to_cell
 from doublephase.spaces import (
     NORM_TOL,
     check_holder,
@@ -251,6 +251,44 @@ def test_luxemburg_constant_exponent_power_mean(p0):
         value = _certified(g, w, pv)
         closed = np.max(w) * (g.cell_volume * np.sum((w / np.max(w)) ** p0)) ** (1.0 / p0)
         assert abs(value - closed) <= 1e-14 * closed
+
+
+@pytest.mark.parametrize("p0", [1.05, 2.0, 2.5, 4.0, 20.0])
+def test_luxemburg_constant_exponent_single_term(p0):
+    # a constant exponent's log rho is linear in log nu, so the root is one
+    # Newton step from the closed form scale*(vol*sum a^p)^(1/p)
+    g = DomainGrid(3, (16, 16, 16))
+    rng = np.random.default_rng(6)
+    p = ExponentField.from_values(g, p0)
+    for scale in (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e289):
+        for sparse in (False, True):
+            w = rng.standard_normal(g.cell_shape)
+            if sparse:
+                w *= rng.random(g.cell_shape) < 0.01
+            a = np.abs(w) / np.abs(w).max()
+            w = scale * a
+            value, trace = luxemburg_norm_cells(g, w, p)
+            closed = scale * (g.cell_volume * np.sum(a**p0)) ** (1.0 / p0)
+            assert abs(value - closed) <= 4e-15 * closed, (scale, sparse)
+            assert trace.iterations <= 2 and trace.residual <= NORM_TOL
+
+
+def test_luxemburg_default_exponents_iterations(set16):
+    # the verify battery's norms: cell averages and gradient magnitudes of
+    # random zero-boundary fields under the default experiment's exponents
+    g = set16.p1.grid
+    rng = np.random.default_rng(7)
+    expected = {"p1": 2, "p2": 4, "pmax": 4, "q": 2}
+    for _ in range(4):
+        u = random_field(g, rng)
+        grad = gradient_values(g, u.values)
+        for w in (node_to_cell(u), np.sqrt(np.sum(grad * grad, axis=0))):
+            for name, iters in expected.items():
+                p = getattr(set16, name)
+                value, trace = luxemburg_norm_cells(g, w, p)
+                assert trace.iterations == iters, name
+                ref = bisected_norm(g, w, p.values)
+                assert abs(value - ref) <= 4e-15 * ref, name
 
 
 def test_luxemburg_spread_exponent():
