@@ -104,7 +104,7 @@ def cmd_verify(args) -> int:
     cfg, out_dir, grid, exps = _prepare(args)
     hyps = _hyp_reports(exps)
     lam = cfg.lam if cfg.lam is not None else 1.0
-    reports = run_all_checks(exps, lam=lam, seed=cfg.seed, on_error="report")
+    reports = run_all_checks(exps, lam=lam, seed=cfg.seed)
     written = []
     for rep in reports:
         written.append(write_json(out_dir / f"check_{rep.name}.json", rep.to_dict()))

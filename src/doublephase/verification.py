@@ -2,7 +2,9 @@
 
 Each check samples (deterministically, given a seed), measures its
 existential constants, and reports failures.  Constants are measured and
-reported, never asserted to equal a specific value.
+reported, never asserted to equal a specific value.  :func:`run_all_checks`
+runs the whole battery, each check at its default size; the sample count is
+the only size a caller sets.
 
 The ray checks read each sampled direction from one :class:`RayEnergy` pass
 over its cells, never from the cells of a scaled copy.
@@ -49,6 +51,10 @@ _EXACT_SLACK = 1e-15  # slack for exact-arithmetic pointwise facts
 # sample-by-point values evaluated at once by the vectorized checks, which
 # draw all their samples first and then evaluate them in row blocks
 _BLOCK_ELEMENTS = 1 << 14
+_T_POINTS = 64  # t-grid points per auxiliary-inequality sample
+_ETA_GRID = np.geomspace(1e-3, 1.0, 13)  # sphere radii of the mountain geometry
+_SUBSPACE_DIM = 4  # bumps spanning the ray-boundedness subspace
+_MAX_DOUBLINGS = 40  # ray-boundedness scan t = 1, 2, ..., 2^_MAX_DOUBLINGS
 
 
 @dataclass
@@ -76,10 +82,6 @@ class CheckReport:
         }
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def _sample_magnitudes(rng, n):
     """Nonnegative sample points concentrated near 0 and 1 plus uniform [0, 10]."""
     third = n // 3
@@ -94,7 +96,7 @@ def _sample_magnitudes(rng, n):
 def check_pointwise_inequalities(n_samples: int = 10_000, seed=0) -> CheckReport:
     """Max-exponent domination s^p1 + s^p2 >= s^max(p1,p2) and endpoint
     domination s^qlo + s^qhi >= s^q; exact facts, 1e-15 relative slack."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     s = _sample_magnitudes(rng, n_samples)
     p1 = rng.uniform(1.01, 8.0, size=n_samples)
     p2 = rng.uniform(1.01, 8.0, size=n_samples)
@@ -124,24 +126,22 @@ def _row_blocks(n: int, width: int):
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
-def check_auxiliary_inequality(
-    n_samples: int = 10_000, t_points: int = 64, seed=0
-) -> CheckReport:
+def check_auxiliary_inequality(n_samples: int = 10_000, seed=0) -> CheckReport:
     """Power-difference bound a t^k - b t^l <= a (a/b)^(k/(l-k)) for t >= 0,
     over a t-grid covering twice the crossing radius.  The samples are
     drawn at once and evaluated in row blocks; the report does not depend
     on the block size."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     a = 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
     b = 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
     k = rng.uniform(0.1, 4.0, size=n_samples)
     l = k + rng.uniform(0.1, 4.0, size=n_samples)
-    unit = np.linspace(0.0, 1.0, t_points)[None, :]
+    unit = np.linspace(0.0, 1.0, _T_POINTS)[None, :]
     worst, failures = [], 0
     with np.errstate(over="ignore"):
         rhs = a * (a / b) ** (k / (l - k))
         t_hi = 2.0 * (a / b) ** (1.0 / (l - k))
-        for rows in _row_blocks(n_samples, t_points):
+        for rows in _row_blocks(n_samples, _T_POINTS):
             t = unit * t_hi[rows, None]
             lhs = a[rows, None] * t ** k[rows, None] - b[rows, None] * t ** l[rows, None]
             margin = (rhs[rows, None] - lhs) / np.maximum(rhs[rows, None], 1.0)
@@ -149,7 +149,7 @@ def check_auxiliary_inequality(
             failures += int(np.sum(np.any(margin < -_REL_SLACK, axis=1)))
     return CheckReport(
         "auxiliary_inequality", n_samples, failures, float(np.min(worst)),
-        notes=f"{t_points} t-points per sample, grid reaches twice the crossing radius",
+        notes=f"{_T_POINTS} t-points per sample, grid reaches twice the crossing radius",
     )
 
 
@@ -162,7 +162,7 @@ def check_strong_monotonicity(
     not depend on the block size."""
     if r < 2.0:
         raise ValueError(f"exponent must be at least 2, got {r}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     xi_all = rng.normal(size=(n_samples, dim))
     psi_all = rng.normal(size=(n_samples, dim))
     kept = skipped = failures = 0
@@ -205,11 +205,7 @@ def _random_direction(grid, rng) -> GridFunction:
 
 
 def check_mp_geometry(
-    lam: float,
-    s: ExponentSet,
-    eta_grid=None,
-    n_directions: int = 8,
-    seed=0,
+    lam: float, s: ExponentSet, n_directions: int = 8, seed=0
 ) -> CheckReport:
     """Sphere barrier of the mountain form: find the largest tested radius
     whose energy minimum over random directions stays positive, and check the
@@ -223,11 +219,8 @@ def check_mp_geometry(
     radius."""
     if not validate_hypotheses(s, "mountain").passed:
         raise HypothesisGateError("mountain hypotheses fail; geometry check skipped")
-    rng = _rng(seed)
-    if eta_grid is None:
-        eta_grid = np.geomspace(1e-3, 1.0, 13)
-    eta_grid = np.sort(np.asarray(eta_grid, dtype=float))
-
+    rng = np.random.default_rng(seed)
+    eta_grid = _ETA_GRID
     grid = s.grid
     dirs = [_random_direction(grid, rng) for _ in range(n_directions)]
     qlo_field = ExponentField.from_values(grid, s.q.lo)
@@ -282,37 +275,28 @@ def check_mp_geometry(
 
 
 def check_ray_boundedness(
-    lam: float,
-    s: ExponentSet,
-    subspace_dim: int = 4,
-    n_rays: int = 50,
-    max_doublings: int = 40,
-    seed=0,
+    lam: float, s: ExponentSet, n_rays: int = 50, seed=0
 ) -> CheckReport:
     """Every ray in a random bump-spanned subspace eventually has negative
     mountain-form energy; reports the largest crossing radius.
 
-    Each ray is scanned at the doublings t = 1, 2, ..., 2^max_doublings on
+    Each ray is scanned at the doublings t = 1, 2, ..., 2^_MAX_DOUBLINGS on
     its polynomial (:attr:`RayEnergy.poly`), one pass over the cells per ray;
     the crossing is the first doubling after the last nonnegative energy."""
-    if subspace_dim > 8:
-        raise ValueError("subspace dimension capped at 8")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     grid = s.grid
     basis = []
-    for _ in range(subspace_dim):
+    for _ in range(_SUBSPACE_DIM):
         center = rng.uniform(0.3, 0.7, size=grid.dim) * np.asarray(grid.extent)
         side = rng.uniform(0.15, 0.3) * min(grid.extent)
         t0 = rng.uniform(1.5, 3.0)
-        basis.append(bump_function(grid, t0, SubBox.centered(center, side)).fn)
-    ts = 2.0 ** np.arange(max_doublings + 1)
+        basis.append(bump_function(grid, t0, SubBox.centered(center, side)).fn.values)
+    ts = 2.0 ** np.arange(_MAX_DOUBLINGS + 1)
     crossings = []
     for _ in range(n_rays):
-        coeff = rng.standard_normal(subspace_dim)
+        coeff = rng.standard_normal(_SUBSPACE_DIM)
         coeff /= np.linalg.norm(coeff)
-        w = GridFunction.zeros(grid)
-        for c, b in zip(coeff, basis):
-            w = w + c * b
+        w = GridFunction(grid, sum(c * b for c, b in zip(coeff, basis)), bc_zero=True)
         nonneg = np.flatnonzero(ray_energy(RayEnergy(w, lam, s, "mountain").poly, ts) >= 0.0)
         if nonneg.size and nonneg[-1] == ts.size - 1:
             raise RayScheduleError(
@@ -321,7 +305,7 @@ def check_ray_boundedness(
         crossings.append(ts[nonneg[-1] + 1] if nonneg.size else ts[0])
     return CheckReport(
         "ray_boundedness", n_rays, 0, float(min(crossings)),
-        constants={"sup_T": float(max(crossings)), "subspace_dim": subspace_dim},
+        constants={"sup_T": float(max(crossings)), "subspace_dim": _SUBSPACE_DIM},
     )
 
 
@@ -340,7 +324,7 @@ def check_coercivity(
     sums and polynomial at t."""
     if not validate_hypotheses(s, "coercive").passed:
         raise HypothesisGateError("coercive hypotheses fail; coercivity check skipped")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     grid = s.grid
     mlo, mhi = s.pmax.lo, s.pmax.hi
     qlo, qhi = s.q.lo, s.q.hi
@@ -386,7 +370,7 @@ def _sampled(name: str, n: int, trial) -> CheckReport:
 
 def check_holder_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckReport:
     """Randomized pairing bound on the p1 exponent field."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     grid = s.grid
 
     def trial(_):
@@ -400,7 +384,7 @@ def check_holder_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckRe
 
 def check_sandwich_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckReport:
     """Randomized norm-modular sandwich on the p2 exponent field, both sides of 1."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     grid = s.grid
 
     def trial(i):
@@ -416,7 +400,7 @@ def check_sandwich_random(s: ExponentSet, n_samples: int = 200, seed=0) -> Check
 
 def check_inclusion_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckReport:
     """Randomized embedding bound with the p1 <= pmax pairing."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     grid = s.grid
 
     def trial(_):
@@ -427,44 +411,28 @@ def check_inclusion_random(s: ExponentSet, n_samples: int = 200, seed=0) -> Chec
     return _sampled("inclusion_bound", n_samples, trial)
 
 
-def run_all_checks(
-    s: ExponentSet,
-    lam: float = 1.0,
-    seed=0,
-    fast: bool = False,
-    on_error: str = "raise",
-) -> list[CheckReport]:
-    """The full battery, in a fixed order, each check seeded independently.
-
-    With ``on_error="report"`` a check that refuses to run (for example
-    because the hypotheses it assumes fail) becomes a failed report instead
-    of aborting the battery.
-    """
-    scale = 0.01 if fast else 1.0
-
-    def n(base):
-        return max(50, int(base * scale))
-
+def run_all_checks(s: ExponentSet, lam: float = 1.0, seed=0) -> list[CheckReport]:
+    """The full battery, in a fixed order, each check at its default size and
+    seeded independently.  A check that refuses to run (for example because
+    the hypotheses it assumes fail) becomes a failed ``did not run`` report,
+    and the battery goes on to the next check."""
     battery = [
-        ("pointwise_inequalities", lambda: check_pointwise_inequalities(n(10_000), seed=seed)),
-        ("auxiliary_inequality", lambda: check_auxiliary_inequality(n(10_000), seed=seed + 1)),
-        ("strong_monotonicity_r2", lambda: check_strong_monotonicity(2.0, n(10_000), dim=s.dim, seed=seed + 2)),
-        ("strong_monotonicity_r3", lambda: check_strong_monotonicity(3.0, n(100_000), dim=s.dim, seed=seed + 3)),
-        ("holder_pairing", lambda: check_holder_random(s, n(200), seed=seed + 4)),
-        ("norm_modular_sandwich", lambda: check_sandwich_random(s, n(200), seed=seed + 5)),
-        ("inclusion_bound", lambda: check_inclusion_random(s, n(200), seed=seed + 6)),
-        ("mountain_geometry", lambda: check_mp_geometry(lam, s, n_directions=4 if fast else 8, seed=seed + 7)),
-        ("ray_boundedness", lambda: check_ray_boundedness(
-            lam, s, subspace_dim=3 if fast else 4, n_rays=10 if fast else 50, seed=seed + 8)),
-        ("coercivity_floor", lambda: check_coercivity(lam, s, n(500), seed=seed + 9)),
+        ("pointwise_inequalities", lambda: check_pointwise_inequalities(seed=seed)),
+        ("auxiliary_inequality", lambda: check_auxiliary_inequality(seed=seed + 1)),
+        ("strong_monotonicity_r2", lambda: check_strong_monotonicity(2.0, 10_000, dim=s.dim, seed=seed + 2)),
+        ("strong_monotonicity_r3", lambda: check_strong_monotonicity(3.0, dim=s.dim, seed=seed + 3)),
+        ("holder_pairing", lambda: check_holder_random(s, seed=seed + 4)),
+        ("norm_modular_sandwich", lambda: check_sandwich_random(s, seed=seed + 5)),
+        ("inclusion_bound", lambda: check_inclusion_random(s, seed=seed + 6)),
+        ("mountain_geometry", lambda: check_mp_geometry(lam, s, seed=seed + 7)),
+        ("ray_boundedness", lambda: check_ray_boundedness(lam, s, seed=seed + 8)),
+        ("coercivity_floor", lambda: check_coercivity(lam, s, seed=seed + 9)),
     ]
     reports = []
     for name, thunk in battery:
         try:
             reports.append(thunk())
         except DoublePhaseError as exc:
-            if on_error != "report":
-                raise
             reports.append(
                 CheckReport(name, 0, 1, float("-inf"), notes=f"did not run: {exc}")
             )

@@ -6,6 +6,7 @@ import pytest
 import doublephase.energy
 import doublephase.grid
 import doublephase.spaces
+import doublephase.verification
 from doublephase.energy import eval_energy
 from doublephase.errors import HypothesisGateError, SphereGeometryError
 from doublephase.exponents import build_exponent_set, validate_hypotheses
@@ -65,7 +66,7 @@ def test_strong_monotonicity_r3():
         check_strong_monotonicity(1.5, 10, dim=3)
 
 
-def _unblocked_auxiliary(n_samples, t_points, seed):
+def _unblocked_auxiliary(n_samples, seed, t_points=64):
     # the check as one full-width evaluation, before row blocks
     rng = np.random.default_rng(seed)
     a = 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
@@ -116,14 +117,18 @@ def test_vectorized_checks_hold_bounded_temporaries():
     finally:
         tracemalloc.stop()
     assert aux_peak <= 5 * 2**20 and mono_peak <= 8 * 2**20
-    assert aux.to_dict() == _unblocked_auxiliary(10_000, 64, 1).to_dict()
+    assert aux.to_dict() == _unblocked_auxiliary(10_000, 1).to_dict()
     assert mono.to_dict() == _unblocked_monotonicity(3.0, 100_000, 3, 3).to_dict()
 
 
-@pytest.mark.parametrize("n_samples, t_points", [(1, 64), (257, 64), (1000, 3)])
-def test_auxiliary_report_does_not_depend_on_blocks(n_samples, t_points):
-    got = check_auxiliary_inequality(n_samples, t_points, seed=5).to_dict()
-    assert got == _unblocked_auxiliary(n_samples, t_points, 5).to_dict()
+@pytest.mark.parametrize("n_samples, block_elements", [(1, None), (257, None), (1000, 3 * 64)])
+def test_auxiliary_report_does_not_depend_on_blocks(n_samples, block_elements, monkeypatch):
+    # 257 samples cross one partial block of 256 rows; 1000 cross 333 blocks
+    # of 3 rows and a partial one
+    if block_elements is not None:
+        monkeypatch.setattr(doublephase.verification, "_BLOCK_ELEMENTS", block_elements)
+    got = check_auxiliary_inequality(n_samples, seed=5).to_dict()
+    assert got == _unblocked_auxiliary(n_samples, 5).to_dict()
 
 
 @pytest.mark.parametrize("r, n_samples, dim", [(2.0, 1, 3), (3.0, 50, 2), (4.5, 30_000, 5)])
@@ -142,9 +147,10 @@ def test_mp_geometry_reports_positive_barrier(s8):
     assert rep.constants["C1"] > 0.0 and rep.constants["C2"] > 0.0
 
 
-def test_mp_geometry_no_positive_sphere(s8):
+def test_mp_geometry_no_positive_sphere(s8, monkeypatch):
+    monkeypatch.setattr(doublephase.verification, "_ETA_GRID", np.array([1e4, 1e5]))
     with pytest.raises(SphereGeometryError):
-        check_mp_geometry(1.0, s8, eta_grid=np.array([1e4, 1e5]), seed=0)
+        check_mp_geometry(1.0, s8, seed=0)
 
 
 def test_mp_geometry_gate():
@@ -161,11 +167,9 @@ def test_coercivity_gate():
 
 
 def test_ray_boundedness(s8):
-    rep = check_ray_boundedness(1.0, s8, subspace_dim=3, n_rays=20, seed=0)
+    rep = check_ray_boundedness(1.0, s8, seed=0)
     assert rep.passed
     assert np.isfinite(rep.constants["sup_T"])
-    with pytest.raises(ValueError):
-        check_ray_boundedness(1.0, s8, subspace_dim=9)
 
 
 def test_coercivity_constant_formula(set16):
@@ -264,10 +268,22 @@ def test_randomized_space_checks(s8):
 
 
 def test_run_all_checks_fast(s8):
-    reports = run_all_checks(s8, lam=1.0, seed=0, fast=True)
+    reports = run_all_checks(s8, lam=1.0, seed=0)
     assert all(r.passed for r in reports)
     names = [r.name for r in reports]
     assert len(names) == len(set(names))
+
+
+def test_run_all_checks_reports_the_checks_that_did_not_run():
+    # the supercritical q = 7 fails both forms' hypotheses, so the two
+    # checks that assume them refuse and the rest of the battery still runs
+    bad = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "7", DomainGrid(3, (8, 8, 8)))
+    reports = run_all_checks(bad, lam=1.0, seed=0)
+    assert len(reports) == 10
+    refused = [r for r in reports if r.notes.startswith("did not run")]
+    assert [r.name for r in refused] == ["mountain_geometry", "coercivity_floor"]
+    assert all(not r.passed and r.samples == 0 for r in refused)
+    assert all(r.passed for r in reports if r not in refused)
 
 
 def test_reports_serialize(s8):
