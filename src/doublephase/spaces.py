@@ -189,7 +189,9 @@ def luxemburg_norm_cells(
         r = vol * total
         if not 0.0 < r < math.inf:
             return (math.inf if r else -math.inf), math.nan
-        return math.log(r), -float(exps @ terms) / total
+        # einsum, not a BLAS dot: OpenBLAS splits a long dot across its
+        # threads, and the rounding would follow the thread count
+        return math.log(r), -float(np.einsum("i,i->", exps, terms)) / total
 
     with np.errstate(over="ignore"):
         x, value, iters = decreasing_root(log_rho)

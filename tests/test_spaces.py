@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,3 +507,48 @@ def test_inclusion_randomized(rng):
         if not check_inclusion_bound(u, s.p1, s.pmax).passed:
             failures += 1
     assert failures == 0
+
+
+_THREAD_PROBE = """
+import numpy as np
+from doublephase.energy import RayEnergy, ray_energy
+from doublephase.exponents import build_exponent_set
+from doublephase.grid import DomainGrid, GridFunction, gradient_values
+from doublephase.solvers import _RaySlope
+from doublephase.spaces import luxemburg_norm_cells
+
+g = DomainGrid(3, (48, 48, 48))
+s = build_exponent_set("2 + 0.3*x1 + 0.11*x2 + 0.013*x3", "2 + 0.5*sin(pi*x1)", "4 + 0.1*x2", g)
+rng = np.random.default_rng(1)
+rng.standard_normal(g.cell_shape)
+vals = rng.standard_normal(g.node_shape)
+for face in g.boundary_faces:
+    vals[face] = 0.0
+u = GridFunction(g, vals, bc_zero=True)
+grad = gradient_values(g, u.values)
+print(repr(luxemburg_norm_cells(g, np.sqrt(np.sum(grad * grad, axis=0)), s.pmax)[0]))
+poly = RayEnergy(u, 1.0, s, "mountain").poly
+print(poly[0].size)
+slope = _RaySlope(poly)
+print([slope(x) for x in (-2.0, 0.0, 0.7)])
+print(ray_energy(poly, np.array([0.1, 1.0, 3.0])).tolist())
+"""
+
+
+def test_norm_and_ray_sums_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a long dot product across its threads, which changes
+    # the summation order; the 48^3 norm of an all-distinct exponent field
+    # must print the same digits under one thread and under two, and so
+    # must the ray slope and ray energy of its 51870-term ray polynomial
+    src = str(Path(spaces.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].splitlines()[1] == "51870"
+    assert outs[0] == outs[1]
