@@ -9,10 +9,6 @@ class ExponentRangeError(DoublePhaseError):
     """An exponent field takes a value <= 1 somewhere (not an admissible exponent)."""
 
 
-class CriticalExponentError(DoublePhaseError):
-    """The critical Sobolev exponent is undefined: the base exponent reaches the dimension."""
-
-
 class NormBracketError(DoublePhaseError):
     """The Luxemburg norm could not be solved and certified.
 

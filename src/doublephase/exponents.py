@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CriticalExponentError, ExponentRangeError
+from .errors import ExponentRangeError
 from .fieldexpr import as_field_function
 from .grid import DomainGrid
 
@@ -23,7 +23,6 @@ __all__ = [
     "HypothesisReport",
     "build_exponent_set",
     "validate_hypotheses",
-    "critical_exponent",
     "conjugate_exponent",
 ]
 
@@ -212,19 +211,6 @@ def conjugate_exponent(p: ExponentField) -> ExponentField:
     """Pointwise dual exponent p/(p-1).  Involutive to rounding.  Computed
     once per field and kept, so repeated calls return the same field."""
     return p._conjugate
-
-
-def critical_exponent(p: ExponentField) -> ExponentField:
-    """Sobolev-critical exponent N*p/(N-p); refuses when p reaches N anywhere."""
-    n = float(p.grid.dim)
-    if p.hi >= n:
-        raise CriticalExponentError(
-            f"exponent reaches the dimension ({p.hi} >= {n}); critical exponent undefined"
-        )
-    vals = n * p.values / (n - p.values)
-    lo = n * p.lo / (n - p.lo)
-    hi = n * p.hi / (n - p.hi)
-    return ExponentField(p.grid, vals, min(lo, float(vals.min())), max(hi, float(vals.max())))
 
 
 @dataclass

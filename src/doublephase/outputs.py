@@ -63,7 +63,7 @@ def write_field_csv(path: Path, u: GridFunction) -> Path:
     return path
 
 
-def read_field_csv(path: Path, grid: DomainGrid, bc_zero: bool = False) -> GridFunction:
+def read_field_csv(path: Path, grid: DomainGrid) -> GridFunction:
     """Re-ingest a field CSV; the node count must match the grid, and every
     value must be a finite number."""
     path = Path(path)
@@ -92,7 +92,7 @@ def read_field_csv(path: Path, grid: DomainGrid, bc_zero: bool = False) -> GridF
             raise FieldShapeError(
                 f"{path}: row {i + 1 + skip} value {parts[-1]!r} is not a finite number"
             )
-    return GridFunction(grid, vals.reshape(grid.node_shape), bc_zero=bc_zero)
+    return GridFunction(grid, vals.reshape(grid.node_shape))
 
 
 def write_history_csv(path: Path, history) -> Path:

@@ -133,7 +133,6 @@ class PlateauBump:
     fn: GridFunction
     t0: float
     box: SubBox
-    plateau_volume: float
 
 
 def bump_function(grid: DomainGrid, t0: float, box: SubBox) -> PlateauBump:
@@ -156,7 +155,7 @@ def bump_function(grid: DomainGrid, t0: float, box: SubBox) -> PlateauBump:
     ramp = 1.0 - np.clip(np.sqrt(d2) / gap, 0.0, 1.0)
     vals = t0 * (3.0 * ramp * ramp - 2.0 * ramp * ramp * ramp)
     vals[grid.boundary_mask()] = 0.0
-    return PlateauBump(GridFunction(grid, vals, bc_zero=True), float(t0), box, box.volume)
+    return PlateauBump(GridFunction(grid, vals, bc_zero=True), float(t0), box)
 
 
 def _gate(s: ExponentSet, form: str, override: bool):
@@ -287,7 +286,6 @@ class LambdaStarReport:
     plateau_volume: float
     pmax_hi: float
     pmax_lo: float
-    bump: PlateauBump
 
     def to_dict(self) -> dict:
         return {
@@ -324,14 +322,13 @@ def lambda_star_search(
         )
     lam_star = float(lam_grid[neg[0]])
     lam_exact = big_l / tm
-    bound = big_l * s.pmax.hi / (bump.t0**s.pmax.lo * bump.plateau_volume)
+    bound = big_l * s.pmax.hi / (bump.t0**s.pmax.lo * bump.box.volume)
     if lam_star > bound:
         raise LambdaGridError(
             f"grid answer {lam_star:.6g} overshoots the analytic bound {bound:.6g}; refine the grid"
         )
     return LambdaStarReport(
-        lam_star, lam_exact, bound, big_l, bump.t0, bump.plateau_volume,
-        s.pmax.hi, s.pmax.lo, bump,
+        lam_star, lam_exact, bound, big_l, bump.t0, bump.box.volume, s.pmax.hi, s.pmax.lo
     )
 
 

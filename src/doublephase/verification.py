@@ -220,7 +220,6 @@ def check_mp_geometry(
     if not validate_hypotheses(s, "mountain").passed:
         raise HypothesisGateError("mountain hypotheses fail; geometry check skipped")
     rng = np.random.default_rng(seed)
-    eta_grid = _ETA_GRID
     grid = s.grid
     dirs = [_random_direction(grid, rng) for _ in range(n_directions)]
     qlo_field = ExponentField.from_values(grid, s.q.lo)
@@ -231,7 +230,7 @@ def check_mp_geometry(
     for d in dirs:
         ray = RayEnergy(d, lam, s, "mountain")
         nm, _ = luxemburg_norm_cells(grid, ray.gradient_magnitude, s.pmax)
-        scans.append(ray_energy(ray.poly, eta_grid / nm))
+        scans.append(ray_energy(ray.poly, _ETA_GRID / nm))
         avg = node_to_cell(d)
         nqhi, _ = luxemburg_norm_cells(grid, avg, qhi_field)
         nqlo, _ = luxemburg_norm_cells(grid, avg, qlo_field)
@@ -244,7 +243,7 @@ def check_mp_geometry(
     positive = np.flatnonzero(low > 0.0)
     if positive.size == 0:
         raise SphereGeometryError("no tested radius kept the energy positive")
-    best_eta = float(eta_grid[positive[-1]])
+    best_eta = float(_ETA_GRID[positive[-1]])
     best_alpha = float(low[positive[-1]])
 
     # scalar barrier profile from the measured embedding ratios
@@ -258,7 +257,7 @@ def check_mp_geometry(
     failures = 0 if (beta > 0.0 and positive[0]) else 1
     return CheckReport(
         "mountain_geometry",
-        int(len(eta_grid) * n_directions),
+        int(len(_ETA_GRID) * n_directions),
         failures,
         best_alpha,
         constants={

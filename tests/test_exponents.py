@@ -3,14 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from doublephase.errors import CriticalExponentError, ExponentRangeError
+from doublephase.errors import ExponentRangeError
 from doublephase.exponents import (
     ExponentField,
     _dense_axes,
     _dense_ranges,
     build_exponent_set,
     conjugate_exponent,
-    critical_exponent,
     validate_hypotheses,
 )
 from doublephase.fieldexpr import as_field_function
@@ -167,19 +166,6 @@ def test_dim_two_flagged_outside_hypotheses():
         rep = validate_hypotheses(s, form)
         assert not rep.passed
         assert any(c.name == "dim >= 3" and not c.satisfied for c in rep.conditions)
-
-
-def test_critical_exponent_values_and_refusal():
-    g = DomainGrid(3, (16, 16, 16))
-    m2 = ExponentField.from_values(g, 2.0)
-    crit = critical_exponent(m2)
-    assert np.allclose(crit.values, 6.0)
-    with pytest.raises(CriticalExponentError):
-        critical_exponent(ExponentField.from_values(g, 3.0))
-    s = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "4", g)
-    crit = critical_exponent(s.pmax)
-    # the cell at x1 = 0.5 samples the exponent 2.5 exactly: 3*2.5/0.5 = 15
-    assert np.isclose(crit.values.max(), 15.0, rtol=0, atol=1e-12)
 
 
 def test_conjugate_values_and_involution():

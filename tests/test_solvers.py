@@ -55,7 +55,7 @@ def test_bump_plateau_and_boundary(s8):
     assert np.all(bump.fn.values[g.boundary_mask()] == 0.0)
     assert bump.fn.values.min() >= 0.0
     assert bump.fn.values.max() == 2.0
-    assert abs(bump.plateau_volume - 0.125) < 1e-15
+    assert abs(bump.box.volume - 0.125) < 1e-15
 
 
 def test_bump_random_boxes(s8, rng):

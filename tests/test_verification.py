@@ -121,12 +121,11 @@ def test_vectorized_checks_hold_bounded_temporaries():
     assert mono.to_dict() == _unblocked_monotonicity(3.0, 100_000, 3, 3).to_dict()
 
 
-@pytest.mark.parametrize("n_samples, block_elements", [(1, None), (257, None), (1000, 3 * 64)])
-def test_auxiliary_report_does_not_depend_on_blocks(n_samples, block_elements, monkeypatch):
-    # 257 samples cross one partial block of 256 rows; 1000 cross 333 blocks
-    # of 3 rows and a partial one
-    if block_elements is not None:
-        monkeypatch.setattr(doublephase.verification, "_BLOCK_ELEMENTS", block_elements)
+@pytest.mark.parametrize("n_samples, block_rows", [(1, 64), (257, 64), (1000, 3)])
+def test_auxiliary_report_does_not_depend_on_blocks(n_samples, block_rows, monkeypatch):
+    # blocks of block_rows samples of 64 t-points each; every case ends on a
+    # partial block
+    monkeypatch.setattr(doublephase.verification, "_BLOCK_ELEMENTS", block_rows * 64)
     got = check_auxiliary_inequality(n_samples, seed=5).to_dict()
     assert got == _unblocked_auxiliary(n_samples, 5).to_dict()
 
