@@ -66,7 +66,7 @@ def test_strong_monotonicity_r3():
         check_strong_monotonicity(1.5, 10, dim=3)
 
 
-def _unblocked_auxiliary(n_samples, seed, t_points=64):
+def _unblocked_auxiliary(n_samples, seed):
     # the check as one full-width evaluation, before row blocks
     rng = np.random.default_rng(seed)
     a = 10.0 ** rng.uniform(-3.0, 3.0, size=n_samples)
@@ -76,13 +76,13 @@ def _unblocked_auxiliary(n_samples, seed, t_points=64):
     with np.errstate(over="ignore"):
         rhs = a * (a / b) ** (k / (l - k))
         t_hi = 2.0 * (a / b) ** (1.0 / (l - k))
-        t = np.linspace(0.0, 1.0, t_points)[None, :] * t_hi[:, None]
+        t = np.linspace(0.0, 1.0, 64)[None, :] * t_hi[:, None]
         lhs = a[:, None] * t ** k[:, None] - b[:, None] * t ** l[:, None]
         margin = (rhs[:, None] - lhs) / np.maximum(rhs[:, None], 1.0)
     failures = int(np.sum(np.any(margin < -1e-12, axis=1)))
     return CheckReport(
         "auxiliary_inequality", n_samples, failures, float(np.min(margin)),
-        notes=f"{t_points} t-points per sample, grid reaches twice the crossing radius",
+        notes="64 t-points per sample, grid reaches twice the crossing radius",
     )
 
 
