@@ -9,14 +9,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import load_config
 from .energy import REG_EPS
 from .errors import ConfigError, DoublePhaseError, FieldShapeError
 from .exponents import validate_hypotheses
-from .grid import GridFunction
 from .outputs import (
     read_field_csv,
     write_field_csv,
@@ -85,16 +82,16 @@ def _prepare(args):
 
 def _hyp_reports(exps):
     return {
-        "mountain": validate_hypotheses(exps, "mountain").to_dict(),
-        "coercive": validate_hypotheses(exps, "coercive").to_dict(),
+        "mountain": validate_hypotheses(exps, "mountain"),
+        "coercive": validate_hypotheses(exps, "coercive"),
     }
 
 
 def _gate_or_fail(cfg, out_dir, exps, form: str, hyps) -> bool:
-    if hyps[form]["passed"] or cfg.override_hypotheses:
+    if hyps[form].passed or cfg.override_hypotheses:
         return True
     write_json(out_dir / "hypothesis_reports.json", hyps)
-    failing = [c["name"] for c in hyps[form]["conditions"] if not c["satisfied"]]
+    failing = [c.name for c in hyps[form].conditions if not c.satisfied]
     print(f"{form} hypotheses fail: {', '.join(failing)}", file=sys.stderr)
     print(f"report written to {out_dir / 'hypothesis_reports.json'}", file=sys.stderr)
     return False
@@ -107,21 +104,21 @@ def cmd_verify(args) -> int:
     reports = run_all_checks(exps, lam=lam, seed=cfg.seed)
     written = []
     for rep in reports:
-        written.append(write_json(out_dir / f"check_{rep.name}.json", rep.to_dict()))
+        written.append(write_json(out_dir / f"check_{rep.name}.json", rep))
         status = "pass" if rep.passed else "FAIL"
         print(f"{status}  {rep.name}  samples={rep.samples} failures={rep.failures}")
     written.append(write_json(out_dir / "hypothesis_reports.json", hyps))
     write_manifest(
-        out_dir, written, cfg.echo(), hyps, extra={"lambda": lam, "reg_eps": REG_EPS}
+        out_dir, written, cfg, hyps, extra={"lambda": lam, "reg_eps": REG_EPS}
     )
     all_ok = (
         bool(reports)
         and all(r.passed for r in reports)
-        and hyps["mountain"]["passed"]
-        and hyps["coercive"]["passed"]
+        and hyps["mountain"].passed
+        and hyps["coercive"].passed
     )
     for form in ("mountain", "coercive"):
-        status = "pass" if hyps[form]["passed"] else "FAIL"
+        status = "pass" if hyps[form].passed else "FAIL"
         print(f"{status}  hypotheses[{form}]")
     return EXIT_OK if all_ok else EXIT_FAIL
 
@@ -137,7 +134,7 @@ def cmd_lambda_star(args) -> int:
         write_field_csv(out_dir / "bump.csv", bump.fn),
         write_json(out_dir / "lambda_star.json", report.to_dict()),
     ]
-    write_manifest(out_dir, written, cfg.echo(), hyps, extra={"reg_eps": REG_EPS})
+    write_manifest(out_dir, written, cfg, hyps, extra={"reg_eps": REG_EPS})
     print(
         f"lambda_star={report.lam_star!r} exact={report.lam_star_exact!r} "
         f"bound={report.analytic_bound!r}"
@@ -177,7 +174,7 @@ def cmd_solve_min(args) -> int:
         write_json(out_dir / "solve_min.json", summary),
     ]
     write_manifest(
-        out_dir, written, cfg.echo(), hyps,
+        out_dir, written, cfg, hyps,
         extra={"lambda": lam, "lambda_source": lam_source, "reg_eps": REG_EPS},
     )
     print(
@@ -220,7 +217,7 @@ def cmd_solve_mp(args) -> int:
         ))
     written.append(write_json(out_dir / "solve_mp.json", {"lambda": lam, "solutions": summary}))
     write_manifest(
-        out_dir, written, cfg.echo(), hyps, extra={"lambda": lam, "reg_eps": REG_EPS}
+        out_dir, written, cfg, hyps, extra={"lambda": lam, "reg_eps": REG_EPS}
     )
     print(f"distinct solutions: {len(solutions)} (lambda={lam!r})")
     return EXIT_OK if solutions else EXIT_FAIL
@@ -229,14 +226,11 @@ def cmd_solve_mp(args) -> int:
 def cmd_norm(args) -> int:
     cfg, out_dir, grid, exps = _prepare(args)
     u = read_field_csv(args.field, grid)
-    boundary_zero = not np.any(u.values[grid.boundary_mask()])
-    if boundary_zero:
-        u = GridFunction(grid, u.values, bc_zero=True)
     rows = {}
     for name, p in (("p1", exps.p1), ("p2", exps.p2), ("pmax", exps.pmax), ("q", exps.q)):
         mod = modular(u, p)
         lux, _ = luxemburg_norm(u, p)
-        grad = sobolev_norm(u, p) if boundary_zero else None
+        grad = sobolev_norm(u, p) if u.zero_on_boundary else None
         rows[name] = {"modular": mod, "luxemburg": lux, "gradient_luxemburg": grad}
         grad_txt = repr(grad) if grad is not None else "n/a (nonzero boundary)"
         print(f"{name}: modular={mod!r} luxemburg={lux!r} gradient_luxemburg={grad_txt}")

@@ -6,7 +6,7 @@ selectively.  Parse failures carry the file line when it can be located.
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +66,6 @@ class ExperimentConfig:
 
     def seed_boxes(self) -> list[SubBox]:
         return [SubBox.centered(c, self.seed_side) for c in self.seed_centers]
-
-    def echo(self) -> dict:
-        d = asdict(self)
-        d["res"] = list(self.res)
-        d["extent"] = list(self.extent)
-        d["bump_center"] = list(self.bump_center)
-        d["seed_centers"] = [list(c) for c in self.seed_centers]
-        return d
 
 
 def _floats(text: str) -> tuple[float, ...]:

@@ -15,7 +15,11 @@ residual is assembled by differentiating the discrete energy through those
 same maps, so minimizers of the discrete energy are exact discrete weak
 solutions and finite-difference checks pass to rounding-dominated tolerance.
 The public functions are shells over the kernel; :func:`energy_and_gradient`
-takes the value and the gradient from one pass.
+takes the value and the gradient from one pass.  The energies are defined on
+the zero-boundary fields of the Dirichlet problem: a field with a nonzero
+boundary value (:attr:`GridFunction.zero_on_boundary` false) is refused with
+``ValueError``, once per field, by :func:`eval_energy`,
+:func:`energy_and_gradient` and :class:`RayEnergy`.
 
 Along a ray t -> t*u the energy is an exact generalized polynomial in t, one
 term per distinct exponent value of each modular term.  :class:`RayEnergy`
@@ -208,7 +212,7 @@ def _kernel(
 
 
 def _evaluate(u: GridFunction, lam: float, s: ExponentSet, form: str, residual: bool):
-    if not u.bc_zero:
+    if not u.zero_on_boundary:
         raise ValueError("energy is defined on zero-boundary grid functions")
     terms, total, r = _kernel(u.grid, u.values, lam, s, form, residual)
     fields = {field: float(t) for (field, _, _), t in zip(TERMS, terms)}
@@ -233,7 +237,7 @@ def energy_and_gradient(
     """:func:`eval_energy` and :func:`grad_energy` of ``u`` from one pass
     through the transfer maps."""
     rep, r = _evaluate(u, lam, s, form, residual=True)
-    return rep, GridFunction(u.grid, r, bc_zero=True)
+    return rep, GridFunction(u.grid, r)
 
 
 def grad_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> GridFunction:
@@ -270,7 +274,7 @@ class RayEnergy:
     """
 
     def __init__(self, u: GridFunction, lam: float, s: ExponentSet, form: str):
-        if not u.bc_zero:
+        if not u.zero_on_boundary:
             raise ValueError("energy is defined on zero-boundary grid functions")
         self.grid, self.lam, self.form = u.grid, lam, form
         self._g, self._a, self._rows = _cell_pass(u.grid, u.values, lam, s, form)
@@ -328,7 +332,7 @@ class RayEnergy:
         fields = {field: term for (field, _, _), term in zip(TERMS, terms)}
         r = _residual(self.grid, self._g, self._a, self._rows, weights)
         rep = EnergyReport(self.form, self.lam, total, **fields)
-        return rep, GridFunction(self.grid, r, bc_zero=True)
+        return rep, GridFunction(self.grid, r)
 
 
 def ray_energy(poly: tuple[np.ndarray, np.ndarray], t) -> np.ndarray:

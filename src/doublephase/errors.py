@@ -36,10 +36,6 @@ class PathCollapseError(DoublePhaseError):
     turns down, or it has no barrier near the origin (degenerate direction)."""
 
 
-class RayScheduleError(DoublePhaseError):
-    """Some ray stayed energy-nonnegative through the whole radius schedule."""
-
-
 class SphereGeometryError(DoublePhaseError):
     """No tested sphere radius had strictly positive energy minimum."""
 

@@ -241,22 +241,6 @@ class HypothesisReport:
     def __post_init__(self):
         self.passed = all(c.satisfied for c in self.conditions)
 
-    def to_dict(self) -> dict:
-        return {
-            "form": self.form,
-            "passed": self.passed,
-            "conditions": [
-                {
-                    "name": c.name,
-                    "lhs": c.lhs,
-                    "op": c.op,
-                    "rhs": c.rhs,
-                    "satisfied": c.satisfied,
-                }
-                for c in self.conditions
-            ],
-        }
-
 
 def validate_hypotheses(s: ExponentSet, form: str) -> HypothesisReport:
     """Check the hypothesis block for one of the two existence results.

@@ -131,11 +131,12 @@ class DomainGrid:
 
 @dataclass
 class GridFunction:
-    """Scalar node samples, optionally pinned to zero on the boundary."""
+    """Scalar node samples.  Whether the field lies in the zero-boundary
+    space of the Dirichlet problems is read from its values
+    (:attr:`zero_on_boundary`) wherever it matters."""
 
     grid: DomainGrid
     values: np.ndarray
-    bc_zero: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -145,46 +146,37 @@ class GridFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
-        if self.bc_zero and any(np.count_nonzero(vals[face]) for face in self.grid.boundary_faces):
-            raise ValueError("bc_zero grid function has nonzero boundary values")
         self.values = vals
 
-    @classmethod
-    def zeros(cls, grid: DomainGrid, bc_zero: bool = True) -> "GridFunction":
-        return cls(grid, np.zeros(grid.node_shape), bc_zero=bc_zero)
+    @property
+    def zero_on_boundary(self) -> bool:
+        """No nonzero value on any of the ``grid.boundary_faces``."""
+        return not any(np.count_nonzero(self.values[face]) for face in self.grid.boundary_faces)
 
     @classmethod
-    def from_nodes(cls, grid: DomainGrid, fn, bc_zero: bool = False) -> "GridFunction":
-        """Sample ``fn(x1, ..., xN)`` at the nodes; project to zero boundary if asked."""
+    def zeros(cls, grid: DomainGrid) -> "GridFunction":
+        return cls(grid, np.zeros(grid.node_shape))
+
+    @classmethod
+    def from_nodes(cls, grid: DomainGrid, fn) -> "GridFunction":
+        """Sample ``fn(x1, ..., xN)`` at the nodes."""
         vals = np.asarray(fn(*grid.node_mesh()), dtype=float)
-        vals = np.broadcast_to(vals, grid.node_shape).copy()
-        if bc_zero:
-            for face in grid.boundary_faces:
-                vals[face] = 0.0
-        return cls(grid, vals, bc_zero=bc_zero)
+        return cls(grid, np.broadcast_to(vals, grid.node_shape).copy())
 
     def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), bc_zero=self.bc_zero)
+        return GridFunction(self.grid, self.values.copy())
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values, bc_zero=self.bc_zero)
+        return GridFunction(self.grid, -self.values)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(
-            self.grid,
-            self.values + other.values,
-            bc_zero=self.bc_zero and other.bc_zero,
-        )
+        return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(
-            self.grid,
-            self.values - other.values,
-            bc_zero=self.bc_zero and other.bc_zero,
-        )
+        return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(c), bc_zero=self.bc_zero)
+        return GridFunction(self.grid, self.values * float(c))
 
     __rmul__ = __mul__
 

@@ -155,18 +155,20 @@ def sha256_of(path: Path) -> str:
 def write_manifest(
     out_dir: Path,
     files,
-    config_echo: dict,
+    config,
     hypothesis_reports,
     extra: dict | None = None,
 ) -> Path:
     """Checksum the payload files the calling stage wrote (``files``); other
-    files already in the output directory are not listed."""
+    files already in the output directory are not listed.  The config and
+    the hypothesis reports (dataclasses, or dicts of them) are written by
+    :func:`jsonable`."""
     out_dir = Path(out_dir)
     checksums = {Path(p).name: sha256_of(p) for p in files}
     manifest = {
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": jsonable(config_echo),
+        "config": jsonable(config),
         "hypothesis_reports": jsonable(hypothesis_reports),
         "outputs": checksums,
     }

@@ -155,7 +155,7 @@ def bump_function(grid: DomainGrid, t0: float, box: SubBox) -> PlateauBump:
     ramp = 1.0 - np.clip(np.sqrt(d2) / gap, 0.0, 1.0)
     vals = t0 * (3.0 * ramp * ramp - 2.0 * ramp * ramp * ramp)
     vals[grid.boundary_mask()] = 0.0
-    return PlateauBump(GridFunction(grid, vals, bc_zero=True), float(t0), box)
+    return PlateauBump(GridFunction(grid, vals), float(t0), box)
 
 
 def _gate(s: ExponentSet, form: str, override: bool):
@@ -226,9 +226,7 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
         stop = 1e-18 * trial
         while trial > stop:
             try:
-                u_new, rep_new, g_new = evaluate(
-                    GridFunction(grid, u.values - trial * d, bc_zero=True)
-                )
+                u_new, rep_new, g_new = evaluate(GridFunction(grid, u.values - trial * d))
             except PathCollapseError:
                 trial *= STEP_SHRINK
                 continue
@@ -260,7 +258,9 @@ def minimize_energy(
     override_hypotheses: bool = False,
 ) -> SolveResult:
     """Global minimization of the coercive form by the preconditioned
-    descent core, evaluating each trial field itself.
+    descent core, evaluating each trial field itself.  An ``init`` with a
+    nonzero boundary value is refused with ``ValueError`` by its first
+    energy evaluation.
 
     Every accepted step passes the core's one test, an Armijo decrease of
     the highest of the last ``LOOKBACK`` accepted levels relaxed by the
@@ -269,8 +269,6 @@ def minimize_energy(
     """
     opts = opts or SolverOptions()
     _gate(s, "coercive", override_hypotheses)
-    if not init.bc_zero:
-        raise ValueError("initial iterate must be zero on the boundary")
     return _descent(
         init.copy(), lambda z: (z, *energy_and_gradient(z, lam, s, "coercive")), opts
     )

@@ -209,8 +209,9 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> tuple[float, NormSolveT
 
 
 def sobolev_norm(u: GridFunction, p: ExponentField) -> float:
-    """Luxemburg norm of the cellwise gradient magnitude (zero-boundary u)."""
-    if not u.bc_zero:
+    """Luxemburg norm of the cellwise gradient magnitude; a field with a
+    nonzero boundary value is refused with ``ValueError``."""
+    if not u.zero_on_boundary:
         raise ValueError("sobolev_norm requires a zero-boundary grid function")
     g = gradient_values(u.grid, u.values)
     value, _ = luxemburg_norm_cells(u.grid, np.sqrt(np.sum(g * g, axis=0)), p)

@@ -11,17 +11,13 @@ over its cells, never from the cells of a scaled copy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import RayEnergy, ray_energy
-from .errors import (
-    DoublePhaseError,
-    HypothesisGateError,
-    RayScheduleError,
-    SphereGeometryError,
-)
+from .errors import DoublePhaseError, HypothesisGateError, SphereGeometryError
 from .exponents import ExponentField, ExponentSet, validate_hypotheses
 from .grid import GridFunction, node_to_cell
 from .solvers import SubBox, bump_function
@@ -29,6 +25,7 @@ from .spaces import (
     check_holder,
     check_inclusion_bound,
     check_modular_norm_relations,
+    decreasing_root,
     luxemburg_norm_cells,
 )
 
@@ -69,17 +66,6 @@ class CheckReport:
 
     def __post_init__(self):
         self.passed = self.failures == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "constants": dict(self.constants),
-            "notes": self.notes,
-            "passed": self.passed,
-        }
 
 
 def _sample_magnitudes(rng, n):
@@ -201,7 +187,7 @@ def _random_direction(grid, rng) -> GridFunction:
     vals = rng.standard_normal(grid.node_shape)
     for face in grid.boundary_faces:
         vals[face] = 0.0
-    return GridFunction(grid, vals, bc_zero=True)
+    return GridFunction(grid, vals)
 
 
 def check_mp_geometry(
@@ -216,7 +202,14 @@ def check_mp_geometry(
     polynomials; one :class:`RayEnergy` pass per direction gives both the
     polynomial and the gradient magnitude of the norm |d|.  The reported
     level alpha is the scan's minimum over the directions at the chosen
-    radius."""
+    radius.
+
+    The scalar barrier profile g(t) = beta - gamma t^a - delta t^b, with
+    a = q.hi - pmax.hi and b = q.lo - pmax.hi (both positive under the
+    gate), falls through zero once; its root, ``barrier_positive_radius``,
+    is found by :func:`decreasing_root` on log beta - log(gamma t^a +
+    delta t^b) in x = log t.  The check fails when the profile is not
+    positive at t = 1e-6."""
     if not validate_hypotheses(s, "mountain").passed:
         raise HypothesisGateError("mountain hypotheses fail; geometry check skipped")
     rng = np.random.default_rng(seed)
@@ -250,11 +243,18 @@ def check_mp_geometry(
     beta = 1.0 / s.pmax.hi
     gamma = 1.0 / (s.q.lo * c1**s.q.hi)
     delta = 1.0 / (s.q.lo * c2**s.q.lo)
-    t = np.geomspace(1e-6, 1.0, 200)
-    gt = beta - gamma * t ** (s.q.hi - s.pmax.hi) - delta * t ** (s.q.lo - s.pmax.hi)
-    positive = gt > 0.0
-    g_radius = float(t[positive][-1]) if positive.any() else 0.0
-    failures = 0 if (beta > 0.0 and positive[0]) else 1
+    a, b = s.q.hi - s.pmax.hi, s.q.lo - s.pmax.hi
+
+    def log_profile(x):
+        la, lb = math.log(gamma) + a * x, math.log(delta) + b * x
+        top = max(la, lb)
+        wa, wb = math.exp(la - top), math.exp(lb - top)
+        return math.log(beta) - top - math.log(wa + wb), -(a * wa + b * wb) / (wa + wb)
+
+    x, _, _ = decreasing_root(log_profile)
+    with np.errstate(over="ignore"):
+        g_radius = float(np.exp(x))
+    failures = 0 if g_radius > 1e-6 else 1
     return CheckReport(
         "mountain_geometry",
         int(len(_ETA_GRID) * n_directions),
@@ -277,11 +277,14 @@ def check_ray_boundedness(
     lam: float, s: ExponentSet, n_rays: int = 50, seed=0
 ) -> CheckReport:
     """Every ray in a random bump-spanned subspace eventually has negative
-    mountain-form energy; reports the largest crossing radius.
+    mountain-form energy; reports the smallest and largest crossing radius.
 
-    Each ray is scanned at the doublings t = 1, 2, ..., 2^_MAX_DOUBLINGS on
-    its polynomial (:attr:`RayEnergy.poly`), one pass over the cells per ray;
-    the crossing is the first doubling after the last nonnegative energy."""
+    Each ray is scanned at the doublings t = 1, 2, ..., T = 2^_MAX_DOUBLINGS
+    on its polynomial (:attr:`RayEnergy.poly`), one pass over the cells per
+    ray; the crossing is the first doubling after the last nonnegative
+    energy.  A ray whose energy at T is still nonnegative is a failure, with
+    crossing +inf.  The margin of a ray is -E(T) / max(1, |E(T)|), negative
+    on a failure."""
     rng = np.random.default_rng(seed)
     grid = s.grid
     basis = []
@@ -291,20 +294,25 @@ def check_ray_boundedness(
         t0 = rng.uniform(1.5, 3.0)
         basis.append(bump_function(grid, t0, SubBox.centered(center, side)).fn.values)
     ts = 2.0 ** np.arange(_MAX_DOUBLINGS + 1)
-    crossings = []
+    crossings, margins = [], []
     for _ in range(n_rays):
         coeff = rng.standard_normal(_SUBSPACE_DIM)
         coeff /= np.linalg.norm(coeff)
-        w = GridFunction(grid, sum(c * b for c, b in zip(coeff, basis)), bc_zero=True)
-        nonneg = np.flatnonzero(ray_energy(RayEnergy(w, lam, s, "mountain").poly, ts) >= 0.0)
-        if nonneg.size and nonneg[-1] == ts.size - 1:
-            raise RayScheduleError(
-                f"a ray stayed nonnegative through t = {ts[-1]:.3e}"
-            )
-        crossings.append(ts[nonneg[-1] + 1] if nonneg.size else ts[0])
+        w = GridFunction(grid, sum(c * b for c, b in zip(coeff, basis)))
+        energy = ray_energy(RayEnergy(w, lam, s, "mountain").poly, ts)
+        nonneg = np.flatnonzero(energy >= 0.0)
+        if energy[-1] >= 0.0:
+            crossings.append(math.inf)
+        else:
+            crossings.append(ts[nonneg[-1] + 1] if nonneg.size else ts[0])
+        margins.append(float(np.clip(-energy[-1], -1.0, 1.0)))  # -E(T) / max(1, |E(T)|)
     return CheckReport(
-        "ray_boundedness", n_rays, 0, float(min(crossings)),
-        constants={"sup_T": float(max(crossings)), "subspace_dim": _SUBSPACE_DIM},
+        "ray_boundedness", n_rays, crossings.count(math.inf), float(min(margins)),
+        constants={
+            "inf_T": float(min(crossings)),
+            "sup_T": float(max(crossings)),
+            "subspace_dim": _SUBSPACE_DIM,
+        },
     )
 
 

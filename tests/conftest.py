@@ -22,11 +22,11 @@ def default_set(res=16, dim=3):
     return dp.build_exponent_set(DEFAULT_P1, DEFAULT_P2, DEFAULT_Q, grid)
 
 
-def random_field(grid, rng, amp=1.0, bc_zero=True):
+def random_field(grid, rng, amp=1.0, zero_boundary=True):
     vals = amp * rng.standard_normal(grid.node_shape)
-    if bc_zero:
+    if zero_boundary:
         vals[grid.boundary_mask()] = 0.0
-    return dp.GridFunction(grid, vals, bc_zero=bc_zero)
+    return dp.GridFunction(grid, vals)
 
 
 @pytest.fixture(scope="session")

@@ -99,7 +99,7 @@ def test_criterion_2_luxemburg_norm(s16):
     rng = np.random.default_rng(102)
     worst_h = 0.0
     for _ in range(50):
-        u = random_field(s16.grid, rng, amp=rng.uniform(0.1, 4.0), bc_zero=False)
+        u = random_field(s16.grid, rng, amp=rng.uniform(0.1, 4.0), zero_boundary=False)
         c = rng.uniform(-10.0, 10.0)
         if c == 0.0:
             c = 1.0
@@ -112,7 +112,7 @@ def test_criterion_2_luxemburg_norm(s16):
     # constant-exponent closed form
     worst_c = 0.0
     for _ in range(20):
-        u = random_field(s16.grid, rng, amp=rng.uniform(0.1, 4.0), bc_zero=False)
+        u = random_field(s16.grid, rng, amp=rng.uniform(0.1, 4.0), zero_boundary=False)
         value, trace = luxemburg_norm(u, s16.p1)
         closed = modular(u, s16.p1) ** (1.0 / s16.p1.lo)
         err = abs(value - closed) / max(1.0, closed)
@@ -127,13 +127,13 @@ def test_criterion_3_sandwich_and_holder(s16):
     sandwich_failures = 0
     for i in range(200):
         amp = rng.uniform(0.01, 0.3) if i % 2 else rng.uniform(1.0, 25.0)
-        u = random_field(s16.grid, rng, amp=amp, bc_zero=False)
+        u = random_field(s16.grid, rng, amp=amp, zero_boundary=False)
         if not check_modular_norm_relations(u, s16.p2).passed:
             sandwich_failures += 1
     holder_failures = 0
     for _ in range(200):
-        u = random_field(s16.grid, rng, amp=rng.uniform(0.05, 5.0), bc_zero=False)
-        v = random_field(s16.grid, rng, amp=rng.uniform(0.05, 5.0), bc_zero=False)
+        u = random_field(s16.grid, rng, amp=rng.uniform(0.05, 5.0), zero_boundary=False)
+        v = random_field(s16.grid, rng, amp=rng.uniform(0.05, 5.0), zero_boundary=False)
         if not check_holder(u, v, s16.p2).passed:
             holder_failures += 1
     assert sandwich_failures == 0 and holder_failures == 0

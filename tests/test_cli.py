@@ -80,7 +80,7 @@ def test_cli_exit_2_on_malformed_config(tmp_path, capsys):
 
 def test_cmd_norm_examples(tmp_path, small_cfg, capsys):
     grid = DomainGrid(3, (8, 8, 8))
-    zero = GridFunction.zeros(grid, bc_zero=False)
+    zero = GridFunction.zeros(grid)
     f = tmp_path / "zero.csv"
     write_field_csv(f, zero)
     code = main(["norm", str(f), "--config", str(small_cfg), "--out", str(tmp_path / "n1")])
@@ -111,7 +111,7 @@ def test_cmd_norm_wrong_node_count(tmp_path, small_cfg):
 def test_cmd_norm_rejects_a_bad_value(tmp_path, small_cfg, capsys, value):
     grid = DomainGrid(3, (8, 8, 8))
     f = tmp_path / "bad.csv"
-    write_field_csv(f, GridFunction.zeros(grid, bc_zero=False))
+    write_field_csv(f, GridFunction.zeros(grid))
     lines = f.read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
     f.write_text("\n".join(lines) + "\n")

@@ -17,6 +17,7 @@ from doublephase.energy import (
 from doublephase.exponents import ExponentField, ExponentSet
 from doublephase.grid import DomainGrid, GridFunction, cell_quadrature, pairing
 from doublephase.solvers import SubBox, bump_function
+from doublephase.spaces import sobolev_norm
 
 from conftest import default_set, random_field
 
@@ -55,6 +56,34 @@ def test_rejects_bad_arguments(set12):
         eval_energy(zero, -1.0, set12, "mountain")
     with pytest.raises(ValueError):
         eval_energy(zero, 1.0, set12, "bogus")
+
+
+def test_a_field_zero_on_the_boundary_is_accepted_however_built(set12, rng):
+    # no flag: the values alone place u in the zero-boundary space
+    g = set12.grid
+    vals = rng.standard_normal(g.node_shape)
+    vals[g.boundary_mask()] = 0.0
+    u = GridFunction(g, vals)
+    rep = eval_energy(u, 1.0, set12, "mountain")
+    rep_g, r = energy_and_gradient(u, 1.0, set12, "mountain")
+    assert rep_g == rep and r.zero_on_boundary
+    ray_rep, _ = RayEnergy(u, 1.0, set12, "mountain").at(1.0)
+    assert abs(ray_rep.total - rep.total) <= 1e-12 * abs(rep.total)
+    assert sobolev_norm(u, set12.pmax) > 0.0
+    assert u.zero_on_boundary
+
+
+def test_a_boundary_value_written_after_construction_is_refused(set12, rng):
+    # the boundary is read when the energy is taken, not when u is built
+    g = set12.grid
+    u = GridFunction.zeros(g)
+    u.values[~g.boundary_mask()] = rng.standard_normal(np.count_nonzero(~g.boundary_mask()))
+    eval_energy(u, 1.0, set12, "mountain")
+    u.values[0, 5, 5] = 1.0
+    with pytest.raises(ValueError, match="zero-boundary"):
+        eval_energy(u, 1.0, set12, "mountain")
+    with pytest.raises(ValueError, match="zero-boundary"):
+        RayEnergy(u, 1.0, set12, "mountain")
 
 
 def test_evenness_and_oddness_bitwise(set12, rng):
@@ -99,8 +128,8 @@ def test_gradient_matches_dense_jacobian(rng):
     for idx in np.argwhere(interior):
         bump = np.zeros(g.node_shape)
         bump[tuple(idx)] = eps
-        plus = eval_energy(GridFunction(g, u.values + bump, bc_zero=True), lam, s, "mountain").total
-        minus = eval_energy(GridFunction(g, u.values - bump, bc_zero=True), lam, s, "mountain").total
+        plus = eval_energy(GridFunction(g, u.values + bump), lam, s, "mountain").total
+        minus = eval_energy(GridFunction(g, u.values - bump), lam, s, "mountain").total
         dense[tuple(idx)] = (plus - minus) / (2 * eps) / g.cell_volume
     err = np.max(np.abs(dense - r))
     assert err <= 1e-4 * max(1.0, np.max(np.abs(r)))
@@ -110,7 +139,7 @@ def test_batched_matches_single(set12, rng):
     g = set12.grid
     stack = rng.standard_normal((4,) + g.node_shape)
     stack[..., g.boundary_mask()] = 0.0
-    singles = [GridFunction(g, stack[i], bc_zero=True) for i in range(4)]
+    singles = [GridFunction(g, stack[i]) for i in range(4)]
     for form in ("mountain", "coercive"):
         tot = eval_energy_many(g, stack, 0.9, set12, form)
         for i, u in enumerate(singles):
@@ -176,7 +205,7 @@ def test_ray_energy_matches_the_kernel_on_the_ray(set12, rng, kind):
     vals = random_field(grid, rng).values
     vals[2:5, 2:5, 2:5] = 0.0  # cells with zero gradient and zero average
     vals[6:10, 6:10, 6:10] = 0.5  # cells with zero gradient only
-    u = GridFunction(grid, vals, bc_zero=True)
+    u = GridFunction(grid, vals)
     for form in ("mountain", "coercive"):
         ray = RayEnergy(u, 0.9, s, form)
         for t in (0.3, 1.0, 7.0):
@@ -266,7 +295,7 @@ def test_residual_norm_examples(rng):
     ones = np.zeros(g.node_shape)
     interior = ~g.boundary_mask()
     ones[interior] = 1.0
-    r1 = GridFunction(g, ones, bc_zero=True)
+    r1 = GridFunction(g, ones)
     n_int = np.count_nonzero(interior)
     exact = np.sqrt(n_int * g.cell_volume)
     got = residual_norm(r1)

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from doublephase.energy import eval_energy
+from doublephase.exponents import build_exponent_set
 from doublephase.grid import (
     _along,
     _dst1,
@@ -42,11 +44,16 @@ def test_gridfunction_validation():
     g = DomainGrid(2, (6, 6))
     with pytest.raises(ValueError):
         GridFunction(g, np.full(g.node_shape, np.nan))
-    vals = np.ones(g.node_shape)
     with pytest.raises(ValueError):
-        GridFunction(g, vals, bc_zero=True)  # nonzero boundary
+        GridFunction(g, np.ones((6, 7)))
+    vals = np.ones(g.node_shape)
+    assert not GridFunction(g, vals).zero_on_boundary
     vals[g.boundary_mask()] = 0.0
-    GridFunction(g, vals, bc_zero=True)
+    u = GridFunction(g, vals)
+    assert u.zero_on_boundary
+    # read from the values, so a boundary value written later counts
+    u.values[0, 3] = 1.0
+    assert not u.zero_on_boundary
 
 
 @pytest.mark.parametrize("grid, batch", [(GRID_2D, ()), (GRID_3D, ()), (GRID_3D, (2,))],
@@ -60,14 +67,19 @@ def test_boundary_faces_zero_the_boundary_mask(grid, batch, rng):
         by_faces[face] = 0.0
     assert len(grid.boundary_faces) == 2 * grid.dim
     assert np.array_equal(by_faces, by_mask)
-    # from_nodes zeroes the same nodes, and a nonzero on any face is refused
-    u = GridFunction.from_nodes(grid, lambda *x: vals[(0,) * len(batch)], bc_zero=True)
-    assert np.array_equal(u.values, by_mask[(0,) * len(batch)])
+    # zero_on_boundary reads these faces: a field zeroed by the mask is zero
+    # on the boundary, and one nonzero on any face makes it not and makes
+    # the energy refuse it
+    u = GridFunction(grid, by_mask[(0,) * len(batch)])
+    assert u.zero_on_boundary
+    s = build_exponent_set("2", "2.5", "3", grid)
     for face in grid.boundary_faces:
         bad = u.values.copy()
-        bad[face] = 1.0
-        with pytest.raises(ValueError):
-            GridFunction(grid, bad, bc_zero=True)
+        bad[face][(1,) * (grid.dim - 1)] = 1.0  # one node inside the face
+        assert np.count_nonzero(bad) == np.count_nonzero(u.values) + 1
+        assert not GridFunction(grid, bad).zero_on_boundary
+        with pytest.raises(ValueError, match="zero-boundary"):
+            eval_energy(GridFunction(grid, bad), 1.0, s, "mountain")
 
 
 def test_gradient_zero_field():
@@ -92,8 +104,8 @@ def test_gradient_exact_on_affine():
 
 def test_gradient_linearity(rng):
     g = DomainGrid(3, (8, 8, 8))
-    u = random_field(g, rng, bc_zero=False)
-    v = random_field(g, rng, bc_zero=False)
+    u = random_field(g, rng, zero_boundary=False)
+    v = random_field(g, rng, zero_boundary=False)
     lhs = gradient_values(g, (u + v).values)
     rhs = gradient_values(g, u.values) + gradient_values(g, v.values)
     assert np.max(np.abs(lhs - rhs)) <= 1e-14 * max(1.0, np.max(np.abs(rhs)))
@@ -130,7 +142,7 @@ def test_node_to_cell_constants():
     g = DomainGrid(3, (6, 6, 6))
     u = GridFunction(g, np.full(g.node_shape, 3.0))
     assert np.all(node_to_cell(u) == 3.0)
-    assert np.all(node_to_cell(GridFunction.zeros(g, bc_zero=False)) == 0.0)
+    assert np.all(node_to_cell(GridFunction.zeros(g)) == 0.0)
 
 
 def test_node_to_cell_affine_hits_cell_center():

@@ -122,6 +122,14 @@ def test_minimize_lambda_zero(s8, rng):
     assert result.energy.total <= result.history[0][0]
 
 
+def test_minimize_refuses_a_nonzero_boundary_start(s8, bump8):
+    # the first energy evaluation reads the boundary of the start
+    init = bump8.fn.copy()
+    init.values[0, 3, 3] = 0.5
+    with pytest.raises(ValueError, match="zero-boundary"):
+        minimize_energy(1.0, s8, init, SolverOptions(max_iter=1))
+
+
 def test_minimize_monotone_and_certificates(s8, bump8):
     report = lambda_star_search(s8, bump8, LAM_GRID)
     lam = 2.0 * report.lam_star
@@ -242,9 +250,7 @@ def test_saddle_search_leaves_the_symmetric_saddle():
     sym = mountain_pass(1.0, s, bump.fn, SolverOptions())
     assert sym.converged and abs(sym.energy.total - 1138.417079) < 1e-6
     x1 = s.grid.node_mesh()[0]
-    start = GridFunction(
-        s.grid, sym.u.values * (1 + 1e-6 * np.sin(2 * np.pi * x1)), bc_zero=True
-    )
+    start = GridFunction(s.grid, sym.u.values * (1 + 1e-6 * np.sin(2 * np.pi * x1)))
     low = mountain_pass(1.0, s, start, SolverOptions())
     assert low.converged
     assert low.energy.total < sym.energy.total

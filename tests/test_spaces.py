@@ -38,7 +38,7 @@ def test_modular_constants():
     p2 = ExponentField.from_values(g, 2.0)
     one = GridFunction(g, np.ones(g.node_shape))
     assert abs(modular(one, p2) - 1.0) <= 1e-14
-    assert modular(GridFunction.zeros(g, bc_zero=False), p2) == 0.0
+    assert modular(GridFunction.zeros(g), p2) == 0.0
 
 
 def test_modular_variable_exponent_converges_to_closed_form():
@@ -56,14 +56,14 @@ def test_modular_variable_exponent_converges_to_closed_form():
 def test_luxemburg_zero_field():
     g = DomainGrid(2, (8, 8))
     p = ExponentField.from_values(g, 2.0)
-    value, trace = luxemburg_norm(GridFunction.zeros(g, bc_zero=False), p)
+    value, trace = luxemburg_norm(GridFunction.zeros(g), p)
     assert value == 0.0 and trace.root == 0.0 and trace.iterations == 0
 
 
 def test_luxemburg_constant_exponent_closed_form(rng):
     g = DomainGrid(3, (10, 10, 10))
     p = ExponentField.from_values(g, 2.0)
-    u = random_field(g, rng, bc_zero=False)
+    u = random_field(g, rng, zero_boundary=False)
     value, trace = luxemburg_norm(u, p)
     assert abs(value - np.sqrt(modular(u, p))) <= 1e-10 * max(1.0, value)
     assert trace.residual <= NORM_TOL
@@ -103,7 +103,7 @@ def test_luxemburg_homogeneity(rng):
     g = DomainGrid(3, (8, 8, 8))
     s = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "4", g)
     for _ in range(10):
-        u = random_field(g, rng, amp=rng.uniform(0.1, 5.0), bc_zero=False)
+        u = random_field(g, rng, amp=rng.uniform(0.1, 5.0), zero_boundary=False)
         c = rng.uniform(-8.0, 8.0)
         if c == 0.0:
             continue
@@ -116,8 +116,8 @@ def test_luxemburg_triangle_inequality(rng):
     g = DomainGrid(2, (9, 9))
     s = build_exponent_set("2", "2 + x1", "5", g)
     for _ in range(100):
-        u = random_field(g, rng, amp=rng.uniform(0.1, 3.0), bc_zero=False)
-        v = random_field(g, rng, amp=rng.uniform(0.1, 3.0), bc_zero=False)
+        u = random_field(g, rng, amp=rng.uniform(0.1, 3.0), zero_boundary=False)
+        v = random_field(g, rng, amp=rng.uniform(0.1, 3.0), zero_boundary=False)
         nu, _ = luxemburg_norm(u, s.p2)
         nv, _ = luxemburg_norm(v, s.p2)
         nuv, _ = luxemburg_norm(u + v, s.p2)
@@ -127,7 +127,7 @@ def test_luxemburg_triangle_inequality(rng):
 def test_scaled_modular_strictly_decreasing(rng):
     g = DomainGrid(2, (9, 9))
     s = build_exponent_set("2", "2 + x1", "5", g)
-    u = random_field(g, rng, bc_zero=False)
+    u = random_field(g, rng, zero_boundary=False)
     from doublephase.grid import node_to_cell
     from doublephase.spaces import modular_cells
 
@@ -141,8 +141,8 @@ def test_norm_modular_equivalence_along_damping(rng):
     # the norm and the modular of u_n - u fall below 1e-6 together
     g = DomainGrid(2, (9, 9))
     s = build_exponent_set("2", "2 + x1", "5", g)
-    u = random_field(g, rng, bc_zero=False)
-    noise = random_field(g, rng, bc_zero=False)
+    u = random_field(g, rng, zero_boundary=False)
+    noise = random_field(g, rng, zero_boundary=False)
     norms, mods = [], []
     for n in range(60):
         delta = (0.5**n) * noise
@@ -428,7 +428,7 @@ def test_sobolev_scaling(rng):
 def test_holder_zero_and_equality_cases():
     g = DomainGrid(2, (10, 10))
     p2 = ExponentField.from_values(g, 2.0)
-    zero = GridFunction.zeros(g, bc_zero=False)
+    zero = GridFunction.zeros(g)
     one = GridFunction(g, np.ones(g.node_shape))
     rep = check_holder(zero, one, p2)
     assert rep.passed and rep.lhs == 0.0
@@ -443,8 +443,8 @@ def test_holder_randomized(rng):
     s = build_exponent_set("2", "2 + x1", "5", g)
     failures = 0
     for _ in range(200):
-        u = random_field(g, rng, amp=rng.uniform(0.05, 5.0), bc_zero=False)
-        v = random_field(g, rng, amp=rng.uniform(0.05, 5.0), bc_zero=False)
+        u = random_field(g, rng, amp=rng.uniform(0.05, 5.0), zero_boundary=False)
+        v = random_field(g, rng, amp=rng.uniform(0.05, 5.0), zero_boundary=False)
         if not check_holder(u, v, s.p2).passed:
             failures += 1
     assert failures == 0
@@ -453,7 +453,7 @@ def test_holder_randomized(rng):
 def test_sandwich_at_norm_one(rng):
     g = DomainGrid(2, (9, 9))
     s = build_exponent_set("2", "2 + x1", "5", g)
-    u = random_field(g, rng, bc_zero=False)
+    u = random_field(g, rng, zero_boundary=False)
     nu, _ = luxemburg_norm(u, s.p2)
     u1 = (1.0 / nu) * u
     rep = check_modular_norm_relations(u1, s.p2)
@@ -464,7 +464,7 @@ def test_sandwich_at_norm_one(rng):
 def test_sandwich_constant_exponent_equality(rng):
     g = DomainGrid(2, (9, 9))
     p2 = ExponentField.from_values(g, 2.0)
-    u = random_field(g, rng, bc_zero=False)
+    u = random_field(g, rng, zero_boundary=False)
     nu, _ = luxemburg_norm(u, p2)
     u3 = (3.0 / nu) * u
     rep = check_modular_norm_relations(u3, p2)
@@ -478,7 +478,7 @@ def test_sandwich_randomized(rng):
     failures = 0
     for i in range(200):
         amp = rng.uniform(0.01, 0.3) if i % 2 else rng.uniform(1.0, 30.0)
-        u = random_field(g, rng, amp=amp, bc_zero=False)
+        u = random_field(g, rng, amp=amp, zero_boundary=False)
         if not check_modular_norm_relations(u, s.p2).passed:
             failures += 1
     assert failures == 0
@@ -488,7 +488,7 @@ def test_inclusion_examples_and_precondition():
     g = DomainGrid(2, (10, 10))
     r1 = ExponentField.from_values(g, 2.0)
     r2 = ExponentField.from_values(g, 3.0)
-    zero = GridFunction.zeros(g, bc_zero=False)
+    zero = GridFunction.zeros(g)
     assert check_inclusion_bound(zero, r1, r2).passed
     one = GridFunction(g, np.ones(g.node_shape))
     rep = check_inclusion_bound(one, r1, r2)
@@ -503,7 +503,7 @@ def test_inclusion_randomized(rng):
     s = build_exponent_set("2", "2 + x1", "5", g)
     failures = 0
     for _ in range(200):
-        u = random_field(g, rng, amp=rng.uniform(0.05, 10.0), bc_zero=False)
+        u = random_field(g, rng, amp=rng.uniform(0.05, 10.0), zero_boundary=False)
         if not check_inclusion_bound(u, s.p1, s.pmax).passed:
             failures += 1
     assert failures == 0
@@ -524,7 +524,7 @@ rng.standard_normal(g.cell_shape)
 vals = rng.standard_normal(g.node_shape)
 for face in g.boundary_faces:
     vals[face] = 0.0
-u = GridFunction(g, vals, bc_zero=True)
+u = GridFunction(g, vals)
 grad = gradient_values(g, u.values)
 print(repr(luxemburg_norm_cells(g, np.sqrt(np.sum(grad * grad, axis=0)), s.pmax)[0]))
 poly = RayEnergy(u, 1.0, s, "mountain").poly

@@ -11,6 +11,7 @@ from doublephase.energy import eval_energy
 from doublephase.errors import HypothesisGateError, SphereGeometryError
 from doublephase.exponents import build_exponent_set, validate_hypotheses
 from doublephase.grid import DomainGrid
+from doublephase.outputs import jsonable
 from doublephase.solvers import SubBox, bump_function
 from doublephase.spaces import modular, sobolev_norm
 from doublephase.verification import (
@@ -117,8 +118,8 @@ def test_vectorized_checks_hold_bounded_temporaries():
     finally:
         tracemalloc.stop()
     assert aux_peak <= 5 * 2**20 and mono_peak <= 8 * 2**20
-    assert aux.to_dict() == _unblocked_auxiliary(10_000, 1).to_dict()
-    assert mono.to_dict() == _unblocked_monotonicity(3.0, 100_000, 3, 3).to_dict()
+    assert aux == _unblocked_auxiliary(10_000, 1)
+    assert mono == _unblocked_monotonicity(3.0, 100_000, 3, 3)
 
 
 @pytest.mark.parametrize("n_samples, block_rows", [(1, 64), (257, 64), (1000, 3)])
@@ -126,14 +127,14 @@ def test_auxiliary_report_does_not_depend_on_blocks(n_samples, block_rows, monke
     # blocks of block_rows samples of 64 t-points each; every case ends on a
     # partial block
     monkeypatch.setattr(doublephase.verification, "_BLOCK_ELEMENTS", block_rows * 64)
-    got = check_auxiliary_inequality(n_samples, seed=5).to_dict()
-    assert got == _unblocked_auxiliary(n_samples, 5).to_dict()
+    got = check_auxiliary_inequality(n_samples, seed=5)
+    assert got == _unblocked_auxiliary(n_samples, 5)
 
 
 @pytest.mark.parametrize("r, n_samples, dim", [(2.0, 1, 3), (3.0, 50, 2), (4.5, 30_000, 5)])
 def test_monotonicity_report_does_not_depend_on_blocks(r, n_samples, dim):
-    got = check_strong_monotonicity(r, n_samples, dim=dim, seed=3).to_dict()
-    assert got == _unblocked_monotonicity(r, n_samples, dim, 3).to_dict()
+    got = check_strong_monotonicity(r, n_samples, dim=dim, seed=3)
+    assert got == _unblocked_monotonicity(r, n_samples, dim, 3)
 
 
 def test_mp_geometry_reports_positive_barrier(s8):
@@ -144,6 +145,21 @@ def test_mp_geometry_reports_positive_barrier(s8):
     assert rep.constants["beta"] == 1.0 / s8.pmax.hi
     assert rep.constants["barrier_positive_radius"] > 0.0
     assert rep.constants["C1"] > 0.0 and rep.constants["C2"] > 0.0
+
+
+def test_mp_geometry_barrier_radius_is_the_profile_root(s8):
+    # the radius is the root of g(t) = beta - gamma t^a - delta t^b, not the
+    # end of a fixed t-grid: g vanishes there and is positive at half of it
+    c = check_mp_geometry(1.0, s8, seed=0).constants
+    a, b = s8.q.hi - s8.pmax.hi, s8.q.lo - s8.pmax.hi
+
+    def g(t):
+        return c["beta"] - c["gamma"] * t**a - c["delta"] * t**b
+
+    r = c["barrier_positive_radius"]
+    assert r > 1.0
+    assert abs(g(r)) <= 1e-12 * c["beta"]
+    assert g(r / 2) > 0.0
 
 
 def test_mp_geometry_no_positive_sphere(s8, monkeypatch):
@@ -168,7 +184,21 @@ def test_coercivity_gate():
 def test_ray_boundedness(s8):
     rep = check_ray_boundedness(1.0, s8, seed=0)
     assert rep.passed
-    assert np.isfinite(rep.constants["sup_T"])
+    assert 1.0 <= rep.constants["inf_T"] <= rep.constants["sup_T"] < np.inf
+    # every ray is negative at the last doubling, far below -1
+    assert rep.worst_margin == 1.0
+
+
+def test_ray_boundedness_counts_rays_that_stay_nonnegative():
+    # q = 1.5 below both gradient exponents: the energy along every ray
+    # stays positive, so every ray fails, and the check reports it rather
+    # than refusing to run
+    s = build_exponent_set("2", "2.5", "1.5", DomainGrid(3, (8, 8, 8)))
+    rep = check_ray_boundedness(1.0, s, n_rays=6, seed=0)
+    assert (rep.samples, rep.failures) == (6, 6)
+    assert not rep.passed
+    assert rep.worst_margin == -1.0
+    assert rep.constants["inf_T"] == rep.constants["sup_T"] == np.inf
 
 
 def test_coercivity_constant_formula(set16):
@@ -287,5 +317,8 @@ def test_run_all_checks_reports_the_checks_that_did_not_run():
 
 def test_reports_serialize(s8):
     rep = check_pointwise_inequalities(100, seed=0)
-    d = rep.to_dict()
+    d = jsonable(rep)
     assert d["passed"] is True and d["name"] == "pointwise_inequalities"
+    assert set(d) == {"name", "samples", "failures", "worst_margin", "constants", "notes", "passed"}
+    refused = jsonable(CheckReport("ray_boundedness", 0, 1, float("-inf"), notes="did not run"))
+    assert refused["worst_margin"] == "-inf" and refused["passed"] is False
