@@ -6,9 +6,13 @@
 Both forms are signed sums of the same four modular terms, the cell integrals
 of base^p / p listed in ``TERMS``; :func:`coefficients` gives their signs per
 form.  One batch-aware kernel passes a stack of node fields (leading batch
-axes) through the corner-average and cell-gradient maps once and returns the
-four terms, the total and, on request, the nodal residual.  Each term takes
-one power per cell, of the squared base x2: the weight x2^((p-2)/2) of the
+axes) through the corner-average and cell-gradient maps once
+(:func:`grid.transfer`) and returns the four terms, the total and, on
+request, the nodal residual.  It works on the flat node layout of those
+maps: the squared bases, the powers and the residual weights are flat
+arrays, the pad entries (no cell) are cleared before the adjoint maps, and
+each term sums a compact copy of its cell values.  Each term takes one
+power per cell, of the squared base x2: the weight x2^((p-2)/2) of the
 residual, whose product with x2 is the cell value base^p (p < 2 cells,
 regularized, take a second; constant p = 2 and p = 4 take none).  The
 residual is assembled by differentiating the discrete energy through those
@@ -43,11 +47,11 @@ from .grid import (
     DomainGrid,
     GridFunction,
     cell_quadrature_values,
-    discrete_gradient_adjoint,
-    gradient_values,
+    cells,
+    fill_pad,
     l2_norm,
-    node_to_cell_adjoint,
-    node_to_cell_values,
+    transfer,
+    transfer_adjoint,
 )
 
 __all__ = [
@@ -121,14 +125,14 @@ class EnergyReport:
 class _Term(NamedTuple):
     """One row of ``TERMS`` on a cell pass: the exponent field, the signed
     coefficient, the base kind, the squared cell base x2 (|grad u|^2 or the
-    squared corner average), the weight w and the cell value b^p."""
+    squared corner average) and the weight w, on the flat node layout of
+    :func:`grid.transfer`."""
 
     p: ExponentField
     c: float
     kind: str
     x2: np.ndarray
     w: np.ndarray | float
-    bp: np.ndarray
 
 
 def _exponent(p: ExponentField):
@@ -138,7 +142,7 @@ def _exponent(p: ExponentField):
 
 def _powers(x2: np.ndarray, p: ExponentField):
     """Weight w = x2^((p-2)/2) and cell value b^p = w * x2 of one term, from
-    one power of the squared base x2 = b^2.
+    one power of the squared base x2 = b^2 on the flat node layout.
 
     w * x is the derivative of |x|^p / p in the cell quantity x, with the
     extension by 0 at x = 0 for p >= 2 (0^0 = 1 covers p = 2).  A constant
@@ -146,53 +150,74 @@ def _powers(x2: np.ndarray, p: ExponentField):
     p < 2 take the weight of x2 + REG_EPS^2 and the value x2^(p/2) by a
     second power; that masked work is skipped when ``p.lo >= 2``.
     """
-    e = _exponent(p)
-    constant = p.is_constant()
-    expo = 0.5 * (e - 2.0)
     # 0^expo is inf on the p < 2 cells with x2 = 0; they are overwritten
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if constant and e == 2.0:
-            return 1.0, x2
-        if constant and e == 4.0:
-            return x2, x2 * x2
-        if constant and e < 2.0:
-            return (x2 + REG_EPS * REG_EPS) ** expo, x2 ** (0.5 * e)
+        if p.is_constant():
+            e = p.lo
+            if e == 2.0:
+                return 1.0, x2
+            if e == 4.0:
+                return x2, x2 * x2
+            expo = 0.5 * (e - 2.0)
+            if e < 2.0:
+                return (x2 + REG_EPS * REG_EPS) ** expo, x2 ** (0.5 * e)
+        else:
+            expo = p.flat_half_excess
         w = np.power(x2, expo)
         bp = w * x2
         if p.lo >= 2.0:
             return w, bp
-        low = p.values < 2.0
+        low = expo < 0.0
         x2_low, expo_low = x2[..., low], expo[low]
         w[..., low] = (x2_low + REG_EPS * REG_EPS) ** expo_low
         bp[..., low] = x2_low ** (expo_low + 1.0)
     return w, bp
 
 
-def _cell_pass(grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str):
+def _cell_pass(grid: DomainGrid, vals: np.ndarray):
     """One pass of a node stack (leading batch axes) through the transfer
-    maps: the cell gradients, the cell averages and one :class:`_Term` per
-    row of ``TERMS``."""
-    g = gradient_values(grid, vals)
-    a = node_to_cell_values(grid, vals)
+    maps (:func:`grid.transfer`, the gradient components then the average),
+    zero at the pad entries, and the squared cell bases of the two kinds."""
+    maps = fill_pad(grid, transfer(grid, vals), 0.0)
+    g, a = maps[:-1], maps[-1]
+    squares = np.empty((2,) + a.shape)
     with np.errstate(over="ignore"):
-        x2 = {"grad": np.sum(g * g, axis=-(grid.dim + 1)), "avg": a * a}
-    rows = []
+        np.multiply(g[0], g[0], out=squares[0])
+        for comp in g[1:]:
+            squares[0] += comp * comp
+        np.multiply(a, a, out=squares[1])
+    # a pad base of 1 keeps the powers off their slow path for 0
+    fill_pad(grid, squares, 1.0)
+    return maps, {"grad": squares[0], "avg": squares[1]}
+
+
+def _terms(x2: dict, lam: float, s: ExponentSet, form: str):
+    """One :class:`_Term` per row of ``TERMS``, each with its cell values
+    b^p, made one row at a time so the caller can reduce b^p and drop it."""
     for (_, name, kind), c in zip(TERMS, coefficients(lam, form)):
         p = getattr(s, name)
-        rows.append(_Term(p, c, kind, x2[kind], *_powers(x2[kind], p)))
-    return g, a, rows
+        w, bp = _powers(x2[kind], p)
+        yield _Term(p, c, kind, x2[kind], w), bp
 
 
-def _residual(grid: DomainGrid, g: np.ndarray, a: np.ndarray, rows, weights) -> np.ndarray:
-    """Nodal residual from the cell gradients, the cell averages and one
-    weight per term: |x|^(p-2) x in the term's cell quantity x (the gradient
-    vector of a "grad" term, the average of an "avg" term), summed with the
-    signs of the form and taken back to the nodes by the adjoint maps."""
+def _weight_sums(rows, weights):
+    """The flux and source weights of the residual, one weight per term
+    summed with the signs of the form over the "grad" and the "avg" terms:
+    w * x is |x|^(p-2) x in the term's cell quantity x (the gradient vector
+    of a "grad" term, the average of an "avg" term)."""
     flux_w = sum(row.c * w for row, w in zip(rows, weights) if row.kind == "grad")
     source_w = sum(row.c * w for row, w in zip(rows, weights) if row.kind == "avg")
-    if np.ndim(flux_w):
-        flux_w = np.expand_dims(flux_w, -(grid.dim + 1))
-    r = discrete_gradient_adjoint(grid, flux_w * g) + node_to_cell_adjoint(grid, source_w * a)
+    return flux_w, source_w
+
+
+def _residual(grid: DomainGrid, maps: np.ndarray, flux_w, source_w) -> np.ndarray:
+    """Nodal residual: the flux weight times each gradient component and the
+    source weight times the average, taken back to the nodes by the adjoint
+    maps.  The pad entries of the maps are zero, so are those of the
+    products."""
+    row_w = [flux_w] * (len(maps) - 1) + [source_w]
+    r = transfer_adjoint(grid, (w * m for w, m in zip(row_w, maps)))
+    r = r.reshape(r.shape[:-1] + grid.node_shape)
     for face in grid.boundary_faces:
         r[face] = 0.0
     return r
@@ -202,13 +227,19 @@ def _kernel(
     grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str, residual: bool
 ):
     """Terms (``TERMS`` order), total and, if ``residual``, the nodal residual
-    of a stack of zero-boundary node fields (leading batch axes)."""
-    g, a, rows = _cell_pass(grid, vals, lam, s, form)
-    terms = [cell_quadrature_values(grid, row.bp / _exponent(row.p)) for row in rows]
+    of a stack of zero-boundary node fields (leading batch axes).  Each term
+    sums a compact copy of b^p / p over the cells."""
+    maps, x2 = _cell_pass(grid, vals)
+    rows, terms = [], []
+    for row, bp in _terms(x2, lam, s, form):
+        rows.append(row)
+        terms.append(cell_quadrature_values(grid, cells(grid, bp) / _exponent(row.p)))
     total = sum(row.c * t for row, t in zip(rows, terms))
     if not residual:
         return terms, total, None
-    return terms, total, _residual(grid, g, a, rows, [row.w for row in rows])
+    flux_w, source_w = _weight_sums(rows, [row.w for row in rows])
+    del rows, x2  # only the weight sums are read from here on
+    return terms, total, _residual(grid, maps, flux_w, source_w)
 
 
 def _evaluate(u: GridFunction, lam: float, s: ExponentSet, form: str, residual: bool):
@@ -259,14 +290,17 @@ class RayEnergy:
     exactly: the cell value (t b)^p is t^p b^p.  Grouping the cells by
     exponent value (:attr:`ExponentField.groups`; a constant field is one
     group) collapses each term into one coefficient per distinct value, from
-    one ``np.bincount`` per term: the ray polynomial :attr:`poly`, with
+    one ``np.bincount`` per term over the flat node layout of the pass (the
+    pad entries fall in one extra group, dropped; a constant field sums a
+    compact copy); b^p itself is not kept.  This is the ray polynomial
+    :attr:`poly`, with
     E(t*u) = sum_k c_k t^p_k and zero coefficients dropped.  The default
     experiment keeps 18 terms at 16^3 nodes against 3375 cells.  The worst
     case is a field whose cell exponents are all distinct: nothing
     compresses, and the cost is one energy pass plus one bincount per term.
 
     :meth:`at` gives the energy report and the residual at t*u from the kept
-    cell arrays: the gradient and the average scale by t and each weight by
+    transfer maps and weights: the maps scale by t and each weight by
     t^(p-2), gathered from the group values, so only the regularized cells
     (p < 2) take a fresh power.  Both agree with :func:`energy_and_gradient`
     of t*u to rounding.  :attr:`gradient_magnitude` and :meth:`modular` read
@@ -277,15 +311,17 @@ class RayEnergy:
         if not u.zero_on_boundary:
             raise ValueError("energy is defined on zero-boundary grid functions")
         self.grid, self.lam, self.form = u.grid, lam, form
-        self._g, self._a, self._rows = _cell_pass(u.grid, u.values, lam, s, form)
-        self._sums = []
-        for row in self._rows:
+        self._maps, x2 = _cell_pass(u.grid, u.values)
+        self._rows, self._sums = [], []
+        for row, bp in _terms(x2, lam, s, form):
+            self._rows.append(row)
             if row.p.is_constant():
-                self._sums.append((np.array([row.p.lo]), np.array([row.bp.sum()])))
+                total = np.ascontiguousarray(cells(self.grid, bp)).sum()
+                self._sums.append((np.array([row.p.lo]), np.array([total])))
             else:
-                values, inverse = row.p.groups
-                sums = np.bincount(inverse, weights=row.bp.reshape(-1), minlength=values.size)
-                self._sums.append((values, sums))
+                values, index = row.p.groups
+                sums = np.bincount(index, weights=bp, minlength=values.size + 1)
+                self._sums.append((values, sums[:-1]))
         expos = np.concatenate([values for values, _ in self._sums])
         coeffs = np.concatenate([
             (self.grid.cell_volume * row.c) * sums / values
@@ -297,7 +333,8 @@ class RayEnergy:
     @property
     def gradient_magnitude(self) -> np.ndarray:
         """|grad u| on each cell, the field of the Sobolev norm of u."""
-        return np.sqrt(next(row.x2 for row in self._rows if row.kind == "grad"))
+        grad2 = next(row.x2 for row in self._rows if row.kind == "grad")
+        return np.sqrt(cells(self.grid, grad2))
 
     def modular(self, term: str, t: float) -> float:
         """Cell integral of base^p of the ``TERMS`` row named ``term`` (an
@@ -313,13 +350,16 @@ class RayEnergy:
         if row.p.is_constant():
             scale = t ** (row.p.lo - 1.0)
         else:
-            values, inverse = row.p.groups
-            scale = np.take(t ** (values - 1.0), inverse).reshape(self.grid.cell_shape)
+            values, index = row.p.groups
+            scale = np.take(np.append(t ** (values - 1.0), 0.0), index)
         w = row.w * scale
         if row.p.lo < 2.0:
-            low = row.p.values < 2.0
-            expo = 0.5 * (row.p.values[low] - 2.0)
-            w[low] = t * ((t * t) * row.x2[low] + REG_EPS * REG_EPS) ** expo
+            if row.p.is_constant():
+                expo = np.full(self.grid.node_count, 0.5 * (row.p.lo - 2.0))
+            else:
+                expo = row.p.flat_half_excess
+            low = expo < 0.0
+            w[low] = t * ((t * t) * row.x2[low] + REG_EPS * REG_EPS) ** expo[low]
         return w
 
     def at(self, t: float) -> tuple[EnergyReport, GridFunction]:
@@ -330,7 +370,7 @@ class RayEnergy:
             weights = [self._weight(row, t) for row in self._rows]
         total = sum(row.c * term for row, term in zip(self._rows, terms))
         fields = {field: term for (field, _, _), term in zip(TERMS, terms)}
-        r = _residual(self.grid, self._g, self._a, self._rows, weights)
+        r = _residual(self.grid, self._maps, *_weight_sums(self._rows, weights))
         rep = EnergyReport(self.form, self.lam, total, **fields)
         return rep, GridFunction(self.grid, r)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ExponentRangeError
 from .fieldexpr import as_field_function
-from .grid import DomainGrid
+from .grid import DomainGrid, cells
 
 __all__ = [
     "ExponentField",
@@ -120,12 +120,26 @@ class ExponentField:
 
     @functools.cached_property
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct cell values and, per cell in flat order, the index of
-        its value (``np.unique`` with ``return_inverse``), computed on first
-        use and kept: the ray polynomials of one field group by it, and the
-        on-ray weights gather from it, on every call."""
+        """The distinct cell values and, on the flat node layout of
+        :func:`grid.transfer`, the index of each cell's value (``np.unique``
+        with ``return_inverse``), with the pad entries in one extra group,
+        ``values.size``.  Computed on first use and kept: the ray
+        polynomials of one field group by it, and the on-ray weights gather
+        from it, on every call."""
         values, inverse = np.unique(self.values, return_inverse=True)
-        return values, inverse.reshape(-1)
+        index = np.full(self.grid.node_count, values.size, dtype=np.intp)
+        cells(self.grid, index)[...] = inverse.reshape(self.grid.cell_shape)
+        return values, index
+
+    @functools.cached_property
+    def flat_half_excess(self) -> np.ndarray:
+        """(p - 2)/2 per cell on the flat node layout of :func:`grid.transfer`,
+        0 on the pad entries: the exponent of the energy weights, computed on
+        first use and kept."""
+        flat = np.zeros(self.grid.node_count)
+        cells(self.grid, flat)[...] = 0.5 * (self.values - 2.0)
+        flat.flags.writeable = False
+        return flat
 
     @functools.cached_property
     def _conjugate(self) -> "ExponentField":

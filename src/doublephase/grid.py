@@ -2,11 +2,18 @@
 
 Scalars live on nodes, integrands and gradients live on cells.  Both transfer
 maps (corner average, averaged forward-difference gradient) are tensor
-products of the per-axis two-point stencils in :attr:`DomainGrid.stencils`,
-applied axis by axis; their adjoints apply the transposed passes, so energies
-are differentiated exactly at the discrete level.  The same table gives the
-DST-I spectrum of the gradient map's Gram operator on interior nodes, hence
-its exact inverse (the Sobolev preconditioner of the descent solvers).
+products of the per-axis two-point stencils in :attr:`DomainGrid.stencils`.
+They run on the flat node layout: each cell value sits at the flat index of
+the cell's lowest corner node, so a pass along axis a is one contiguous
+operation on entries ``DomainGrid.steps[a]`` apart (:func:`transfer`), and
+the node entries with index n_a - 1 on some axis (the pad entries) hold no
+cell.  Their adjoints apply the transposed passes on the same layout
+(:func:`transfer_adjoint`), so energies are differentiated exactly at the
+discrete level.  The compact maps (:func:`node_to_cell_values`,
+:func:`gradient_values` and their adjoints) are read from the same passes.
+The stencil table also gives the DST-I spectrum of the gradient map's Gram
+operator on interior nodes, hence its exact inverse (the Sobolev
+preconditioner of the descent solvers).
 """
 from __future__ import annotations
 
@@ -18,6 +25,10 @@ import numpy as np
 __all__ = [
     "DomainGrid",
     "GridFunction",
+    "transfer",
+    "transfer_adjoint",
+    "cells",
+    "fill_pad",
     "node_to_cell",
     "node_to_cell_values",
     "node_to_cell_adjoint",
@@ -118,6 +129,13 @@ class DomainGrid:
         )
 
     @functools.cached_property
+    def steps(self) -> tuple[int, ...]:
+        """Flat index step of each node axis, step_a = prod_{b > a} res_b:
+        cell (i_1, ..., i_d) sits at sum_a i_a step_a, the flat index of its
+        lowest corner node (:func:`transfer`)."""
+        return tuple(int(np.prod(self.res[a + 1 :])) for a in range(self.dim))
+
+    @functools.cached_property
     def stencils(self) -> tuple[tuple[tuple[float, float], ...], ...]:
         """One row per transfer map of (w_lo, w_hi) stencils, one per axis:
         the corner average (1/2, 1/2) on every axis, then gradient component
@@ -181,58 +199,128 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def _along(axis: int, index) -> tuple:
-    """``index`` on the trailing axis ``axis`` (negative), all of the others."""
-    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
+def cells(grid: DomainGrid, flat: np.ndarray) -> np.ndarray:
+    """The cell entries of an array on the flat node layout (trailing axis of
+    length ``grid.node_count``, each cell at its lowest corner node): a view
+    of shape leading axes + ``grid.cell_shape``."""
+    nodes = flat.reshape(flat.shape[:-1] + grid.node_shape)
+    return nodes[(Ellipsis,) + (slice(0, -1),) * grid.dim]
 
 
-def _apply(x: np.ndarray, row, out=None) -> np.ndarray:
-    """One stencil row on the trailing node axes, one pass per axis: node
-    pairs to edges, w_lo x_lo + w_hi x_hi, as one sum or difference.  A
-    difference axis scales by its w_hi = 1/h in place; the average axes'
-    weights (1/2 each) are applied once, as their product, after the last
-    pass, which writes into ``out`` when given.  Scaling by a power of two
-    commutes with rounding, so the result equals scaling on every pass
-    unless an intermediate is subnormal."""
-    scale = 1.0
-    for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
-        lo, hi = x[_along(axis, slice(0, -1))], x[_along(axis, slice(1, None))]
-        op = np.add if w_lo == w_hi else np.subtract
-        x = op(hi, lo, out=out if axis == -1 else None, dtype=float)
-        if w_lo == w_hi:
-            scale *= w_hi
-        else:
-            x *= w_hi
-    x *= scale
-    return x
+def fill_pad(grid: DomainGrid, flat: np.ndarray, value: float) -> np.ndarray:
+    """Set, in place, the pad entries (node index n_a - 1 on some axis a) of
+    a contiguous array on the flat node layout, by one slice per axis."""
+    nodes = flat.reshape(flat.shape[:-1] + grid.node_shape)
+    for a in range(grid.dim):
+        nodes[(Ellipsis, -1) + (slice(None),) * (grid.dim - 1 - a)] = value
+    return flat
 
 
-def _apply_adjoint(y: np.ndarray, row) -> np.ndarray:
-    """Transpose of :func:`_apply` on the trailing cell axes: per axis, each
-    edge value back to its two nodes; the average weights are applied once,
-    after the last pass, as in :func:`_apply`."""
-    scale = 1.0
-    for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
-        shape = list(y.shape)
-        shape[axis] += 1
-        x = np.empty(shape)
-        lo, hi = y[_along(axis, slice(0, -1))], y[_along(axis, slice(1, None))]
-        op = np.add if w_lo == w_hi else np.subtract
-        op(lo, hi, out=x[_along(axis, slice(1, -1))])
-        x[_along(axis, 0)] = (w_lo / w_hi) * y[_along(axis, 0)]
-        x[_along(axis, -1)] = y[_along(axis, -1)]
-        if w_lo == w_hi:
-            scale *= w_hi
-        else:
-            x *= w_hi
-        y = x
-    y *= scale
-    return y
+def _to_flat(grid: DomainGrid, cell_vals: np.ndarray) -> np.ndarray:
+    """Cell values (leading axes + cell shape) on the flat node layout, zero
+    at the pad entries."""
+    flat = np.zeros(cell_vals.shape[: cell_vals.ndim - grid.dim] + (grid.node_count,))
+    cells(grid, flat)[...] = cell_vals
+    return flat
+
+
+@functools.lru_cache(maxsize=16)
+def _transfer_plan(grid: DomainGrid, rows: tuple[int, ...]) -> tuple:
+    """The passes of :func:`transfer`, worked out once per grid and rows
+    (at 16^3 this bookkeeping took about as long as the passes): per
+    map, in the lexicographic order of its passes, its index in ``rows``,
+    the number of leading passes it shares with the map before it, and per
+    remaining pass (step, op, whether it averages, w_hi, whether it is the
+    last)."""
+    kinds = [tuple(w_lo != w_hi for w_lo, w_hi in grid.stencils[r]) for r in rows]
+    plan, prev = [], ()
+    for k in sorted(range(len(rows)), key=kinds.__getitem__):
+        row = grid.stencils[rows[k]]
+        shared = 0
+        while shared < grid.dim - 1 and row[: shared + 1] == prev[: shared + 1]:
+            shared += 1
+        passes = tuple(
+            (step, np.add if w_lo == w_hi else np.subtract, w_lo == w_hi, w_hi, a == grid.dim - 1)
+            for a, (step, (w_lo, w_hi)) in enumerate(zip(grid.steps, row))
+        )
+        plan.append((k, shared, passes[shared:]))
+        prev = row
+    return tuple(plan)
+
+
+def transfer(grid: DomainGrid, vals: np.ndarray, rows=None) -> np.ndarray:
+    """The maps of the ``grid.stencils`` rows ``rows`` of a node stack
+    (leading batch axes), on the flat node layout: shape (len(rows),) +
+    batch + (node_count,).  The pad entries hold the passes' values across
+    the pad nodes (:func:`fill_pad` sets them).  The default rows are the
+    gradient components 0, 1, ..., then the corner average.
+
+    A pass along axis a pairs the nodes step_a apart in the flattened stack,
+    one contiguous ``x[step_a:] +- x[:-step_a]``; the cells of a batch entry
+    reach the next one only from pad entries.  Rows are taken in the
+    lexicographic order of their passes, so the rows that begin with the same
+    passes share them (9 passes instead of 12 at d = 3).  As in the per-axis
+    form, a difference scales by its w_hi = 1/h in place and the average
+    weights (powers of two) are applied once, after the last pass."""
+    rows = tuple(range(1, grid.dim + 1)) + (0,) if rows is None else tuple(rows)
+    batch = vals.shape[: vals.ndim - grid.dim]
+    x = np.asarray(vals, dtype=float).reshape(-1)
+    valid = x.size - sum(grid.steps)
+    out = np.empty((len(rows), x.size))
+    out[:, valid:] = 0.0
+    path = [(x, 1.0)]  # path[a]: the passes on axes < a, pending scale
+    for k, shared, passes in _transfer_plan(grid, rows):
+        del path[shared + 1 :]
+        y, scale = path[-1]
+        for step, op, average, w_hi, last in passes:
+            y = op(y[step:], y[:-step], out=out[k, :valid] if last else None)
+            if average:
+                scale *= w_hi
+            else:
+                y *= w_hi
+            path.append((y, scale))
+        y *= scale
+    return out.reshape((len(rows),) + batch + (grid.node_count,))
+
+
+def transfer_adjoint(grid: DomainGrid, ys, rows=None) -> np.ndarray:
+    """Transpose of :func:`transfer`: the sum over k of the transposed map of
+    row ``rows[k]`` applied to ``ys[k]``, in that order, as node values on
+    the flat node layout.  Each ``ys[k]`` holds cell values on the flat node
+    layout, zero at the pad entries; ``ys`` may be a generator, so that each
+    is made only when its row is taken.  The ``ys[k]`` serve as scratch
+    space and are overwritten.
+
+    Per axis, each edge value goes back to its two nodes in one contiguous
+    pass ``x[f] = y[f - step] +- y[f]``: the zero pad entries supply the end
+    terms, and the first ``step`` entries take +-y[f] directly."""
+    rows = tuple(range(1, grid.dim + 1)) + (0,) if rows is None else tuple(rows)
+    out = None
+    for k, (y, r) in enumerate(zip(ys, rows)):
+        shape, y = y.shape, y.reshape(-1)
+        if out is None:
+            out, buf = np.empty(y.size), np.empty(y.size)
+        bufs = (buf, y)
+        scale = 1.0
+        for a, (step, (w_lo, w_hi)) in enumerate(zip(grid.steps, grid.stencils[r])):
+            x = out if k == 0 and a == grid.dim - 1 else bufs[a % 2]
+            op = np.add if w_lo == w_hi else np.subtract
+            op(y[:-step], y[step:], out=x[step:])
+            np.multiply(y[:step], w_lo / w_hi, out=x[:step])
+            if w_lo == w_hi:
+                scale *= w_hi
+            else:
+                x *= w_hi
+            y = x
+        y *= scale
+        if k:
+            out += y
+    return out.reshape(shape)
 
 
 def node_to_cell_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
     """Corner average on the trailing node axes (leading axes are batch)."""
-    return _apply(vals, grid.stencils[0])
+    return cells(grid, transfer(grid, vals, rows=(0,))[0]).copy()
 
 
 def node_to_cell(u: GridFunction) -> np.ndarray:
@@ -240,9 +328,11 @@ def node_to_cell(u: GridFunction) -> np.ndarray:
     return node_to_cell_values(u.grid, u.values)
 
 
-def node_to_cell_adjoint(grid: DomainGrid, cells: np.ndarray) -> np.ndarray:
+def node_to_cell_adjoint(grid: DomainGrid, cell_vals: np.ndarray) -> np.ndarray:
     """Transpose of :func:`node_to_cell`: scatter cell scalars to corner nodes."""
-    return _apply_adjoint(cells, grid.stencils[0])
+    batch = cell_vals.shape[: cell_vals.ndim - grid.dim]
+    nodes = transfer_adjoint(grid, [_to_flat(grid, cell_vals)], rows=(0,))
+    return nodes.reshape(batch + grid.node_shape)
 
 
 def gradient_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
@@ -250,20 +340,17 @@ def gradient_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
     inserted right before the cell axes.  Per axis, the mean forward
     difference over the cell's node pairs: exact for affine fields, linear
     in the values."""
-    comps = np.empty(vals.shape[: vals.ndim - grid.dim] + (grid.dim,) + grid.cell_shape)
-    for comp, row in zip(np.moveaxis(comps, -grid.dim - 1, 0), grid.stencils[1:]):
-        _apply(vals, row, out=comp)
-    return comps
+    maps = transfer(grid, vals, rows=range(1, grid.dim + 1))
+    return np.stack([cells(grid, m) for m in maps], axis=-grid.dim - 1)
 
 
 def discrete_gradient_adjoint(grid: DomainGrid, comps: np.ndarray) -> np.ndarray:
     """Transpose of :func:`gradient_values` applied to per-cell vectors."""
-    comps = np.moveaxis(comps, -grid.dim - 1, 0)
-    rows = grid.stencils[1:]
-    out = _apply_adjoint(comps[0], rows[0])
-    for comp, row in zip(comps[1:], rows[1:]):
-        out += _apply_adjoint(comp, row)
-    return out
+    batch = comps.shape[: comps.ndim - grid.dim - 1]
+    flat = _to_flat(grid, comps)
+    comps = [flat[..., a, :] for a in range(grid.dim)]
+    nodes = transfer_adjoint(grid, comps, rows=range(1, grid.dim + 1))
+    return nodes.reshape(batch + grid.node_shape)
 
 
 @functools.lru_cache(maxsize=16)
@@ -277,9 +364,11 @@ def _sine_matrix(n: int) -> np.ndarray:
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalized DST-I along ``axis`` (its own inverse up to 2(n+1)), as
-    a product with the cached sine matrix of that length."""
-    x = np.moveaxis(x, axis, -1)
-    return np.moveaxis(x @ _sine_matrix(x.shape[-1]), -1, axis)
+    a product with the cached sine matrix of that length, on the view that
+    moves ``axis`` last."""
+    perm = [a for a in range(x.ndim) if a != axis] + [axis]
+    back = list(range(axis)) + [x.ndim - 1] + list(range(axis, x.ndim - 1))
+    return (x.transpose(perm) @ _sine_matrix(x.shape[axis])).transpose(back)
 
 
 @functools.lru_cache(maxsize=16)

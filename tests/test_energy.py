@@ -5,8 +5,10 @@ import pytest
 
 from doublephase.energy import (
     REG_EPS,
+    TERMS,
     RayEnergy,
     _powers,
+    coefficients,
     energy_and_gradient,
     eval_energy,
     eval_energy_many,
@@ -14,8 +16,19 @@ from doublephase.energy import (
     ray_energy,
     residual_norm,
 )
-from doublephase.exponents import ExponentField, ExponentSet
-from doublephase.grid import DomainGrid, GridFunction, cell_quadrature, pairing
+from doublephase.exponents import ExponentField, ExponentSet, build_exponent_set
+from doublephase.grid import (
+    DomainGrid,
+    GridFunction,
+    cell_quadrature,
+    cell_quadrature_values,
+    cells,
+    discrete_gradient_adjoint,
+    gradient_values,
+    node_to_cell_adjoint,
+    node_to_cell_values,
+    pairing,
+)
 from doublephase.solvers import SubBox, bump_function
 from doublephase.spaces import sobolev_norm
 
@@ -219,6 +232,154 @@ def test_ray_energy_matches_the_kernel_on_the_ray(set12, rng, kind):
             assert np.max(np.abs(r.values - r_want.values)) <= 1e-12 * np.max(np.abs(r_want.values))
 
 
+# Reference: the energy kernel on compact cell arrays, rebuilt from the
+# public compact maps (grid.gradient_values, grid.node_to_cell_values and their
+# adjoints).  The package runs the kernel on the flat node layout; every
+# number it returns must be bitwise equal to this one.
+
+
+def _compact_powers(x2, p):
+    e = p.lo if p.is_constant() else p.values
+    expo = 0.5 * (e - 2.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if p.is_constant() and e == 2.0:
+            return 1.0, x2
+        if p.is_constant() and e == 4.0:
+            return x2, x2 * x2
+        if p.is_constant() and e < 2.0:
+            return (x2 + REG_EPS * REG_EPS) ** expo, x2 ** (0.5 * e)
+        w = np.power(x2, expo)
+        bp = w * x2
+        if p.lo >= 2.0:
+            return w, bp
+        low = p.values < 2.0
+        x2_low, expo_low = x2[..., low], expo[low]
+        w[..., low] = (x2_low + REG_EPS * REG_EPS) ** expo_low
+        bp[..., low] = x2_low ** (expo_low + 1.0)
+    return w, bp
+
+
+def _compact_pass(grid, vals, lam, s, form):
+    g = gradient_values(grid, vals)
+    a = node_to_cell_values(grid, vals)
+    with np.errstate(over="ignore"):
+        x2 = {"grad": np.sum(g * g, axis=-(grid.dim + 1)), "avg": a * a}
+    rows = []
+    for (_, name, kind), c in zip(TERMS, coefficients(lam, form)):
+        p = getattr(s, name)
+        rows.append((p, c, kind, x2[kind]) + _compact_powers(x2[kind], p))
+    return g, a, rows
+
+
+def _compact_residual(grid, g, a, rows, weights):
+    flux_w = sum(c * w for (_, c, kind, *_), w in zip(rows, weights) if kind == "grad")
+    source_w = sum(c * w for (_, c, kind, *_), w in zip(rows, weights) if kind == "avg")
+    if np.ndim(flux_w):
+        flux_w = np.expand_dims(flux_w, -(grid.dim + 1))
+    r = discrete_gradient_adjoint(grid, flux_w * g) + node_to_cell_adjoint(grid, source_w * a)
+    r[..., grid.boundary_mask()] = 0.0
+    return r
+
+
+def _compact_kernel(grid, vals, lam, s, form):
+    g, a, rows = _compact_pass(grid, vals, lam, s, form)
+    terms = [
+        cell_quadrature_values(grid, bp / (p.lo if p.is_constant() else p.values))
+        for p, _, _, _, _, bp in rows
+    ]
+    total = sum(row[1] * t for row, t in zip(rows, terms))
+    return terms, total, _compact_residual(grid, g, a, rows, [row[4] for row in rows])
+
+
+def _compact_ray(grid, vals, lam, s, form, t):
+    """poly, at(t) (terms, total, residual), gradient magnitude and modulars
+    at t of the ray through vals."""
+    g, a, rows = _compact_pass(grid, vals, lam, s, form)
+    sums, weights = [], []
+    for p, c, kind, x2, w, bp in rows:
+        if p.is_constant():
+            sums.append((np.array([p.lo]), np.array([bp.sum()])))
+            scale = t ** (p.lo - 1.0)
+        else:
+            values, inverse = np.unique(p.values, return_inverse=True)
+            inverse = inverse.reshape(-1)
+            sums.append((values, np.bincount(inverse, weights=bp.reshape(-1), minlength=values.size)))
+            scale = np.take(t ** (values - 1.0), inverse).reshape(grid.cell_shape)
+        w = w * scale
+        if p.lo < 2.0:
+            low = p.values < 2.0
+            expo = 0.5 * (p.values[low] - 2.0)
+            w[low] = t * ((t * t) * x2[low] + REG_EPS * REG_EPS) ** expo
+        weights.append(w)
+    vol = grid.cell_volume
+    expos = np.concatenate([values for values, _ in sums])
+    coeffs = np.concatenate([
+        (vol * row[1]) * total / values for row, (values, total) in zip(rows, sums)
+    ])
+    keep = coeffs != 0.0
+    terms = [vol * float(np.sum(total * t**values / values)) for values, total in sums]
+    at_total = sum(row[1] * term for row, term in zip(rows, terms))
+    modulars = [vol * float(np.sum(total * t**values)) for values, total in sums]
+    return {
+        "poly": (expos[keep], coeffs[keep]),
+        "at": (terms, at_total, _compact_residual(grid, g, a, rows, weights)),
+        "gradient_magnitude": np.sqrt(rows[0][3]),
+        "modular": modulars,
+    }
+
+
+_FLAT_GRIDS = {
+    "16": DomainGrid(3, (16, 16, 16)),
+    # more cells than numpy's reduction buffer (8192), so a sum over a
+    # strided view would differ from the pairwise sum of a compact copy
+    "32": DomainGrid(3, (32, 32, 32)),
+    "9x12x7": DomainGrid(3, (9, 12, 7), (1.3, 0.7, 2.0)),
+    "2d-33x20": DomainGrid(2, (33, 20), (0.5, 3.0)),
+}
+_FLAT_EXPONENTS = {
+    "default": ("2", "2 + 0.5*sin(pi*x1)", "4"),
+    "p1-below-2": ("1.5 + 0.3*x1", "2 + 0.5*sin(pi*x1)", "4"),
+    # every cell value distinct on each grid (2 + 0.5*x1*x2*x3 repeats values
+    # under permutations of the coordinates: 522 distinct of 3375 at 16^3)
+    "all-distinct": ("2", "2 + 0.4*x1 + 0.01*x2 + 0.0003*x3", "4"),
+}
+
+
+@pytest.mark.parametrize("exponents", list(_FLAT_EXPONENTS))
+@pytest.mark.parametrize("grid_id", list(_FLAT_GRIDS))
+def test_flat_kernel_matches_the_compact_reference(grid_id, exponents, rng):
+    grid = _FLAT_GRIDS[grid_id]
+    specs = _FLAT_EXPONENTS[exponents]
+    if grid.dim == 2:
+        specs = tuple(spec.replace(" + 0.0003*x3", "") for spec in specs)
+    s = build_exponent_set(*specs, grid)
+    if exponents == "all-distinct":
+        assert s.p2.groups[0].size == grid.cell_count
+    stack = rng.standard_normal((2,) + grid.node_shape)
+    stack[:, grid.boundary_mask()] = 0.0
+    stack[0][(slice(2, 5),) * grid.dim] = 0.0  # cells with zero gradient and average
+    u = GridFunction(grid, stack[0])
+    for form in ("mountain", "coercive"):
+        terms, total, r = _compact_kernel(grid, u.values, 0.9, s, form)
+        rep, grad = energy_and_gradient(u, 0.9, s, form)
+        assert np.array_equal(rep.terms, terms)
+        assert rep.total == total
+        assert np.array_equal(grad.values, r)
+        _, many, _ = _compact_kernel(grid, stack, 0.9, s, form)
+        assert np.array_equal(eval_energy_many(grid, stack, 0.9, s, form), many)
+        ray = RayEnergy(u, 0.9, s, form)
+        ref = _compact_ray(grid, u.values, 0.9, s, form, 1.3)
+        assert all(np.array_equal(got, want) for got, want in zip(ray.poly, ref["poly"]))
+        at_rep, at_r = ray.at(1.3)
+        ref_terms, ref_total, ref_r = ref["at"]
+        assert np.array_equal(at_rep.terms, ref_terms)
+        assert at_rep.total == ref_total
+        assert np.array_equal(at_r.values, ref_r)
+        assert np.array_equal(ray.gradient_magnitude, ref["gradient_magnitude"])
+        modulars = [ray.modular(field, 1.3) for field, _, _ in TERMS]
+        assert modulars == ref["modular"]
+
+
 def _power_weight_reference(x2, p):
     # the weight before one power per term: both powers, merged per cell
     expo = 0.5 * (p - 2.0)
@@ -231,17 +392,20 @@ def _power_weight_reference(x2, p):
 @pytest.mark.parametrize("exponent", [2.0, 4.0, 3.0, 1.5, "mixed"])
 def test_one_power_weights_match_the_two_power_formulas(rng, exponent):
     grid = DomainGrid(3, (6, 6, 6))
-    x2 = rng.uniform(0.0, 3.0, (2,) + grid.cell_shape) ** 4  # a leading batch axis
+    # a leading batch axis, on the flat node layout of the kernel
+    x2 = rng.uniform(0.0, 3.0, (2,) + grid.node_shape) ** 4
     x2[:, ::2, 1, :] = 0.0
+    x2 = x2.reshape(2, grid.node_count)
     if exponent == "mixed":  # cells below, at and above 2
         exponent = rng.choice([1.5, 1.9, 2.0, 2.3, 3.0, 4.0], grid.cell_shape)
     p = ExponentField.from_values(grid, exponent)
     w, bp = _powers(x2, p)
-    w_ref = _power_weight_reference(x2, p.values)
-    bp_ref = np.sqrt(x2) ** p.values  # the cell value base^p before
+    x2_cells = cells(grid, x2)
+    w_ref = _power_weight_reference(x2_cells, p.values)
+    bp_ref = np.sqrt(x2_cells) ** p.values  # the cell value base^p before
     # zero cells are compared exactly (0, 1 at p = 2, regularized below 2)
-    assert np.allclose(np.broadcast_to(w, x2.shape), w_ref, rtol=1e-14, atol=0.0)
-    assert np.allclose(bp, bp_ref, rtol=1e-14, atol=0.0)
+    assert np.allclose(cells(grid, np.broadcast_to(w, x2.shape)), w_ref, rtol=1e-14, atol=0.0)
+    assert np.allclose(cells(grid, bp), bp_ref, rtol=1e-14, atol=0.0)
 
 
 def test_ray_polynomial_of_the_zero_field(set12):

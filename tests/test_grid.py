@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from doublephase.energy import eval_energy
 from doublephase.exponents import build_exponent_set
 from doublephase.grid import (
-    _along,
     _dst1,
+    _sine_matrix,
     DomainGrid,
     GridFunction,
     cell_quadrature,
@@ -254,6 +254,11 @@ def test_transfer_maps_match_corner_sums(grid, batch, rng):
 # commutes with rounding, so the results must agree bit for bit.
 
 
+def _along(axis, index):
+    """``index`` on the trailing axis ``axis`` (negative), all of the others."""
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
+
+
 def _per_axis(x, row, out=None):
     for axis, (w_lo, w_hi) in zip(range(-len(row), 0), row):
         lo, hi = x[_along(axis, slice(0, -1))], x[_along(axis, slice(1, None))]
@@ -334,6 +339,24 @@ def test_dst1_matches_the_fft_formula(n, rng):
         ref = _dst1_by_fft(x, axis)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _dst1_by_moveaxis(x, axis):
+    # the sine-matrix product on np.moveaxis views
+    y = np.moveaxis(x, axis, -1)
+    return np.moveaxis(y @ _sine_matrix(y.shape[-1]), -1, axis)
+
+
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batch2"])
+@pytest.mark.parametrize(
+    "shape", [(14, 14, 14), (30, 30, 30), (46, 46, 46), (7, 10, 5), (31, 18)],
+    ids=["16", "32", "48", "9x12x7", "2d-33x20"],
+)
+def test_dst1_is_the_moveaxis_product(shape, batch, rng):
+    # interior-node blocks of the grids, as gradient_gram_inverse passes them
+    x = rng.standard_normal(batch + shape)
+    for axis in range(len(batch), x.ndim):
+        assert np.array_equal(_dst1(x, axis), _dst1_by_moveaxis(x, axis))
 
 
 def test_pairing_symmetry(rng):

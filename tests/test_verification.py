@@ -250,15 +250,17 @@ def test_coercivity_matches_the_cell_passes(p2):
 
 
 def test_coercivity_takes_one_gradient_pass_per_sample(s8, monkeypatch):
+    # every gradient, the compact one of grid.gradient_values included, is
+    # taken by grid.transfer
     calls = []
-    gradient_values = doublephase.grid.gradient_values
+    transfer = doublephase.grid.transfer
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return gradient_values(*args)
+        return transfer(*args, **kwargs)
 
-    for module in (doublephase.grid, doublephase.energy, doublephase.spaces):
-        monkeypatch.setattr(module, "gradient_values", counted)
+    for module in (doublephase.grid, doublephase.energy):
+        monkeypatch.setattr(module, "transfer", counted)
     check_coercivity(1.0, s8, n_samples=7, seed=0)
     assert len(calls) == 7
 
