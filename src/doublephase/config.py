@@ -1,11 +1,15 @@
 """Experiment configuration: INI-style sections, strict validation.
 
 Every solver-facing default lives here; a config file overrides fields
-selectively.  Parse failures carry the file line when it can be located.
+selectively.  Parse failures carry the file line when it can be located, and
+a key the loader does not read (a misspelling, a retired setting) is named in
+a ``UserWarning`` with its line, section and key.
 """
 from __future__ import annotations
 
 import configparser
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,13 +91,14 @@ def _line_of(path: Path, section: str, key: str) -> str:
         stripped = line.strip()
         if stripped.startswith("["):
             in_section = stripped == f"[{section}]"
-        elif in_section and stripped.split("=")[0].strip() == key:
+        elif in_section and re.split("[=:]", stripped)[0].strip().lower() == key:
             return f"{path}:{i}: "
     return f"{path}: "
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:
-    """Read an INI config; missing file fields keep their defaults."""
+    """Read an INI config; missing file fields keep their defaults.  Each key
+    of the file that sets no field is named in one ``UserWarning``."""
     cfg = ExperimentConfig()
     if path is None:
         return cfg
@@ -106,7 +111,10 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    read = set()
+
     def take(section, key, conv, setter):
+        read.add((section, key))
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
@@ -173,6 +181,8 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     take("sampling", "seed", int, setattr_("seed"))
     take("output", "dir", str, setattr_("out_dir"))
 
+    _warn_unread(path, parser, read)
+
     # eager validation so bad expressions fail at load time with a location
     for key in ("p1", "p2", "q"):
         try:
@@ -194,3 +204,22 @@ def _set_lam_grid(cfg: ExperimentConfig, v):
     cfg.lam_grid_lo, cfg.lam_grid_hi, cfg.lam_grid_count = v[0], v[1], int(v[2])
     if cfg.lam_grid_lo <= 0 or cfg.lam_grid_hi <= cfg.lam_grid_lo or cfg.lam_grid_count < 2:
         raise ValueError("lambda_grid needs 0 < lo < hi and count >= 2")
+
+
+def _warn_unread(path: Path, parser: configparser.ConfigParser, read: set):
+    """One ``UserWarning`` per key of the file that no setting reads; a
+    ``[DEFAULT]`` key counts as read when some section's key of that name is."""
+    defaults = set(parser.defaults())
+    taken = {key for _, key in read}
+    unread = [(configparser.DEFAULTSECT, key) for key in defaults if key not in taken]
+    for section in parser.sections():
+        unread += [
+            (section, key) for key in parser.options(section)
+            if key not in defaults and (section, key) not in read
+        ]
+    for section, key in unread:
+        warnings.warn(
+            f"{_line_of(path, section, key)}unread key [{section}] {key}: no setting reads it",
+            UserWarning,
+            stacklevel=3,
+        )

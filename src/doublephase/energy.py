@@ -11,7 +11,13 @@ axes) through the corner-average and cell-gradient maps once
 request, the nodal residual.  It works on the flat node layout of those
 maps: the squared bases, the powers and the residual weights are flat
 arrays, the pad entries (no cell) are cleared before the adjoint maps, and
-each term sums a compact copy of its cell values.  Each term takes one
+each term sums a compact copy of its cell values.  A pass keeps the maps,
+the two squared bases and the flux and source weights of the residual; the
+rows of ``TERMS`` come one at a time, and each frees what it made as soon
+as it is read: b^p once summed, the row's weight once added into the flux
+or source weight, a squared base after the last row of its kind.  The
+residual then weights the maps in place, so at 32^3 nodes a pass with its
+residual peaks near 9 node arrays above entry.  Each term takes one
 power per cell, of the squared base x2: the weight x2^((p-2)/2) of the
 residual, whose product with x2 is the cell value base^p (p < 2 cells,
 regularized, take a second; constant p = 2 and p = 4 take none).  The
@@ -123,16 +129,17 @@ class EnergyReport:
 
 
 class _Term(NamedTuple):
-    """One row of ``TERMS`` on a cell pass: the exponent field, the signed
-    coefficient, the base kind, the squared cell base x2 (|grad u|^2 or the
-    squared corner average) and the weight w, on the flat node layout of
-    :func:`grid.transfer`."""
+    """One row of ``TERMS`` on a :class:`RayEnergy` pass: the exponent
+    field, the signed coefficient, the base kind, the weight w on the flat
+    node layout of :func:`grid.transfer`, and the squared cell base x2
+    (|grad u|^2 or the squared corner average) where the weight at t*u reads
+    it: on the regularized cells of a row with ``p.lo < 2``, else None."""
 
     p: ExponentField
     c: float
     kind: str
-    x2: np.ndarray
     w: np.ndarray | float
+    x2: np.ndarray | None
 
 
 def _exponent(p: ExponentField):
@@ -146,9 +153,10 @@ def _powers(x2: np.ndarray, p: ExponentField):
 
     w * x is the derivative of |x|^p / p in the cell quantity x, with the
     extension by 0 at x = 0 for p >= 2 (0^0 = 1 covers p = 2).  A constant
-    field takes p = 2 and p = 4 as products, without a power.  Cells with
-    p < 2 take the weight of x2 + REG_EPS^2 and the value x2^(p/2) by a
-    second power; that masked work is skipped when ``p.lo >= 2``.
+    field takes p = 2 and p = 4 as products, without a power (p = 4 returns
+    x2 itself as w).  Cells with p < 2 take the weight of x2 + REG_EPS^2 and
+    the value x2^(p/2) by a second power; that masked work is skipped when
+    ``p.lo >= 2``.
     """
     # 0^expo is inf on the p < 2 cells with x2 = 0; they are overwritten
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -174,49 +182,65 @@ def _powers(x2: np.ndarray, p: ExponentField):
     return w, bp
 
 
+def _squared_gradient(maps: np.ndarray) -> np.ndarray:
+    """|grad u|^2 from the gradient components of :func:`_cell_pass`'s maps,
+    a fresh array."""
+    with np.errstate(over="ignore"):
+        grad2 = np.multiply(maps[0], maps[0])
+        for comp in maps[1:-1]:
+            grad2 += comp * comp
+    return grad2
+
+
 def _cell_pass(grid: DomainGrid, vals: np.ndarray):
     """One pass of a node stack (leading batch axes) through the transfer
     maps (:func:`grid.transfer`, the gradient components then the average),
-    zero at the pad entries, and the squared cell bases of the two kinds."""
+    zero at the pad entries, and the squared cell bases of the two kinds,
+    two fresh arrays."""
     maps = fill_pad(grid, transfer(grid, vals), 0.0)
-    g, a = maps[:-1], maps[-1]
-    squares = np.empty((2,) + a.shape)
     with np.errstate(over="ignore"):
-        np.multiply(g[0], g[0], out=squares[0])
-        for comp in g[1:]:
-            squares[0] += comp * comp
-        np.multiply(a, a, out=squares[1])
+        x2 = {"grad": _squared_gradient(maps), "avg": maps[-1] * maps[-1]}
     # a pad base of 1 keeps the powers off their slow path for 0
-    fill_pad(grid, squares, 1.0)
-    return maps, {"grad": squares[0], "avg": squares[1]}
+    for squares in x2.values():
+        fill_pad(grid, squares, 1.0)
+    return maps, x2
 
 
-def _terms(x2: dict, lam: float, s: ExponentSet, form: str):
-    """One :class:`_Term` per row of ``TERMS``, each with its cell values
-    b^p, made one row at a time so the caller can reduce b^p and drop it."""
-    for (_, name, kind), c in zip(TERMS, coefficients(lam, form)):
+def _row_powers(x2: dict, lam: float, s: ExponentSet, form: str):
+    """Per row of ``TERMS``: its exponent field, coefficient, base kind,
+    weight w and cell values b^p (:func:`_powers`), made one row at a time so
+    the caller can reduce b^p and drop it before the next row is made.  Each
+    squared base leaves ``x2`` after the last row of its kind."""
+    kinds = [kind for _, _, kind in TERMS]
+    for i, ((_, name, kind), c) in enumerate(zip(TERMS, coefficients(lam, form))):
         p = getattr(s, name)
-        w, bp = _powers(x2[kind], p)
-        yield _Term(p, c, kind, x2[kind], w), bp
+        yield (p, c, kind, *_powers(x2[kind], p))
+        if kind not in kinds[i + 1 :]:
+            del x2[kind]
 
 
-def _weight_sums(rows, weights):
-    """The flux and source weights of the residual, one weight per term
-    summed with the signs of the form over the "grad" and the "avg" terms:
-    w * x is |x|^(p-2) x in the term's cell quantity x (the gradient vector
-    of a "grad" term, the average of an "avg" term)."""
-    flux_w = sum(row.c * w for row, w in zip(rows, weights) if row.kind == "grad")
-    source_w = sum(row.c * w for row, w in zip(rows, weights) if row.kind == "avg")
-    return flux_w, source_w
+def _add(acc, term):
+    """acc + term, as ``sum`` adds its items, in the array of ``term`` when
+    it is one (a fresh array of the caller's)."""
+    if isinstance(term, np.ndarray):
+        term += acc
+        return term
+    return acc + term
 
 
-def _residual(grid: DomainGrid, maps: np.ndarray, flux_w, source_w) -> np.ndarray:
-    """Nodal residual: the flux weight times each gradient component and the
-    source weight times the average, taken back to the nodes by the adjoint
-    maps.  The pad entries of the maps are zero, so are those of the
-    products."""
-    row_w = [flux_w] * (len(maps) - 1) + [source_w]
-    r = transfer_adjoint(grid, (w * m for w, m in zip(row_w, maps)))
+def _residual(grid: DomainGrid, maps: np.ndarray, weights: dict, in_place: bool) -> np.ndarray:
+    """Nodal residual: the flux weight ``weights["grad"]`` times each
+    gradient component and the source weight ``weights["avg"]`` times the
+    average, taken back to the nodes by the adjoint maps.  Each weight sums
+    c * w over the rows of its kind, w * x being |x|^(p-2) x in the row's
+    cell quantity x (the gradient vector of a "grad" row, the average of an
+    "avg" row).  The products are made one at a time, into the maps
+    themselves when ``in_place`` (the adjoint then uses them as scratch).
+    The pad entries of the maps are zero, so are those of the products."""
+    row_w = [weights["grad"]] * (len(maps) - 1) + [weights["avg"]]
+    r = transfer_adjoint(
+        grid, (np.multiply(m, w, out=m if in_place else None) for w, m in zip(row_w, maps))
+    )
     r = r.reshape(r.shape[:-1] + grid.node_shape)
     for face in grid.boundary_faces:
         r[face] = 0.0
@@ -227,19 +251,26 @@ def _kernel(
     grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str, residual: bool
 ):
     """Terms (``TERMS`` order), total and, if ``residual``, the nodal residual
-    of a stack of zero-boundary node fields (leading batch axes).  Each term
-    sums a compact copy of b^p / p over the cells."""
+    of a stack of zero-boundary node fields (leading batch axes).
+
+    Each row sums a compact copy of b^p / p over the cells and drops b^p;
+    its signed weight c * w is added into the flux ("grad" rows) or the
+    source ("avg" rows) weight and dropped, so one row's powers are alive at
+    a time, and each squared base goes after the last row of its kind.  The
+    residual weights the kernel's own maps in place and takes them back to
+    the nodes."""
     maps, x2 = _cell_pass(grid, vals)
-    rows, terms = [], []
-    for row, bp in _terms(x2, lam, s, form):
-        rows.append(row)
-        terms.append(cell_quadrature_values(grid, cells(grid, bp) / _exponent(row.p)))
-    total = sum(row.c * t for row, t in zip(rows, terms))
+    terms, weights = [], {"grad": 0, "avg": 0}
+    for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
+        terms.append(cell_quadrature_values(grid, cells(grid, bp) / _exponent(p)))
+        del bp
+        if residual:
+            weights[kind] = _add(weights[kind], c * w)
+        del w
+    total = sum(c * t for c, t in zip(coefficients(lam, form), terms))
     if not residual:
         return terms, total, None
-    flux_w, source_w = _weight_sums(rows, [row.w for row in rows])
-    del rows, x2  # only the weight sums are read from here on
-    return terms, total, _residual(grid, maps, flux_w, source_w)
+    return terms, total, _residual(grid, maps, weights, in_place=True)
 
 
 def _evaluate(u: GridFunction, lam: float, s: ExponentSet, form: str, residual: bool):
@@ -292,19 +323,26 @@ class RayEnergy:
     group) collapses each term into one coefficient per distinct value, from
     one ``np.bincount`` per term over the flat node layout of the pass (the
     pad entries fall in one extra group, dropped; a constant field sums a
-    compact copy); b^p itself is not kept.  This is the ray polynomial
-    :attr:`poly`, with
+    compact copy).  This is the ray polynomial :attr:`poly`, with
     E(t*u) = sum_k c_k t^p_k and zero coefficients dropped.  The default
     experiment keeps 18 terms at 16^3 nodes against 3375 cells.  The worst
     case is a field whose cell exponents are all distinct: nothing
     compresses, and the cost is one energy pass plus one bincount per term.
 
-    :meth:`at` gives the energy report and the residual at t*u from the kept
-    transfer maps and weights: the maps scale by t and each weight by
-    t^(p-2), gathered from the group values, so only the regularized cells
-    (p < 2) take a fresh power.  Both agree with :func:`energy_and_gradient`
-    of t*u to rounding.  :attr:`gradient_magnitude` and :meth:`modular` read
-    the same pass for the norms and modulars of the verify battery.
+    The pass keeps the transfer maps, each row's weight w (for p = 4 the
+    squared base itself, for p = 2 the scalar 1), the squared bases only
+    where a row with p < 2 reads them, and the group sums; b^p is dropped
+    once summed, and so is every other squared base.  :meth:`at` gives the
+    energy report and the residual at t*u from the kept maps and weights:
+    the maps scale by t and each weight by t^(p-2), gathered from the group
+    values, so only the regularized cells (p < 2) take a fresh power; it
+    holds one gathered weight at a time besides the flux and source sums,
+    and one weighted map at a time in the adjoint.  Both agree with
+    :func:`energy_and_gradient` of t*u to rounding.  On the default
+    exponents the pass keeps 7 node arrays, and :meth:`at` peaks near 5
+    more.  :attr:`gradient_magnitude` (|grad u|^2 taken again from the
+    maps), :attr:`corner_average` and :meth:`modular` read the same pass for
+    the norms and modulars of the verify battery.
     """
 
     def __init__(self, u: GridFunction, lam: float, s: ExponentSet, form: str):
@@ -313,15 +351,16 @@ class RayEnergy:
         self.grid, self.lam, self.form = u.grid, lam, form
         self._maps, x2 = _cell_pass(u.grid, u.values)
         self._rows, self._sums = [], []
-        for row, bp in _terms(x2, lam, s, form):
-            self._rows.append(row)
-            if row.p.is_constant():
+        for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
+            self._rows.append(_Term(p, c, kind, w, x2[kind] if p.lo < 2.0 else None))
+            if p.is_constant():
                 total = np.ascontiguousarray(cells(self.grid, bp)).sum()
-                self._sums.append((np.array([row.p.lo]), np.array([total])))
+                self._sums.append((np.array([p.lo]), np.array([total])))
             else:
-                values, index = row.p.groups
+                values, index = p.groups
                 sums = np.bincount(index, weights=bp, minlength=values.size + 1)
                 self._sums.append((values, sums[:-1]))
+            del bp
         expos = np.concatenate([values for values, _ in self._sums])
         coeffs = np.concatenate([
             (self.grid.cell_volume * row.c) * sums / values
@@ -333,8 +372,13 @@ class RayEnergy:
     @property
     def gradient_magnitude(self) -> np.ndarray:
         """|grad u| on each cell, the field of the Sobolev norm of u."""
-        grad2 = next(row.x2 for row in self._rows if row.kind == "grad")
-        return np.sqrt(cells(self.grid, grad2))
+        return np.sqrt(cells(self.grid, _squared_gradient(self._maps)))
+
+    @property
+    def corner_average(self) -> np.ndarray:
+        """The corner average of u on each cell, bitwise
+        :func:`grid.node_to_cell` of u."""
+        return cells(self.grid, self._maps[-1]).copy()
 
     def modular(self, term: str, t: float) -> float:
         """Cell integral of base^p of the ``TERMS`` row named ``term`` (an
@@ -346,31 +390,35 @@ class RayEnergy:
             return self.grid.cell_volume * float(np.sum(sums * t**values))
 
     def _weight(self, row: _Term, t: float):
-        """Weight of ``row`` at t*u times t, the scale of its cell quantity."""
-        if row.p.is_constant():
-            scale = t ** (row.p.lo - 1.0)
-        else:
-            values, index = row.p.groups
-            scale = np.take(np.append(t ** (values - 1.0), 0.0), index)
-        w = row.w * scale
-        if row.p.lo < 2.0:
+        """Signed weight c * w of ``row`` at t*u times t, the scale of its
+        cell quantity, in a fresh array when it is one."""
+        with np.errstate(over="ignore"):
             if row.p.is_constant():
-                expo = np.full(self.grid.node_count, 0.5 * (row.p.lo - 2.0))
+                w = row.w * t ** (row.p.lo - 1.0)
             else:
-                expo = row.p.flat_half_excess
-            low = expo < 0.0
-            w[low] = t * ((t * t) * row.x2[low] + REG_EPS * REG_EPS) ** expo[low]
-        return w
+                values, index = row.p.groups
+                w = np.take(np.append(t ** (values - 1.0), 0.0), index)
+                w *= row.w
+            if row.x2 is not None:
+                if row.p.is_constant():
+                    expo = np.full(self.grid.node_count, 0.5 * (row.p.lo - 2.0))
+                else:
+                    expo = row.p.flat_half_excess
+                low = expo < 0.0
+                w[low] = t * ((t * t) * row.x2[low] + REG_EPS * REG_EPS) ** expo[low]
+        return row.c * w if np.ndim(w) == 0 else np.multiply(w, row.c, out=w)
 
     def at(self, t: float) -> tuple[EnergyReport, GridFunction]:
         """Energy report and residual of t*u, for t > 0."""
         vol = self.grid.cell_volume
         with np.errstate(over="ignore"):
             terms = [vol * float(np.sum(sums * t**values / values)) for values, sums in self._sums]
-            weights = [self._weight(row, t) for row in self._rows]
+        weights = {"grad": 0, "avg": 0}
+        for row in self._rows:
+            weights[row.kind] = _add(weights[row.kind], self._weight(row, t))
         total = sum(row.c * term for row, term in zip(self._rows, terms))
         fields = {field: term for (field, _, _), term in zip(TERMS, terms)}
-        r = _residual(self.grid, self._maps, *_weight_sums(self._rows, weights))
+        r = _residual(self.grid, self._maps, weights, in_place=False)
         rep = EnergyReport(self.form, self.lam, total, **fields)
         return rep, GridFunction(self.grid, r)
 

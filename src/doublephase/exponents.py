@@ -42,9 +42,12 @@ def _dense_axes(grid: DomainGrid) -> list[np.ndarray]:
 
 
 def _sample(fn, axes: list[np.ndarray]) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
+    """``fn`` on the lattice of ``axes``, evaluated on a sparse (broadcast)
+    mesh as in :func:`_dense_ranges`, so only the result takes the full
+    shape."""
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     out = np.asarray(fn(*mesh), dtype=float)
-    return np.broadcast_to(out, mesh[0].shape).copy()
+    return np.broadcast_to(out, tuple(len(ax) for ax in axes)).copy()
 
 
 def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]:
@@ -190,7 +193,9 @@ class ExponentSet:
 
 
 def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSet:
-    """Sample the three exponent specs; derive the pointwise max field.
+    """Sample the three exponent specs; derive the pointwise max field.  When
+    p2 (else p1) has the values and the summaries of the max, ``pmax`` is
+    that field itself.
 
     Raises ExponentRangeError if any sampled value (cells or dense lattice)
     is <= 1.
@@ -212,12 +217,15 @@ def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSe
             )
         fields[name] = ExponentField(grid, cells, lo, hi)
     pm_cells = np.maximum(fields["p1"].values, fields["p2"].values)
-    pmax = ExponentField(
-        grid,
-        pm_cells,
-        float(min(pm_cells.min(), dense["pmax"][0])),
-        float(max(pm_cells.max(), dense["pmax"][1])),
-    )
+    lo = float(min(pm_cells.min(), dense["pmax"][0]))
+    hi = float(max(pm_cells.max(), dense["pmax"][1]))
+    # a field equal to the max (p2 >= p1 everywhere, as by default) is the
+    # max, with its caches: no second copy, grouping or weight exponent
+    for pmax in (fields["p2"], fields["p1"]):
+        if (pmax.lo, pmax.hi) == (lo, hi) and np.array_equal(pmax.values, pm_cells):
+            break
+    else:
+        pmax = ExponentField(grid, pm_cells, lo, hi)
     return ExponentSet(fields["p1"], fields["p2"], pmax, fields["q"])
 
 

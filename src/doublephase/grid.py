@@ -288,15 +288,16 @@ def transfer_adjoint(grid: DomainGrid, ys, rows=None) -> np.ndarray:
     row ``rows[k]`` applied to ``ys[k]``, in that order, as node values on
     the flat node layout.  Each ``ys[k]`` holds cell values on the flat node
     layout, zero at the pad entries; ``ys`` may be a generator, so that each
-    is made only when its row is taken.  The ``ys[k]`` serve as scratch
-    space and are overwritten.
+    is made only when its row is taken and dropped before the next one is
+    made.  The ``ys[k]`` serve as scratch space and are overwritten.
 
     Per axis, each edge value goes back to its two nodes in one contiguous
     pass ``x[f] = y[f - step] +- y[f]``: the zero pad entries supply the end
     terms, and the first ``step`` entries take +-y[f] directly."""
     rows = tuple(range(1, grid.dim + 1)) + (0,) if rows is None else tuple(rows)
-    out = None
-    for k, (y, r) in enumerate(zip(ys, rows)):
+    out, ys = None, iter(ys)
+    for k, r in enumerate(rows):
+        y = next(ys)
         shape, y = y.shape, y.reshape(-1)
         if out is None:
             out, buf = np.empty(y.size), np.empty(y.size)
@@ -315,6 +316,7 @@ def transfer_adjoint(grid: DomainGrid, ys, rows=None) -> np.ndarray:
         y *= scale
         if k:
             out += y
+        del y, bufs  # so that ys[k] is freed before ys[k + 1] is made
     return out.reshape(shape)
 
 

@@ -415,7 +415,8 @@ def _ray_peak(z: GridFunction, lam, s):
         t = float(np.exp(x))
     if not (math.isfinite(value) and 0.0 < t < math.inf):
         raise PathCollapseError(f"no ray peak found: log t = {x:.3e}, log(P/N) = {value:.3e}")
-    return (t * z, *ray.at(t))
+    rep, g = ray.at(t)
+    return t * z, rep, g
 
 
 def mountain_pass(

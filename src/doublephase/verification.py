@@ -19,7 +19,7 @@ import numpy as np
 from .energy import RayEnergy, ray_energy
 from .errors import DoublePhaseError, HypothesisGateError, SphereGeometryError
 from .exponents import ExponentField, ExponentSet, validate_hypotheses
-from .grid import GridFunction, node_to_cell
+from .grid import GridFunction
 from .solvers import SubBox, bump_function
 from .spaces import (
     check_holder,
@@ -199,10 +199,10 @@ def check_mp_geometry(
 
     The sphere of radius eta meets the ray of a direction d at
     t = eta / |d|, so all radii are scanned on the directions' ray
-    polynomials; one :class:`RayEnergy` pass per direction gives both the
-    polynomial and the gradient magnitude of the norm |d|.  The reported
-    level alpha is the scan's minimum over the directions at the chosen
-    radius.
+    polynomials; one :class:`RayEnergy` pass per direction gives the
+    polynomial, the gradient magnitude of the norm |d| and the corner
+    average of the q-norms of d.  The reported level alpha is the scan's
+    minimum over the directions at the chosen radius.
 
     The scalar barrier profile g(t) = beta - gamma t^a - delta t^b, with
     a = q.hi - pmax.hi and b = q.lo - pmax.hi (both positive under the
@@ -224,7 +224,7 @@ def check_mp_geometry(
         ray = RayEnergy(d, lam, s, "mountain")
         nm, _ = luxemburg_norm_cells(grid, ray.gradient_magnitude, s.pmax)
         scans.append(ray_energy(ray.poly, _ETA_GRID / nm))
-        avg = node_to_cell(d)
+        avg = ray.corner_average
         nqhi, _ = luxemburg_norm_cells(grid, avg, qhi_field)
         nqlo, _ = luxemburg_norm_cells(grid, avg, qlo_field)
         c1_samples.append(nm / nqhi)

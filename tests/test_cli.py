@@ -54,6 +54,26 @@ def test_config_round_trip(small_cfg):
     assert grid.node_count == 512
 
 
+def test_config_names_each_unread_key(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("[grid]\nress = 8\n\n[solver]\ntolerance = 1e-12\nmax_iters = 3\n")
+    with pytest.warns(UserWarning) as record:
+        cfg = load_config(path)
+    messages = [str(w.message) for w in record]
+    assert messages == [
+        f"{path}:2: unread key [grid] ress: no setting reads it",
+        f"{path}:5: unread key [solver] tolerance: no setting reads it",
+        f"{path}:6: unread key [solver] max_iters: no setting reads it",
+    ]
+    assert (cfg.res, cfg.tol, cfg.max_iter) == ((16, 16, 16), 1e-6, 5000)
+
+
+def test_shipped_config_loads_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_config(Path(__file__).parents[1] / "scripts" / "default.cfg")
+
+
 def test_config_malformed_expression(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[exponents]\np2 = 2+\n")

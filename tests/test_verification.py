@@ -7,10 +7,10 @@ import doublephase.energy
 import doublephase.grid
 import doublephase.spaces
 import doublephase.verification
-from doublephase.energy import eval_energy
+from doublephase.energy import RayEnergy, eval_energy
 from doublephase.errors import HypothesisGateError, SphereGeometryError
 from doublephase.exponents import build_exponent_set, validate_hypotheses
-from doublephase.grid import DomainGrid
+from doublephase.grid import DomainGrid, node_to_cell
 from doublephase.outputs import jsonable
 from doublephase.solvers import SubBox, bump_function
 from doublephase.spaces import modular, sobolev_norm
@@ -263,6 +263,36 @@ def test_coercivity_takes_one_gradient_pass_per_sample(s8, monkeypatch):
         monkeypatch.setattr(module, "transfer", counted)
     check_coercivity(1.0, s8, n_samples=7, seed=0)
     assert len(calls) == 7
+
+
+def test_mp_geometry_takes_one_pass_per_direction(s8, monkeypatch):
+    # the norm field, the polynomial and the corner average of a direction
+    # all come from its RayEnergy pass
+    calls = []
+    transfer = doublephase.grid.transfer
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return transfer(*args, **kwargs)
+
+    for module in (doublephase.grid, doublephase.energy):
+        monkeypatch.setattr(module, "transfer", counted)
+    check_mp_geometry(1.0, s8, n_directions=5, seed=2)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [DomainGrid(3, (16, 16, 16)), DomainGrid(3, (9, 12, 7), (1.3, 0.7, 2.0)), DomainGrid(2, (33, 20))],
+    ids=["16", "9x12x7", "2d-33x20"],
+)
+def test_ray_corner_average_is_node_to_cell_bitwise(grid):
+    s = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "4", grid)
+    d = _random_direction(grid, np.random.default_rng(4))
+    avg = RayEnergy(d, 1.0, s, "mountain").corner_average
+    want = node_to_cell(d)
+    assert avg.shape == want.shape and avg.flags.c_contiguous
+    assert avg.tobytes() == want.tobytes()
 
 
 def test_mp_geometry_alpha_is_the_sphere_minimum(s8):
