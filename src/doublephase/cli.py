@@ -87,7 +87,7 @@ def _hyp_reports(exps):
     }
 
 
-def _gate_or_fail(cfg, out_dir, exps, form: str, hyps) -> bool:
+def _gate_or_fail(cfg, out_dir, form: str, hyps) -> bool:
     if hyps[form].passed or cfg.override_hypotheses:
         return True
     write_json(out_dir / "hypothesis_reports.json", hyps)
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
 def cmd_lambda_star(args) -> int:
     cfg, out_dir, grid, exps = _prepare(args)
     hyps = _hyp_reports(exps)
-    if not _gate_or_fail(cfg, out_dir, exps, "coercive", hyps):
+    if not _gate_or_fail(cfg, out_dir, "coercive", hyps):
         return EXIT_FAIL
     bump = bump_function(grid, cfg.t0, cfg.bump_box())
     report = lambda_star_search(exps, bump, cfg.lam_grid())
@@ -145,7 +145,7 @@ def cmd_lambda_star(args) -> int:
 def cmd_solve_min(args) -> int:
     cfg, out_dir, grid, exps = _prepare(args)
     hyps = _hyp_reports(exps)
-    if not _gate_or_fail(cfg, out_dir, exps, "coercive", hyps):
+    if not _gate_or_fail(cfg, out_dir, "coercive", hyps):
         return EXIT_FAIL
     bump = bump_function(grid, cfg.t0, cfg.bump_box())
     star = lambda_star_search(exps, bump, cfg.lam_grid())
@@ -187,7 +187,7 @@ def cmd_solve_min(args) -> int:
 def cmd_solve_mp(args) -> int:
     cfg, out_dir, grid, exps = _prepare(args)
     hyps = _hyp_reports(exps)
-    if not _gate_or_fail(cfg, out_dir, exps, "mountain", hyps):
+    if not _gate_or_fail(cfg, out_dir, "mountain", hyps):
         return EXIT_FAIL
     lam = cfg.lam if cfg.lam is not None else 1.0
     seeds = [bump_function(grid, cfg.seed_t0, box).fn for box in cfg.seed_boxes()]

@@ -141,11 +141,6 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         cfg.seed_centers = ((0.3,) * cfg.dim, (0.7,) * cfg.dim)
     take("grid", "res", _ints, lambda v: setattr(cfg, "res", v if len(v) > 1 else v * cfg.dim))
     take("grid", "extent", _floats, lambda v: setattr(cfg, "extent", v if len(v) > 1 else v * cfg.dim))
-    for key, value in (("res", cfg.res), ("extent", cfg.extent)):
-        if len(value) != cfg.dim:
-            raise ConfigError(
-                f"{_line_of(path, 'grid', key)}{key} has {len(value)} entries for dim {cfg.dim}"
-            )
 
     take("exponents", "p1", str, setattr_("p1"))
     take("exponents", "p2", str, setattr_("p2"))
@@ -174,6 +169,14 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     )
     take("mountain", "seed_side", float, setattr_("seed_side"))
     take("mountain", "seed_t0", float, setattr_("seed_t0"))
+    sized = [("grid", "res", cfg.res), ("grid", "extent", cfg.extent)]
+    sized += [("bump", "center", cfg.bump_center)]
+    sized += [("mountain", "seed_centers", center) for center in cfg.seed_centers]
+    for section, key, value in sized:
+        if len(value) != cfg.dim:
+            raise ConfigError(
+                f"{_line_of(path, section, key)}{key} has {len(value)} entries for dim {cfg.dim}"
+            )
 
     take("solver", "tol", float, setattr_("tol"))
     take("solver", "max_iter", int, setattr_("max_iter"))

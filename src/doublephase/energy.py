@@ -142,11 +142,6 @@ class _Term(NamedTuple):
     x2: np.ndarray | None
 
 
-def _exponent(p: ExponentField):
-    """The scalar exponent of a constant field, else the cell values."""
-    return p.lo if p.is_constant() else p.values
-
-
 def _powers(x2: np.ndarray, p: ExponentField):
     """Weight w = x2^((p-2)/2) and cell value b^p = w * x2 of one term, from
     one power of the squared base x2 = b^2 on the flat node layout.
@@ -262,7 +257,7 @@ def _kernel(
     maps, x2 = _cell_pass(grid, vals)
     terms, weights = [], {"grad": 0, "avg": 0}
     for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
-        terms.append(cell_quadrature_values(grid, cells(grid, bp) / _exponent(p)))
+        terms.append(cell_quadrature_values(grid, cells(grid, bp) / p.values))
         del bp
         if residual:
             weights[kind] = _add(weights[kind], c * w)
@@ -400,10 +395,7 @@ class RayEnergy:
                 w = np.take(np.append(t ** (values - 1.0), 0.0), index)
                 w *= row.w
             if row.x2 is not None:
-                if row.p.is_constant():
-                    expo = np.full(self.grid.node_count, 0.5 * (row.p.lo - 2.0))
-                else:
-                    expo = row.p.flat_half_excess
+                expo = row.p.flat_half_excess
                 low = expo < 0.0
                 w[low] = t * ((t * t) * row.x2[low] + REG_EPS * REG_EPS) ** expo[low]
         return row.c * w if np.ndim(w) == 0 else np.multiply(w, row.c, out=w)

@@ -1,7 +1,10 @@
 """Exponent fields and the hypothesis checks of the two existence results.
 
-Field values are sampled at cell centers (co-located with the quadrature).
-The cached infimum/supremum additionally probe a dense closed lattice of the
+Field values are sampled at cell centers (co-located with the quadrature) and
+kept at the shape the spec evaluates to on a sparse mesh: ``values`` is a
+read-only broadcast view of that array onto the cell shape, so a constant
+field holds one number and a field of x1 alone holds one per x1 cell.  The
+cached infimum/supremum additionally probe a dense closed lattice of the
 analytic spec, including the boundary, so the summaries reflect the continuous
 field and always bracket the cell samples.
 """
@@ -43,11 +46,12 @@ def _dense_axes(grid: DomainGrid) -> list[np.ndarray]:
 
 def _sample(fn, axes: list[np.ndarray]) -> np.ndarray:
     """``fn`` on the lattice of ``axes``, evaluated on a sparse (broadcast)
-    mesh as in :func:`_dense_ranges`, so only the result takes the full
-    shape."""
+    mesh as in :func:`_dense_ranges`: a read-only view of the result, at the
+    shape ``fn`` returns, broadcast onto the lattice (zero strides on the
+    axes ``fn`` does not depend on)."""
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    out = np.asarray(fn(*mesh), dtype=float)
-    return np.broadcast_to(out, tuple(len(ax) for ax in axes)).copy()
+    out = np.array(fn(*mesh), dtype=float)
+    return np.broadcast_to(out, tuple(len(ax) for ax in axes))
 
 
 def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]:
@@ -86,7 +90,10 @@ def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]
 
 @dataclass
 class ExponentField:
-    """One exponent value per cell with cached range summaries (lo, hi)."""
+    """One exponent value per cell with cached range summaries (lo, hi).
+    ``values`` is a read-only view of the array it is given; from
+    :meth:`from_values` and :func:`build_exponent_set` a broadcast view of
+    an array at the shape given or evaluated, one number for a constant."""
 
     grid: DomainGrid
     values: np.ndarray
@@ -111,11 +118,13 @@ class ExponentField:
             raise ExponentRangeError(f"lo {self.lo} > hi {self.hi}")
         if vals.min() < self.lo or vals.max() > self.hi:
             raise ExponentRangeError("cached summaries do not bracket the samples")
-        self.values = vals
+        self.values = np.broadcast_to(vals, vals.shape)  # read-only, no copy
 
     @classmethod
     def from_values(cls, grid: DomainGrid, values) -> "ExponentField":
-        vals = np.broadcast_to(np.asarray(values, dtype=float), grid.cell_shape).copy()
+        """The field of ``values`` (any shape that broadcasts to the cells),
+        from a copy at that shape."""
+        vals = np.broadcast_to(np.array(values, dtype=float), grid.cell_shape)
         return cls(grid, vals, float(vals.min()), float(vals.max()))
 
     def is_constant(self) -> bool:
@@ -180,17 +189,6 @@ class ExponentSet:
     def dim(self) -> int:
         return self.grid.dim
 
-    def summary(self) -> dict:
-        return {
-            name: {"lo": f.lo, "hi": f.hi}
-            for name, f in (
-                ("p1", self.p1),
-                ("p2", self.p2),
-                ("pmax", self.pmax),
-                ("q", self.q),
-            )
-        }
-
 
 def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSet:
     """Sample the three exponent specs; derive the pointwise max field.  When
@@ -216,7 +214,7 @@ def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSe
                 f"exponent {name} must exceed 1 everywhere (min sampled value {lo})"
             )
         fields[name] = ExponentField(grid, cells, lo, hi)
-    pm_cells = np.maximum(fields["p1"].values, fields["p2"].values)
+    pm_cells = _sample(lambda *x: np.maximum(fns["p1"](*x), fns["p2"](*x)), cell_axes)
     lo = float(min(pm_cells.min(), dense["pmax"][0]))
     hi = float(max(pm_cells.max(), dense["pmax"][1]))
     # a field equal to the max (p2 >= p1 everywhere, as by default) is the

@@ -85,10 +85,6 @@ class DomainGrid:
     def node_count(self) -> int:
         return int(np.prod(self.res))
 
-    @property
-    def cell_count(self) -> int:
-        return int(np.prod(self.cell_shape))
-
     @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
@@ -107,9 +103,6 @@ class DomainGrid:
 
     def node_mesh(self) -> list[np.ndarray]:
         return list(np.meshgrid(*self.node_axes(), indexing="ij"))
-
-    def cell_mesh(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.cell_axes(), indexing="ij"))
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.node_shape, dtype=bool)
@@ -174,12 +167,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, grid: DomainGrid) -> "GridFunction":
         return cls(grid, np.zeros(grid.node_shape))
-
-    @classmethod
-    def from_nodes(cls, grid: DomainGrid, fn) -> "GridFunction":
-        """Sample ``fn(x1, ..., xN)`` at the nodes."""
-        vals = np.asarray(fn(*grid.node_mesh()), dtype=float)
-        return cls(grid, np.broadcast_to(vals, grid.node_shape).copy())
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())

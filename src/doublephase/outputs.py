@@ -63,9 +63,18 @@ def write_field_csv(path: Path, u: GridFunction) -> Path:
     return path
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def read_field_csv(path: Path, grid: DomainGrid) -> GridFunction:
-    """Re-ingest a field CSV; the node count must match the grid, and every
-    value must be a finite number."""
+    """Re-ingest a field CSV; the node count must match the grid, every value
+    must be a finite number, and each row's coordinates must be those of its
+    node in lexicographic order (:meth:`DomainGrid.node_axes`), to a
+    millionth of the node spacing."""
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
@@ -76,23 +85,28 @@ def read_field_csv(path: Path, grid: DomainGrid) -> GridFunction:
         raise FieldShapeError(
             f"{path}: {len(rows)} rows but the grid has {grid.node_count} nodes"
         )
-    vals = np.empty(grid.node_count)
-    want = grid.dim + 1
+    table = np.empty((grid.node_count, grid.dim + 1))
     for i, row in enumerate(rows):
         parts = row.split(",")
-        if len(parts) != want:
+        if len(parts) != table.shape[1]:
             raise FieldShapeError(
-                f"{path}: row {i + 1 + skip} has {len(parts)} columns, want {want}"
+                f"{path}: row {i + 1 + skip} has {len(parts)} columns, want {table.shape[1]}"
             )
-        try:
-            vals[i] = float(parts[-1])
-        except ValueError:
-            vals[i] = math.nan
-        if not math.isfinite(vals[i]):
+        table[i] = [_float(part) for part in parts]
+        if not math.isfinite(table[i, -1]):
             raise FieldShapeError(
                 f"{path}: row {i + 1 + skip} value {parts[-1]!r} is not a finite number"
             )
-    return GridFunction(grid, vals.reshape(grid.node_shape))
+    nodes = np.stack(grid.node_mesh(), axis=-1).reshape(grid.node_count, grid.dim)
+    # a coordinate that is no number (nan) compares false, so counts as off
+    off = ~(np.abs(table[:, :-1] - nodes) <= 1e-6 * np.array(grid.h))
+    if off.any():
+        i = int(np.flatnonzero(off.any(axis=1))[0])
+        raise FieldShapeError(
+            f"{path}: row {i + 1 + skip} coordinates {rows[i].rsplit(',', 1)[0]} are not "
+            f"node {tuple(nodes[i].tolist())} of the grid of {grid.res} nodes over {grid.extent}"
+        )
+    return GridFunction(grid, np.ascontiguousarray(table[:, -1]).reshape(grid.node_shape))
 
 
 def write_history_csv(path: Path, history) -> Path:

@@ -90,6 +90,20 @@ def test_config_bad_value_locates_line(tmp_path):
     assert "bad.cfg:3" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "section, line",
+    [("[bump]\ncenter = 0.5 0.5\n", 2), ("[mountain]\nseed_centers = 0.3 0.3 0.3 | 0.3 0.3\n", 2)],
+    ids=["bump-center", "seed-centers"],
+)
+def test_config_refuses_a_centre_of_the_wrong_length(tmp_path, capsys, section, line):
+    path = tmp_path / "centre.cfg"
+    path.write_text("[grid]\ndim = 3\n\n" + section)
+    with pytest.raises(ConfigError, match=f"centre.cfg:{line + 3}: .* has 2 entries for dim 3"):
+        load_config(path)
+    for stage in ("lambda-star", "solve-mp"):
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / stage)]) == 2
+
+
 def test_cli_exit_2_on_malformed_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[exponents]\nq = 4 +\n")
@@ -160,6 +174,32 @@ def test_field_csv_round_trip(tmp_path, rng):
     assert np.array_equal(back.values, u.values)  # repr round-trip is bit exact
     with pytest.raises(FieldShapeError):
         read_field_csv(path, DomainGrid(3, (7, 7, 7)))
+
+
+@pytest.mark.parametrize(
+    "grid, row",
+    # with a header, line 18 is the first node of the 8x32x16 grid (0, 1/31, 0)
+    # off the 16^3 one (0, 1/15, 0), and line 3 the first of extent 2 (0, 0, 2/15)
+    [(DomainGrid(3, (8, 32, 16)), 18), (DomainGrid(3, (16, 16, 16), 2.0), 3)],
+    ids=["res-8-32-16", "extent-2"],
+)
+def test_cmd_norm_rejects_a_field_of_another_grid(tmp_path, capsys, grid, row):
+    # the same 4096 nodes as the default 16^3 unit grid, at other coordinates
+    f = write_field_csv(tmp_path / "other.csv", GridFunction(grid, np.ones(grid.node_shape)))
+    with pytest.raises(FieldShapeError, match=f"other.csv: row {row} coordinates"):
+        read_field_csv(f, DomainGrid(3, (16, 16, 16)))
+    code = main(["norm", str(f), "--out", str(tmp_path / "n")])
+    assert code == 2
+    assert f"row {row} coordinates" in capsys.readouterr().err
+
+
+def test_cmd_norm_reads_a_field_it_wrote(tmp_path, rng):
+    grid = DomainGrid(3, (16, 16, 16))
+    vals = rng.standard_normal(grid.node_shape)
+    vals[grid.boundary_mask()] = 0.0
+    f = write_field_csv(tmp_path / "u.csv", GridFunction(grid, vals))
+    assert np.array_equal(read_field_csv(f, grid).values, vals)
+    assert main(["norm", str(f), "--out", str(tmp_path / "n")]) == 0
 
 
 def _field_csv_row_by_row(grid, values):

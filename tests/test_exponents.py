@@ -16,6 +16,11 @@ from doublephase.fieldexpr import as_field_function
 from doublephase.grid import DomainGrid
 
 
+def _summary(s):
+    fields = {name: getattr(s, name) for name in ("p1", "p2", "pmax", "q")}
+    return {name: {"lo": f.lo, "hi": f.hi} for name, f in fields.items()}
+
+
 def test_constant_max():
     g = DomainGrid(3, (8, 8, 8))
     s = build_exponent_set("2", "3", "4", g)
@@ -41,7 +46,7 @@ def test_summaries_pinned(res):
     # reduction must reproduce them bitwise
     g = DomainGrid(3, (res,) * 3)
     s = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "4", g)
-    assert s.summary() == {
+    assert _summary(s) == {
         "p1": {"lo": 2.0, "hi": 2.0},
         "p2": {"lo": 2.0, "hi": 2.5},
         "pmax": {"lo": 2.0, "hi": 2.5},
@@ -51,7 +56,7 @@ def test_summaries_pinned(res):
         "2 + 0.3*cos(3*x2)*x1", "2.1 + 0.4*sin(2.3*x1)*x3", "4 + exp(x1*x2) - x3", g
     )
     p2_hi = {8: 2.4999781443423363, 32: 2.4999932335068022}[res]
-    assert s.summary() == {
+    assert _summary(s) == {
         "p1": {"lo": 1.7030022510198664, "hi": 2.3},
         "p2": {"lo": 2.1, "hi": p2_hi},
         "pmax": {"lo": 2.1, "hi": p2_hi},
@@ -191,5 +196,23 @@ def test_conjugate_is_cached_and_exact():
 def test_summary_dict():
     g = DomainGrid(3, (8, 8, 8))
     s = build_exponent_set("2", "3", "4", g)
-    d = s.summary()
+    d = _summary(s)
     assert d["q"] == {"lo": 4.0, "hi": 4.0}
+
+
+def test_fields_are_read_only_views_at_their_spec_shape():
+    # the constants p1 = 2 and q = 4 hold one number and p2 one per x1 cell,
+    # broadcast onto the cells with zero strides; no field can be written
+    # through, and none aliases the array it was made from
+    g = DomainGrid(3, (16, 16, 16))
+    s = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "4", g)
+    assert s.p1.values.strides == s.q.values.strides == (0, 0, 0)
+    assert s.p2.values.strides[1:] == (0, 0) and s.p2.values.strides[0] != 0
+    assert s.pmax is s.p2
+    for p in (s.p1, s.p2, s.q):
+        assert p.values.shape == g.cell_shape
+        assert not p.values.flags.writeable
+    for source in (np.full(g.cell_shape, 2.5), np.full((15, 1, 1), 2.5)):
+        p = ExponentField.from_values(g, source)
+        source[...] = 3.0
+        assert np.all(p.values == 2.5) and (p.lo, p.hi) == (2.5, 2.5)

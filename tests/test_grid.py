@@ -32,7 +32,7 @@ def test_grid_invariants():
     g = DomainGrid(2, (8, 12), (1.0, 2.0))
     assert g.h == (1.0 / 7, 2.0 / 11)
     assert g.node_count == 8 * 12
-    assert g.cell_count == 7 * 11
+    assert g.cell_shape == (7, 11)
     assert abs(g.volume - 2.0) < 1e-15
     with pytest.raises(ValueError):
         DomainGrid(2, (3, 8))
@@ -90,13 +90,14 @@ def test_gradient_zero_field():
 
 def test_gradient_exact_on_affine():
     g = DomainGrid(2, (9, 9))
-    u = GridFunction.from_nodes(g, lambda x, y: x)
+    u = GridFunction(g, g.node_mesh()[0])
     grad = gradient_values(g, u.values)
     assert np.max(np.abs(grad[0] - 1.0)) <= 1e-12
     assert np.max(np.abs(grad[1])) <= 1e-12
     # general affine field in 3D
     g3 = DomainGrid(3, (7, 7, 7), (1.0, 2.0, 0.5))
-    w = GridFunction.from_nodes(g3, lambda x, y, z: 1.5 * x - 2.0 * y + 0.25 * z + 3.0)
+    x, y, z = g3.node_mesh()
+    w = GridFunction(g3, 1.5 * x - 2.0 * y + 0.25 * z + 3.0)
     grad3 = gradient_values(g3, w.values)
     for a, coef in enumerate((1.5, -2.0, 0.25)):
         assert np.max(np.abs(grad3[a] - coef)) <= 1e-12
@@ -122,7 +123,7 @@ def test_quadrature_constants():
 def test_quadrature_linear_integrand_exact():
     # midpoint rule integrates 2 + x1 exactly: closed form 2.5 on the unit square
     g = DomainGrid(2, (9, 9))
-    x = g.cell_mesh()[0]
+    x = np.meshgrid(*g.cell_axes(), indexing="ij")[0]
     assert abs(cell_quadrature(g, 2.0 + x) - 2.5) <= 1e-13
 
 
@@ -131,7 +132,7 @@ def test_quadrature_second_order_convergence():
 
     def err(res):
         g = DomainGrid(2, (res, res))
-        x, y = g.cell_mesh()
+        x, y = np.meshgrid(*g.cell_axes(), indexing="ij")
         return abs(cell_quadrature(g, np.exp(x) * np.cos(y)) - exact)
 
     e1, e2 = err(9), err(17)
@@ -147,9 +148,9 @@ def test_node_to_cell_constants():
 
 def test_node_to_cell_affine_hits_cell_center():
     g = DomainGrid(2, (8, 8))
-    u = GridFunction.from_nodes(g, lambda x, y: x)
+    u = GridFunction(g, g.node_mesh()[0])
     got = node_to_cell(u)
-    centers = g.cell_mesh()[0]
+    centers = np.meshgrid(*g.cell_axes(), indexing="ij")[0]
     assert np.max(np.abs(got - centers)) <= 1e-15
 
 
