@@ -80,6 +80,19 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _checked(conv, ok, need: str):
+    """``conv``, refusing a value that fails ``ok`` with ``ValueError(need)``."""
+    def parse(raw):
+        if not ok(value := conv(raw)):
+            raise ValueError(need)
+        return value
+    return parse
+
+
+_ABOVE_1 = _checked(float, lambda v: v > 1.0, "must exceed 1")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "must be positive")
+
+
 def _line_of(path: Path, section: str, key: str) -> str:
     """Best-effort line locator for diagnostics."""
     try:
@@ -158,17 +171,17 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     take("problem", "lambda", parse_lam, setattr_("lam"))
     take("problem", "lambda_grid", _floats, lambda v: _set_lam_grid(cfg, v))
 
-    take("bump", "t0", float, setattr_("t0"))
+    take("bump", "t0", _ABOVE_1, setattr_("t0"))
     take("bump", "center", _floats, setattr_("bump_center"))
-    take("bump", "side", float, setattr_("bump_side"))
+    take("bump", "side", _POSITIVE, setattr_("bump_side"))
 
     take(
         "mountain", "seed_centers",
         lambda raw: tuple(_floats(part) for part in raw.split("|") if part.strip()),
         setattr_("seed_centers"),
     )
-    take("mountain", "seed_side", float, setattr_("seed_side"))
-    take("mountain", "seed_t0", float, setattr_("seed_t0"))
+    take("mountain", "seed_side", _POSITIVE, setattr_("seed_side"))
+    take("mountain", "seed_t0", _ABOVE_1, setattr_("seed_t0"))
     sized = [("grid", "res", cfg.res), ("grid", "extent", cfg.extent)]
     sized += [("bump", "center", cfg.bump_center)]
     sized += [("mountain", "seed_centers", center) for center in cfg.seed_centers]
@@ -178,10 +191,11 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
                 f"{_line_of(path, section, key)}{key} has {len(value)} entries for dim {cfg.dim}"
             )
 
-    take("solver", "tol", float, setattr_("tol"))
-    take("solver", "max_iter", int, setattr_("max_iter"))
+    tol = _checked(float, lambda v: 0.0 < v < np.inf, "must be finite and positive")
+    take("solver", "tol", tol, setattr_("tol"))
+    take("solver", "max_iter", _checked(int, lambda v: v >= 1, "must be 1 or more"), setattr_("max_iter"))
 
-    take("sampling", "seed", int, setattr_("seed"))
+    take("sampling", "seed", _checked(int, lambda v: v >= 0, "must be 0 or more"), setattr_("seed"))
     take("output", "dir", str, setattr_("out_dir"))
 
     _warn_unread(path, parser, read)

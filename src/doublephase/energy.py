@@ -6,40 +6,29 @@
 Both forms are signed sums of the same four modular terms, the cell integrals
 of base^p / p listed in ``TERMS``; :func:`coefficients` gives their signs per
 form.  One batch-aware kernel passes a stack of node fields (leading batch
-axes) through the corner-average and cell-gradient maps once
-(:func:`grid.transfer`) and returns the four terms, the total and, on
-request, the nodal residual.  It works on the flat node layout of those
-maps: the squared bases, the powers and the residual weights are flat
-arrays, the pad entries (no cell) are cleared before the adjoint maps, and
-each term sums a compact copy of its cell values.  A pass keeps the maps,
-the two squared bases and the flux and source weights of the residual; the
-rows of ``TERMS`` come one at a time, and each frees what it made as soon
-as it is read: b^p once summed, the row's weight once added into the flux
-or source weight, a squared base after the last row of its kind.  The
-residual then weights the maps in place, so at 32^3 nodes a pass with its
-residual peaks near 9 node arrays above entry.  Each term takes one
-power per cell, of the squared base x2: the weight x2^((p-2)/2) of the
-residual, whose product with x2 is the cell value base^p (p < 2 cells,
-regularized, take a second; constant p = 2 and p = 4 take none).  The
-residual is assembled by differentiating the discrete energy through those
-same maps, so minimizers of the discrete energy are exact discrete weak
-solutions and finite-difference checks pass to rounding-dominated tolerance.
-The public functions are shells over the kernel; :func:`energy_and_gradient`
-takes the value and the gradient from one pass.  The energies are defined on
-the zero-boundary fields of the Dirichlet problem: a field with a nonzero
-boundary value (:attr:`GridFunction.zero_on_boundary` false) is refused with
-``ValueError``, once per field, by :func:`eval_energy`,
-:func:`energy_and_gradient` and :class:`RayEnergy`.
+axes) once through the corner-average and cell-gradient maps of
+:func:`grid.transfer`, on their flat node layout (the pad entries, which hold
+no cell, are cleared before the adjoint maps), and returns the four terms,
+the total and, on request, the nodal residual.  Each term takes one power per
+cell of the squared base x2: the residual weight w = x2^((p-2)/2), whose
+product with x2 is b^p (p < 2 cells, regularized, take a second power;
+constant p = 2 and p = 4 take none).  b^p is summed at the exponent's own
+shape (:attr:`ExponentField.compact`), over the cell axes along which p
+repeats, and only those entry sums are divided by p.  The rows of ``TERMS``
+come one at a time and free what they made once it is read, so at 32^3 nodes
+a pass with its residual peaks near 9 node arrays above entry.  The residual
+differentiates the discrete energy through the same maps, so minimizers of
+the discrete energy are exact discrete weak solutions.  The public functions
+are shells over the kernel; the energies are defined on zero-boundary fields,
+and :func:`eval_energy`, :func:`energy_and_gradient` and :class:`RayEnergy`
+refuse any other with ``ValueError``.
 
 Along a ray t -> t*u the energy is an exact generalized polynomial in t, one
 term per distinct exponent value of each modular term.  :class:`RayEnergy`
 builds it from one pass over the cells of u and keeps that pass, so the
-energy and the gradient at any point t*u of the ray need no second pass: a
-saddle-search trial finds its ray peak and evaluates there from one pass.
-Every ray computation reads one such pass instead of the cells of t*u: the
-ray peaks, the endpoint scan, and the checks of the verify battery, which
-also take the gradient magnitude (for the Sobolev norm of u) and the bulk
-modulars at t from it.
+energy and the gradient anywhere on the ray need no second pass: the ray
+peaks, the endpoint scan and the checks of the verify battery (which also
+read the gradient magnitude and the bulk modulars from it) all read one.
 """
 from __future__ import annotations
 
@@ -52,7 +41,6 @@ from .exponents import ExponentField, ExponentSet
 from .grid import (
     DomainGrid,
     GridFunction,
-    cell_quadrature_values,
     cells,
     fill_pad,
     l2_norm,
@@ -177,6 +165,14 @@ def _powers(x2: np.ndarray, p: ExponentField):
     return w, bp
 
 
+def _entry_sums(grid: DomainGrid, bp: np.ndarray, p: ExponentField) -> np.ndarray:
+    """b^p (flat node layout) summed over the cell axes along which ``p``
+    repeats, at leading axes + ``p.compact.shape``; from a contiguous copy of
+    the cells, so the order of the sum does not depend on the layout."""
+    axes = tuple(a - grid.dim for a, n in enumerate(p.compact.shape) if n == 1)
+    return np.ascontiguousarray(cells(grid, bp)).sum(axis=axes, keepdims=True)
+
+
 def _squared_gradient(maps: np.ndarray) -> np.ndarray:
     """|grad u|^2 from the gradient components of :func:`_cell_pass`'s maps,
     a fresh array."""
@@ -248,17 +244,19 @@ def _kernel(
     """Terms (``TERMS`` order), total and, if ``residual``, the nodal residual
     of a stack of zero-boundary node fields (leading batch axes).
 
-    Each row sums a compact copy of b^p / p over the cells and drops b^p;
-    its signed weight c * w is added into the flux ("grad" rows) or the
-    source ("avg" rows) weight and dropped, so one row's powers are alive at
-    a time, and each squared base goes after the last row of its kind.  The
-    residual weights the kernel's own maps in place and takes them back to
-    the nodes."""
+    Each row takes its term from the entry sums of b^p (:func:`_entry_sums`)
+    and drops b^p; its signed weight c * w is added into the flux ("grad"
+    rows) or the source ("avg" rows) weight and dropped, so one row's powers
+    are alive at a time, and each squared base goes after the last row of
+    its kind.  The residual weights the kernel's own maps in place and takes
+    them back to the nodes."""
     maps, x2 = _cell_pass(grid, vals)
+    cell_axes = tuple(range(-grid.dim, 0))
     terms, weights = [], {"grad": 0, "avg": 0}
     for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
-        terms.append(cell_quadrature_values(grid, cells(grid, bp) / p.values))
+        sums = _entry_sums(grid, bp, p)
         del bp
+        terms.append(grid.cell_volume * np.sum(sums / p.compact, axis=cell_axes))
         if residual:
             weights[kind] = _add(weights[kind], c * w)
         del w
@@ -313,31 +311,25 @@ class RayEnergy:
     cells of ``u``.
 
     The energy has no regularization, so each term of ``TERMS`` scales
-    exactly: the cell value (t b)^p is t^p b^p.  Grouping the cells by
-    exponent value (:attr:`ExponentField.groups`; a constant field is one
-    group) collapses each term into one coefficient per distinct value, from
-    one ``np.bincount`` per term over the flat node layout of the pass (the
-    pad entries fall in one extra group, dropped; a constant field sums a
-    compact copy).  This is the ray polynomial :attr:`poly`, with
-    E(t*u) = sum_k c_k t^p_k and zero coefficients dropped.  The default
-    experiment keeps 18 terms at 16^3 nodes against 3375 cells.  The worst
-    case is a field whose cell exponents are all distinct: nothing
-    compresses, and the cost is one energy pass plus one bincount per term.
+    exactly: the cell value (t b)^p is t^p b^p.  One ``np.bincount`` per term
+    groups its entry sums (b^p summed at its exponent's shape, as in the
+    kernel) by exponent value (:attr:`ExponentField.groups`), constant or
+    not, into the ray polynomial :attr:`poly`: E(t*u) = sum_k c_k t^p_k, one
+    term per distinct value, zero coefficients dropped.  The default
+    experiment keeps 18 terms at 16^3 nodes against 3375 cells; a field of
+    all-distinct cell exponents compresses nothing.
 
     The pass keeps the transfer maps, each row's weight w (for p = 4 the
     squared base itself, for p = 2 the scalar 1), the squared bases only
-    where a row with p < 2 reads them, and the group sums; b^p is dropped
-    once summed, and so is every other squared base.  :meth:`at` gives the
-    energy report and the residual at t*u from the kept maps and weights:
-    the maps scale by t and each weight by t^(p-2), gathered from the group
-    values, so only the regularized cells (p < 2) take a fresh power; it
-    holds one gathered weight at a time besides the flux and source sums,
-    and one weighted map at a time in the adjoint.  Both agree with
-    :func:`energy_and_gradient` of t*u to rounding.  On the default
-    exponents the pass keeps 7 node arrays, and :meth:`at` peaks near 5
-    more.  :attr:`gradient_magnitude` (|grad u|^2 taken again from the
-    maps), :attr:`corner_average` and :meth:`modular` read the same pass for
-    the norms and modulars of the verify battery.
+    where a row with p < 2 reads them, and the group sums.  :meth:`at` gives
+    the energy report and the residual at t*u from them: the maps scale by
+    t and each weight by t^(p-2), gathered at the exponent's shape and
+    broadcast onto the cells, so only the regularized cells (p < 2) take a
+    fresh power.  Both agree with :func:`energy_and_gradient` of t*u to
+    rounding.  On the default exponents the pass keeps 7 node arrays, and
+    :meth:`at` peaks near 5 more.  :attr:`gradient_magnitude`,
+    :attr:`corner_average` and :meth:`modular` read the same pass for the
+    norms and modulars of the verify battery.
     """
 
     def __init__(self, u: GridFunction, lam: float, s: ExponentSet, form: str):
@@ -348,14 +340,10 @@ class RayEnergy:
         self._rows, self._sums = [], []
         for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
             self._rows.append(_Term(p, c, kind, w, x2[kind] if p.lo < 2.0 else None))
-            if p.is_constant():
-                total = np.ascontiguousarray(cells(self.grid, bp)).sum()
-                self._sums.append((np.array([p.lo]), np.array([total])))
-            else:
-                values, index = p.groups
-                sums = np.bincount(index, weights=bp, minlength=values.size + 1)
-                self._sums.append((values, sums[:-1]))
+            values, inverse = p.groups
+            sums = _entry_sums(self.grid, bp, p).reshape(-1)
             del bp
+            self._sums.append((values, np.bincount(inverse.reshape(-1), sums, values.size)))
         expos = np.concatenate([values for values, _ in self._sums])
         coeffs = np.concatenate([
             (self.grid.cell_volume * row.c) * sums / values
@@ -387,13 +375,15 @@ class RayEnergy:
     def _weight(self, row: _Term, t: float):
         """Signed weight c * w of ``row`` at t*u times t, the scale of its
         cell quantity, in a fresh array when it is one."""
+        values, inverse = row.p.groups
         with np.errstate(over="ignore"):
-            if row.p.is_constant():
-                w = row.w * t ** (row.p.lo - 1.0)
-            else:
-                values, index = row.p.groups
-                w = np.take(np.append(t ** (values - 1.0), 0.0), index)
-                w *= row.w
+            scale = t ** (values - 1.0)  # one per distinct exponent value
+            if scale.size == 1:  # a constant, whose w may be the number 1
+                w = row.w * float(scale[0])
+            else:  # gathered at p's compact shape, 0 at the pad entries
+                nodes = np.zeros(tuple(n + (n > 1) for n in inverse.shape))
+                nodes[tuple(slice(0, n) for n in inverse.shape)] = scale[inverse]
+                w = (row.w.reshape(self.grid.node_shape) * nodes).reshape(-1)
             if row.x2 is not None:
                 expo = row.p.flat_half_excess
                 low = expo < 0.0

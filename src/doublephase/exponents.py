@@ -91,9 +91,9 @@ def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]
 @dataclass
 class ExponentField:
     """One exponent value per cell with cached range summaries (lo, hi).
-    ``values`` is a read-only view of the array it is given; from
-    :meth:`from_values` and :func:`build_exponent_set` a broadcast view of
-    an array at the shape given or evaluated, one number for a constant."""
+    ``values`` is a read-only broadcast onto the cells of the array it is
+    given, which keeps the shape given or evaluated (:meth:`from_values`,
+    :func:`build_exponent_set`): one number for a constant."""
 
     grid: DomainGrid
     values: np.ndarray
@@ -101,12 +101,10 @@ class ExponentField:
     hi: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.cell_shape:
-            raise ValueError(
-                f"exponent shape {vals.shape} != cell shape {self.grid.cell_shape}"
-            )
-        if not np.all(np.isfinite(vals)):
+        # read-only, no copy
+        self.values = np.broadcast_to(np.asarray(self.values, dtype=float), self.grid.cell_shape)
+        compact = self.compact
+        if not np.all(np.isfinite(compact)):
             raise ExponentRangeError("exponent field must be finite")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ExponentRangeError("exponent summaries must be finite")
@@ -116,32 +114,36 @@ class ExponentField:
             )
         if self.lo > self.hi:
             raise ExponentRangeError(f"lo {self.lo} > hi {self.hi}")
-        if vals.min() < self.lo or vals.max() > self.hi:
+        if compact.min() < self.lo or compact.max() > self.hi:
             raise ExponentRangeError("cached summaries do not bracket the samples")
-        self.values = np.broadcast_to(vals, vals.shape)  # read-only, no copy
 
     @classmethod
     def from_values(cls, grid: DomainGrid, values) -> "ExponentField":
         """The field of ``values`` (any shape that broadcasts to the cells),
         from a copy at that shape."""
-        vals = np.broadcast_to(np.array(values, dtype=float), grid.cell_shape)
+        vals = np.array(values, dtype=float)
         return cls(grid, vals, float(vals.min()), float(vals.max()))
 
     def is_constant(self) -> bool:
         return self.lo == self.hi
 
     @functools.cached_property
+    def compact(self) -> np.ndarray:
+        """The array that ``values`` broadcasts: a view of length 1 on each
+        axis it repeats along (stride 0), (1, 1, 1) for a constant and
+        (n1, 1, 1) for a field of x1 alone.  Exponent-weighted sums reduce here."""
+        index = tuple(slice(0, 1) if st == 0 else slice(None) for st in self.values.strides)
+        return self.values[index]
+
+    @functools.cached_property
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct cell values and, on the flat node layout of
-        :func:`grid.transfer`, the index of each cell's value (``np.unique``
-        with ``return_inverse``), with the pad entries in one extra group,
-        ``values.size``.  Computed on first use and kept: the ray
-        polynomials of one field group by it, and the on-ray weights gather
-        from it, on every call."""
-        values, inverse = np.unique(self.values, return_inverse=True)
-        index = np.full(self.grid.node_count, values.size, dtype=np.intp)
-        cells(self.grid, index)[...] = inverse.reshape(self.grid.cell_shape)
-        return values, index
+        """The distinct values of :attr:`compact` and, at its shape, the index
+        of each entry's value (``np.unique`` with ``return_inverse``).
+        Computed on first use and kept: the ray polynomials of one field
+        group their entry sums by it, and the on-ray weights gather from it,
+        on every call."""
+        values, inverse = np.unique(self.compact, return_inverse=True)
+        return values, inverse.reshape(self.compact.shape)
 
     @functools.cached_property
     def flat_half_excess(self) -> np.ndarray:
@@ -157,7 +159,7 @@ class ExponentField:
     def _conjugate(self) -> "ExponentField":
         """The field of :func:`conjugate_exponent`, computed on first use and
         kept: the Hoelder check pairs every sample of one field with it."""
-        vals = self.values / (self.values - 1.0)
+        vals = self.compact / (self.compact - 1.0)
         # the map is decreasing, so the summaries swap roles
         lo = self.hi / (self.hi - 1.0)
         hi = self.lo / (self.lo - 1.0)

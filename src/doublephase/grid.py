@@ -36,7 +36,6 @@ __all__ = [
     "discrete_gradient_adjoint",
     "gradient_gram_inverse",
     "cell_quadrature",
-    "cell_quadrature_values",
     "pairing",
     "l2_norm",
 ]
@@ -404,20 +403,12 @@ def gradient_gram_inverse(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def cell_quadrature_values(grid: DomainGrid, w: np.ndarray) -> np.ndarray:
-    """Box-rule integral over the trailing cell axes (batch-aware)."""
-    w = np.asarray(w)
-    if w.shape[w.ndim - grid.dim :] != grid.cell_shape:
-        raise ValueError(f"cell data shape {w.shape} != {grid.cell_shape}")
-    return grid.cell_volume * np.sum(w, axis=tuple(range(-grid.dim, 0)))
-
-
 def cell_quadrature(grid: DomainGrid, w: np.ndarray) -> float:
     """Box-rule integral: cell volume times the sum of per-cell values."""
     w = np.asarray(w)
     if w.shape != grid.cell_shape:
         raise ValueError(f"cell data shape {w.shape} != {grid.cell_shape}")
-    return float(cell_quadrature_values(grid, w))
+    return float(grid.cell_volume * np.sum(w))
 
 
 def pairing(a: GridFunction, b: GridFunction) -> float:

@@ -283,8 +283,9 @@ def check_ray_boundedness(
     on its polynomial (:attr:`RayEnergy.poly`), one pass over the cells per
     ray; the crossing is the first doubling after the last nonnegative
     energy.  A ray whose energy at T is still nonnegative is a failure, with
-    crossing +inf.  The margin of a ray is -E(T) / max(1, |E(T)|), negative
-    on a failure."""
+    crossing +inf.  The margin of a ray is -E / sum_k |c_k| t^p_k at its
+    crossing (at T on a failure), the energy over the size of its terms
+    there: in (0, 1] on a ray that crosses, in [-1, 0] on a failure."""
     rng = np.random.default_rng(seed)
     grid = s.grid
     basis = []
@@ -299,13 +300,12 @@ def check_ray_boundedness(
         coeff = rng.standard_normal(_SUBSPACE_DIM)
         coeff /= np.linalg.norm(coeff)
         w = GridFunction(grid, sum(c * b for c, b in zip(coeff, basis)))
-        energy = ray_energy(RayEnergy(w, lam, s, "mountain").poly, ts)
+        expos, coeffs = RayEnergy(w, lam, s, "mountain").poly
+        energy = ray_energy((expos, coeffs), ts)
         nonneg = np.flatnonzero(energy >= 0.0)
-        if energy[-1] >= 0.0:
-            crossings.append(math.inf)
-        else:
-            crossings.append(ts[nonneg[-1] + 1] if nonneg.size else ts[0])
-        margins.append(float(np.clip(-energy[-1], -1.0, 1.0)))  # -E(T) / max(1, |E(T)|)
+        k = min(nonneg[-1] + 1 if nonneg.size else 0, ts.size - 1)
+        crossings.append(ts[k] if energy[-1] < 0.0 else math.inf)
+        margins.append(float(-energy[k] / ray_energy((expos, np.abs(coeffs)), ts[k])))
     return CheckReport(
         "ray_boundedness", n_rays, crossings.count(math.inf), float(min(margins)),
         constants={

@@ -104,6 +104,29 @@ def test_config_refuses_a_centre_of_the_wrong_length(tmp_path, capsys, section, 
         assert main([stage, "--config", str(path), "--out", str(tmp_path / stage)]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("bump", "t0", "0.5"),
+        ("mountain", "seed_t0", "1.0"),
+        ("bump", "side", "-0.5"),
+        ("mountain", "seed_side", "0"),
+        ("solver", "tol", "nan"),
+        ("solver", "tol", "-1"),
+        ("solver", "tol", "inf"),
+        ("solver", "max_iter", "0"),
+        ("sampling", "seed", "-3"),
+    ],
+)
+def test_config_refuses_a_value_the_stages_refuse(tmp_path, capsys, section, key, value):
+    path = tmp_path / "range.cfg"
+    path.write_text(f"[grid]\ndim = 3\n\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"range.cfg:5: bad value for \\[{section}\\] {key}"):
+        load_config(path)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_2_on_malformed_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[exponents]\nq = 4 +\n")

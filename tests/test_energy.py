@@ -21,7 +21,6 @@ from doublephase.grid import (
     DomainGrid,
     GridFunction,
     cell_quadrature,
-    cell_quadrature_values,
     cells,
     discrete_gradient_adjoint,
     gradient_values,
@@ -235,7 +234,15 @@ def test_ray_energy_matches_the_kernel_on_the_ray(set12, rng, kind):
 # Reference: the energy kernel on compact cell arrays, rebuilt from the
 # public compact maps (grid.gradient_values, grid.node_to_cell_values and their
 # adjoints).  The package runs the kernel on the flat node layout; every
-# number it returns must be bitwise equal to this one.
+# number it returns must be bitwise equal to this one.  Each term sums b^p
+# over the axes its exponent repeats along (one sum per entry of p.compact),
+# then the entry sums over p; the ray groups the entry sums by the distinct
+# values of p.compact.
+
+
+def _entry_sums(grid, bp, p):
+    axes = tuple(a - grid.dim for a, n in enumerate(p.compact.shape) if n == 1)
+    return bp.sum(axis=axes, keepdims=True)
 
 
 def _compact_powers(x2, p):
@@ -283,8 +290,9 @@ def _compact_residual(grid, g, a, rows, weights):
 
 def _compact_kernel(grid, vals, lam, s, form):
     g, a, rows = _compact_pass(grid, vals, lam, s, form)
+    cell_axes = tuple(range(-grid.dim, 0))
     terms = [
-        cell_quadrature_values(grid, bp / (p.lo if p.is_constant() else p.values))
+        grid.cell_volume * np.sum(_entry_sums(grid, bp, p) / p.compact, axis=cell_axes)
         for p, _, _, _, _, bp in rows
     ]
     total = sum(row[1] * t for row, t in zip(rows, terms))
@@ -297,14 +305,10 @@ def _compact_ray(grid, vals, lam, s, form, t):
     g, a, rows = _compact_pass(grid, vals, lam, s, form)
     sums, weights = [], []
     for p, c, kind, x2, w, bp in rows:
-        if p.is_constant():
-            sums.append((np.array([p.lo]), np.array([bp.sum()])))
-            scale = t ** (p.lo - 1.0)
-        else:
-            values, inverse = np.unique(p.values, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            sums.append((values, np.bincount(inverse, weights=bp.reshape(-1), minlength=values.size)))
-            scale = np.take(t ** (values - 1.0), inverse).reshape(grid.cell_shape)
+        values, inverse = np.unique(p.compact, return_inverse=True)
+        entry = _entry_sums(grid, bp, p).reshape(-1)
+        sums.append((values, np.bincount(inverse.reshape(-1), weights=entry, minlength=values.size)))
+        scale = np.take(t ** (values - 1.0), inverse).reshape(p.compact.shape)
         w = w * scale
         if p.lo < 2.0:
             low = p.values < 2.0

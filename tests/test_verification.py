@@ -185,8 +185,31 @@ def test_ray_boundedness(s8):
     rep = check_ray_boundedness(1.0, s8, seed=0)
     assert rep.passed
     assert 1.0 <= rep.constants["inf_T"] <= rep.constants["sup_T"] < np.inf
-    # every ray is negative at the last doubling, far below -1
-    assert rep.worst_margin == 1.0
+    assert 0.0 < rep.worst_margin <= 1.0
+
+
+def test_ray_boundedness_margin_from_the_polynomials(s8, monkeypatch):
+    # the margin of each ray, recomputed from its polynomial by a plain scan:
+    # -E / sum |c_k| t^p_k at the first doubling from which E stays negative
+    polys = []
+
+    class Recorded(RayEnergy):
+        def __init__(self, *args):
+            super().__init__(*args)
+            polys.append(self.poly)
+
+    monkeypatch.setattr(doublephase.verification, "RayEnergy", Recorded)
+    rep = check_ray_boundedness(1.0, s8, n_rays=12, seed=3)
+    assert len(polys) == 12
+    margins = []
+    for expos, coeffs in polys:
+        ts = [2.0**j for j in range(41)]
+        energy = [float(np.sum(coeffs * t**expos)) for t in ts]
+        j = max([i + 1 for i, e in enumerate(energy) if e >= 0.0], default=0)
+        assert j < len(ts)  # every ray crosses
+        margins.append(-energy[j] / float(np.sum(np.abs(coeffs) * ts[j] ** expos)))
+    assert 0.0 < min(margins) < 1.0
+    assert abs(rep.worst_margin - min(margins)) <= 1e-12 * min(margins)
 
 
 def test_ray_boundedness_counts_rays_that_stay_nonnegative():
@@ -197,7 +220,7 @@ def test_ray_boundedness_counts_rays_that_stay_nonnegative():
     rep = check_ray_boundedness(1.0, s, n_rays=6, seed=0)
     assert (rep.samples, rep.failures) == (6, 6)
     assert not rep.passed
-    assert rep.worst_margin == -1.0
+    assert -1.0 <= rep.worst_margin <= 0.0
     assert rep.constants["inf_T"] == rep.constants["sup_T"] == np.inf
 
 

@@ -8,7 +8,9 @@ each row twice and pmax was a second copy of p2, the kernel read 14N,
 RayEnergy.at 10N and a saddle trial 19N, and the default exponent set with
 its caches kept 7.7N, peaking at 10.3N.  With one pmax but a full cell array
 for each exponent, the constants p1 = 2 and q = 4 too, the set kept 4.76N,
-peaking at 7.42N.
+peaking at 7.42N; with each field at its spec's shape but a grid-sized
+grouping index, 2.03N, peaking at 4.69N, and the conjugates of p1 and p2,
+divided out on the full cells, kept 1.82N.
 """
 import tracemalloc
 
@@ -16,7 +18,7 @@ import pytest
 
 from doublephase import solvers
 from doublephase.energy import RayEnergy, energy_and_gradient
-from doublephase.exponents import build_exponent_set
+from doublephase.exponents import build_exponent_set, conjugate_exponent
 from doublephase.grid import DomainGrid
 from doublephase.solvers import SubBox, bump_function
 
@@ -61,8 +63,17 @@ def test_exponent_set_with_caches(traced):
     build = lambda: _cached(build_exponent_set(DEFAULT_P1, DEFAULT_P2, DEFAULT_Q, GRID))
     build()  # first-call imports and plans
     s, peak, kept = _measure(build)
-    assert kept <= 2.5 and peak <= 5.5, (kept, peak)
+    assert kept <= 1.5 and peak <= 3.5, (kept, peak)
     assert s.pmax is s.p2  # p2 >= p1 = 2 everywhere: one field, one set of caches
+
+
+def test_conjugates_and_groups_keep_the_spec_shape(traced):
+    s = build_exponent_set(DEFAULT_P1, DEFAULT_P2, DEFAULT_Q, GRID)
+    duals, _, kept = _measure(lambda: [conjugate_exponent(p) for p in (s.p1, s.p2)])
+    assert kept <= 0.1, kept
+    assert [p.compact.shape for p in duals] == [(1, 1, 1), (GRID.cell_shape[0], 1, 1)]
+    for p in (s.p1, s.p2, s.q, *duals):
+        assert p.groups[1].shape == p.compact.shape
 
 
 @pytest.mark.parametrize("form", ["coercive", "mountain"])
