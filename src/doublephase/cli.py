@@ -37,6 +37,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _seed(text: str) -> int:
+    """A sampling seed: an integer that is 0 or more, as in the config."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doublephase",
@@ -47,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override sampling seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override sampling seed")
         p.add_argument("--out", type=Path, default=None, help="override output directory")
         p.add_argument(
             "--override-hypotheses",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SubdomainBoundsError
 from .exponents import ExponentSet, build_exponent_set
 from .grid import DomainGrid
 from .solvers import SolverOptions, SubBox
@@ -89,8 +89,9 @@ def _checked(conv, ok, need: str):
     return parse
 
 
-_ABOVE_1 = _checked(float, lambda v: v > 1.0, "must exceed 1")
+_ABOVE_1 = _checked(float, lambda v: 1.0 < v < np.inf, "must be finite and exceed 1")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "must be positive")
+_FINITE_POSITIVE = _checked(float, lambda v: 0.0 < v < np.inf, "must be finite and positive")
 
 
 def _line_of(path: Path, section: str, key: str) -> str:
@@ -153,7 +154,8 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     if not parser.has_option("mountain", "seed_centers"):
         cfg.seed_centers = ((0.3,) * cfg.dim, (0.7,) * cfg.dim)
     take("grid", "res", _ints, lambda v: setattr(cfg, "res", v if len(v) > 1 else v * cfg.dim))
-    take("grid", "extent", _floats, lambda v: setattr(cfg, "extent", v if len(v) > 1 else v * cfg.dim))
+    extent = _checked(_floats, lambda v: all(0.0 < e < np.inf for e in v), "must be finite and positive")
+    take("grid", "extent", extent, lambda v: setattr(cfg, "extent", v if len(v) > 1 else v * cfg.dim))
 
     take("exponents", "p1", str, setattr_("p1"))
     take("exponents", "p2", str, setattr_("p2"))
@@ -163,10 +165,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         raw = raw.strip()
         if raw.lower() == "auto":
             return None
-        value = float(raw)
-        if value <= 0.0:
-            raise ValueError("lambda must be positive")
-        return value
+        return _FINITE_POSITIVE(raw)
 
     take("problem", "lambda", parse_lam, setattr_("lam"))
     take("problem", "lambda_grid", _floats, lambda v: _set_lam_grid(cfg, v))
@@ -191,8 +190,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
                 f"{_line_of(path, section, key)}{key} has {len(value)} entries for dim {cfg.dim}"
             )
 
-    tol = _checked(float, lambda v: 0.0 < v < np.inf, "must be finite and positive")
-    take("solver", "tol", tol, setattr_("tol"))
+    take("solver", "tol", _FINITE_POSITIVE, setattr_("tol"))
     take("solver", "max_iter", _checked(int, lambda v: v >= 1, "must be 1 or more"), setattr_("max_iter"))
 
     take("sampling", "seed", _checked(int, lambda v: v >= 0, "must be 0 or more"), setattr_("seed"))
@@ -209,18 +207,30 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         except ConfigError as exc:
             raise ConfigError(f"{_line_of(path, 'exponents', key)}{exc}") from None
     try:
-        cfg.grid()
+        grid = cfg.grid()
     except Exception as exc:
         raise ConfigError(f"{path}: invalid grid: {exc}") from None
+    # the boxes bump_function would refuse, located at their centre key
+    boxes = [("bump", "center", cfg.bump_center, cfg.bump_side)]
+    boxes += [("mountain", "seed_centers", c, cfg.seed_side) for c in cfg.seed_centers]
+    for section, key, center, side in boxes:
+        try:
+            SubBox.centered(center, side).interior_gap(grid)
+        except SubdomainBoundsError as exc:
+            raise ConfigError(
+                f"{_line_of(path, section, key)}bad value for [{section}] {key}: "
+                f"box at {center} of side {side}: {exc}"
+            ) from None
     return cfg
 
 
 def _set_lam_grid(cfg: ExperimentConfig, v):
     if len(v) != 3:
         raise ValueError("lambda_grid wants: lo hi count")
-    cfg.lam_grid_lo, cfg.lam_grid_hi, cfg.lam_grid_count = v[0], v[1], int(v[2])
-    if cfg.lam_grid_lo <= 0 or cfg.lam_grid_hi <= cfg.lam_grid_lo or cfg.lam_grid_count < 2:
-        raise ValueError("lambda_grid needs 0 < lo < hi and count >= 2")
+    lo, hi, count = v
+    if not (0.0 < lo < hi < np.inf and 2 <= count < np.inf and count.is_integer()):
+        raise ValueError("lambda_grid needs 0 < lo < hi < inf and a whole count >= 2")
+    cfg.lam_grid_lo, cfg.lam_grid_hi, cfg.lam_grid_count = lo, hi, int(count)
 
 
 def _warn_unread(path: Path, parser: configparser.ConfigParser, read: set):

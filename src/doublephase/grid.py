@@ -60,8 +60,8 @@ class DomainGrid:
             raise ValueError(f"need at least 4 nodes per axis, got res={res}")
         extent = self.extent if self.extent is not None else 1.0
         extent = tuple(float(e) for e in np.broadcast_to(extent, (self.dim,)))
-        if any(e <= 0 for e in extent):
-            raise ValueError(f"extent must be positive, got {extent}")
+        if not all(0.0 < e < np.inf for e in extent):
+            raise ValueError(f"extent must be finite and positive, got {extent}")
         object.__setattr__(self, "res", res)
         object.__setattr__(self, "extent", extent)
 

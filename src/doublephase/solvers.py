@@ -102,7 +102,7 @@ class SubBox:
     def __post_init__(self):
         lo = tuple(float(x) for x in self.lo)
         hi = tuple(float(x) for x in self.hi)
-        if len(lo) != len(hi) or any(a >= b for a, b in zip(lo, hi)):
+        if len(lo) != len(hi) or not all(a < b for a, b in zip(lo, hi)):
             raise SubdomainBoundsError(f"degenerate sub-box {lo} .. {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -117,13 +117,17 @@ class SubBox:
     def volume(self) -> float:
         return float(np.prod([b - a for a, b in zip(self.lo, self.hi)]))
 
-    def gap_to(self, grid: DomainGrid) -> float:
-        """Smallest distance from the box to the domain boundary."""
-        gaps = []
-        for a, b, e in zip(self.lo, self.hi, grid.extent):
-            gaps.append(a - 0.0)
-            gaps.append(e - b)
-        return float(min(gaps))
+    def interior_gap(self, grid: DomainGrid) -> float:
+        """Smallest distance from the box to the domain boundary; a box of
+        another dimension, or not strictly inside the domain, is refused."""
+        if len(self.lo) != grid.dim:
+            raise SubdomainBoundsError("sub-box dimension does not match the grid")
+        gap = min(min(a, e - b) for a, b, e in zip(self.lo, self.hi, grid.extent))
+        if not gap > 0.0:
+            raise SubdomainBoundsError(
+                f"sub-box must be strictly interior (gap {gap:.3e})"
+            )
+        return gap
 
 
 @dataclass
@@ -140,13 +144,7 @@ def bump_function(grid: DomainGrid, t0: float, box: SubBox) -> PlateauBump:
     to the box, exactly zero on the domain boundary."""
     if t0 <= 1.0:
         raise ValueError(f"plateau height must exceed 1, got {t0}")
-    if len(box.lo) != grid.dim:
-        raise SubdomainBoundsError("sub-box dimension does not match the grid")
-    gap = box.gap_to(grid)
-    if gap <= 0.0:
-        raise SubdomainBoundsError(
-            f"sub-box must be strictly interior (gap {gap:.3e})"
-        )
+    gap = box.interior_gap(grid)
     mesh = grid.node_mesh()
     d2 = np.zeros(grid.node_shape)
     for x, a, b in zip(mesh, box.lo, box.hi):

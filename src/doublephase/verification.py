@@ -11,6 +11,7 @@ over its cells, never from the cells of a scaled copy.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -45,8 +46,9 @@ __all__ = [
 
 _REL_SLACK = 1e-12  # generic inequality slack
 _EXACT_SLACK = 1e-15  # slack for exact-arithmetic pointwise facts
-# sample-by-point values evaluated at once by the vectorized checks, which
-# draw all their samples first and then evaluate them in row blocks
+# sample-by-point values evaluated at once by the vectorized checks; the
+# auxiliary check draws its samples first, the monotonicity check draws
+# them block by block and so holds about 1.1 MiB at 100 000 x 3 samples
 _BLOCK_ELEMENTS = 1 << 14
 _T_POINTS = 64  # t-grid points per auxiliary-inequality sample
 _ETA_GRID = np.geomspace(1e-3, 1.0, 13)  # sphere radii of the mountain geometry
@@ -109,7 +111,7 @@ def check_pointwise_inequalities(n_samples: int = 10_000, seed=0) -> CheckReport
 def _row_blocks(n: int, width: int):
     """Slices of ``_BLOCK_ELEMENTS // width`` rows (at least one) covering n rows."""
     rows = max(1, _BLOCK_ELEMENTS // width)
-    return [slice(i, i + rows) for i in range(0, n, rows)]
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def check_auxiliary_inequality(n_samples: int = 10_000, seed=0) -> CheckReport:
@@ -144,17 +146,22 @@ def check_strong_monotonicity(
 ) -> CheckReport:
     """Vector monotonicity (|x|^(r-2) x - |y|^(r-2) y).(x - y) >= C |x - y|^r
     for r >= 2; measures the empirical C and asserts nonnegativity.  The
-    samples are drawn at once and evaluated in row blocks; the report does
-    not depend on the block size."""
+    samples are drawn one row block at a time, so the check holds about
+    1.1 MiB at 100 000 x 3 samples.  A copy of the generator, made before
+    any draw, first skips the n_samples x dim normals of xi and then draws
+    psi, so each block's rows equal those of drawing xi whole and then psi
+    whole: the report does not depend on the block size."""
     if r < 2.0:
         raise ValueError(f"exponent must be at least 2, got {r}")
-    rng = np.random.default_rng(seed)
-    xi_all = rng.normal(size=(n_samples, dim))
-    psi_all = rng.normal(size=(n_samples, dim))
+    xi_rng = np.random.default_rng(seed)
+    psi_rng = copy.deepcopy(xi_rng)
+    blocks = [(rows.stop - rows.start, dim) for rows in _row_blocks(n_samples, dim)]
+    for shape in blocks:
+        psi_rng.normal(size=shape)
     kept = skipped = failures = 0
     ratios, worst = [], []
-    for rows in _row_blocks(n_samples, dim):
-        xi, psi = xi_all[rows], psi_all[rows]
+    for shape in blocks:
+        xi, psi = xi_rng.normal(size=shape), psi_rng.normal(size=shape)
         nxi = np.linalg.norm(xi, axis=1)
         npsi = np.linalg.norm(psi, axis=1)
         diff = xi - psi

@@ -108,6 +108,7 @@ def test_config_refuses_a_centre_of_the_wrong_length(tmp_path, capsys, section, 
     "section, key, value",
     [
         ("bump", "t0", "0.5"),
+        ("bump", "t0", "inf"),
         ("mountain", "seed_t0", "1.0"),
         ("bump", "side", "-0.5"),
         ("mountain", "seed_side", "0"),
@@ -124,6 +125,51 @@ def test_config_refuses_a_value_the_stages_refuse(tmp_path, capsys, section, key
     with pytest.raises(ConfigError, match=f"range.cfg:5: bad value for \\[{section}\\] {key}"):
         load_config(path)
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+DEFAULT_CFG = Path(__file__).parents[1] / "scripts" / "default.cfg"
+
+
+def _line_numbers(rows, key):
+    return [i for i, row in enumerate(rows, start=1) if row.startswith(f"{key} = ")]
+
+
+@pytest.mark.parametrize(
+    "line, section, key, stage",
+    [
+        ("lambda = nan", "problem", "lambda", "solve-min"),
+        ("lambda = inf", "problem", "lambda", "solve-min"),
+        ("lambda_grid = 1e-2 inf 361", "problem", "lambda_grid", "lambda-star"),
+        ("lambda_grid = 1e-2 nan 361", "problem", "lambda_grid", "lambda-star"),
+        ("lambda_grid = 1e-2 1e4 361.9", "problem", "lambda_grid", "lambda-star"),
+        ("extent = inf", "grid", "extent", "verify"),
+        ("extent = nan", "grid", "extent", "verify"),
+        ("center = 0.1 0.5 0.5", "bump", "center", "lambda-star"),
+        ("side = 1.5", "bump", "center", "lambda-star"),
+        ("seed_centers = 0.05 0.3 0.3 | 0.7 0.7 0.7", "mountain", "seed_centers", "solve-mp"),
+    ],
+)
+def test_config_refuses_at_load_what_a_stage_refuses_later(tmp_path, capsys, line, section, key, stage):
+    # default.cfg with one line changed; each value used to pass the loader
+    # and end the stage with exit 1.  A box is located at its centre key.
+    rows = DEFAULT_CFG.read_text().splitlines()
+    [changed] = _line_numbers(rows, line.split(" = ")[0])
+    rows[changed - 1] = line
+    path = tmp_path / "late.cfg"
+    path.write_text("\n".join(rows) + "\n")
+    [located] = _line_numbers(rows, key)
+    with pytest.raises(ConfigError, match=f"late.cfg:{located}: bad value for \\[{section}\\] {key}"):
+        load_config(path)
+    assert main([stage, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_a_negative_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--seed", "-3", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "--seed: must be 0 or more, got -3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

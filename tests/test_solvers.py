@@ -75,6 +75,8 @@ def test_bump_rejects_bad_geometry(s8):
         bump_function(g, 2.0, SubBox.centered((0.1, 0.5, 0.5), 0.4))  # touches x1 = 0
     with pytest.raises(SubdomainBoundsError):
         bump_function(g, 2.0, SubBox((0.3, 0.3), (0.6, 0.6)))  # wrong dimension
+    with pytest.raises(SubdomainBoundsError):
+        SubBox.centered((np.nan, 0.5, 0.5), 0.25)  # bounds that do not order
     with pytest.raises(ValueError):
         bump_function(g, 0.9, SubBox.centered((0.5, 0.5, 0.5), 0.25))  # plateau <= 1
 
