@@ -21,11 +21,11 @@ from .solvers import (
     SolverOptions,
     SubBox,
     bump_function,
+    dedupe_with_negatives,
     find_endpoint,
     lambda_star_search,
     minimize_energy,
     mountain_pass,
-    multi_solution_search,
 )
 from .spaces import luxemburg_norm, modular, sobolev_norm
 
@@ -46,11 +46,11 @@ __all__ = [
     "SolverOptions",
     "SubBox",
     "bump_function",
+    "dedupe_with_negatives",
     "find_endpoint",
     "lambda_star_search",
     "minimize_energy",
     "mountain_pass",
-    "multi_solution_search",
     "luxemburg_norm",
     "modular",
     "sobolev_norm",

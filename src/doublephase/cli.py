@@ -24,10 +24,10 @@ from .outputs import (
 )
 from .solvers import (
     bump_function,
-    distinctness_matrix,
+    dedupe_with_negatives,
     lambda_star_search,
     minimize_energy,
-    multi_solution_search,
+    mountain_pass,
 )
 from .spaces import luxemburg_norm, modular, sobolev_norm
 from .verification import run_all_checks
@@ -199,14 +199,13 @@ def cmd_solve_mp(args) -> int:
         return EXIT_FAIL
     lam = cfg.lam if cfg.lam is not None else 1.0
     seeds = [bump_function(grid, cfg.seed_t0, box).fn for box in cfg.seed_boxes()]
-    solutions = multi_solution_search(
-        lam, exps, seeds, opts=cfg.solver_options(),
-        override_hypotheses=cfg.override_hypotheses,
-    )
+    opts = cfg.solver_options()
+    found = [mountain_pass(lam, exps, seed, opts, cfg.override_hypotheses) for seed in seeds]
+    solutions, norms, distances = dedupe_with_negatives(found, exps)
 
     written = []
     summary = []
-    for j, sol in enumerate(solutions):
+    for j, (sol, norm) in enumerate(zip(solutions, norms)):
         written.append(write_field_csv(out_dir / f"solution_{j:02d}.csv", sol.u))
         written.append(write_history_csv(out_dir / f"history_{j:02d}.csv", sol.history))
         summary.append(
@@ -216,13 +215,11 @@ def cmd_solve_mp(args) -> int:
                 "residual": sol.residual,
                 "iterations": sol.iterations,
                 "termination": sol.termination,
-                "grad_norm": sobolev_norm(sol.u, exps.pmax),
+                "grad_norm": norm,
             }
         )
     if solutions:
-        written.append(write_matrix_csv(
-            out_dir / "distinct_matrix.csv", distinctness_matrix(solutions, exps)
-        ))
+        written.append(write_matrix_csv(out_dir / "distinct_matrix.csv", distances))
     written.append(write_json(out_dir / "solve_mp.json", {"lambda": lam, "solutions": summary}))
     write_manifest(
         out_dir, written, cfg, hyps, extra={"lambda": lam, "reg_eps": REG_EPS}

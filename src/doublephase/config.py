@@ -22,6 +22,9 @@ from .solvers import SolverOptions, SubBox
 
 __all__ = ["ExperimentConfig", "load_config"]
 
+# the most values a lambda_grid may ask for: 10^6 doubles are 8 MB
+LAM_GRID_MAX_COUNT = 10**6
+
 
 @dataclass
 class ExperimentConfig:
@@ -176,7 +179,10 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
 
     take(
         "mountain", "seed_centers",
-        lambda raw: tuple(_floats(part) for part in raw.split("|") if part.strip()),
+        _checked(
+            lambda raw: tuple(_floats(part) for part in raw.split("|") if part.strip()),
+            len, "needs at least one centre",
+        ),
         setattr_("seed_centers"),
     )
     take("mountain", "seed_side", _POSITIVE, setattr_("seed_side"))
@@ -228,8 +234,10 @@ def _set_lam_grid(cfg: ExperimentConfig, v):
     if len(v) != 3:
         raise ValueError("lambda_grid wants: lo hi count")
     lo, hi, count = v
-    if not (0.0 < lo < hi < np.inf and 2 <= count < np.inf and count.is_integer()):
-        raise ValueError("lambda_grid needs 0 < lo < hi < inf and a whole count >= 2")
+    if not (0.0 < lo < hi < np.inf and 2 <= count <= LAM_GRID_MAX_COUNT and count.is_integer()):
+        raise ValueError(
+            f"lambda_grid needs 0 < lo < hi < inf and a whole count from 2 to {LAM_GRID_MAX_COUNT}"
+        )
     cfg.lam_grid_lo, cfg.lam_grid_hi, cfg.lam_grid_count = lo, hi, int(count)
 
 

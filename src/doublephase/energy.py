@@ -43,7 +43,6 @@ from .grid import (
     GridFunction,
     cells,
     fill_pad,
-    l2_norm,
     transfer,
     transfer_adjoint,
 )
@@ -302,8 +301,8 @@ def grad_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> GridF
 
 
 def residual_norm(r: GridFunction) -> float:
-    """Discrete L2 norm of a residual field."""
-    return l2_norm(r)
+    """Discrete L2 norm of a residual field on nodes."""
+    return float(np.sqrt(r.grid.cell_volume * np.sum(r.values * r.values)))
 
 
 class RayEnergy:

@@ -37,7 +37,6 @@ __all__ = [
     "gradient_gram_inverse",
     "cell_quadrature",
     "pairing",
-    "l2_norm",
 ]
 
 
@@ -415,7 +414,3 @@ def pairing(a: GridFunction, b: GridFunction) -> float:
     """Discrete L2 duality pairing on nodes: sum(a*b) * cell volume."""
     return a.grid.cell_volume * float(np.sum(a.values * b.values))
 
-
-def l2_norm(u: GridFunction) -> float:
-    """Discrete L2 norm on nodes."""
-    return float(np.sqrt(u.grid.cell_volume * np.sum(u.values * u.values)))

@@ -57,8 +57,6 @@ __all__ = [
     "find_endpoint",
     "mountain_pass",
     "dedupe_with_negatives",
-    "multi_solution_search",
-    "distinctness_matrix",
 ]
 
 
@@ -463,46 +461,33 @@ def mountain_pass(
     return replace(result, energy=rep, residual=res, termination=termination)
 
 
-def dedupe_with_negatives(results: list[SolveResult], s: ExponentSet) -> list[SolveResult]:
+def dedupe_with_negatives(
+    results: list[SolveResult], s: ExponentSet
+) -> tuple[list[SolveResult], list[float], np.ndarray]:
     """Add the sign-flipped copy of every converged saddle (the energy is
-    even and negation exact, so the copy keeps the energy report) and merge
-    candidates whose gradient-norm distance is at most 1e-2 of the largest
-    gradient norm."""
+    even and negation exact, so the copy keeps the energy report) and keep
+    each candidate whose gradient-norm distance to every one kept before it
+    exceeds 1e-2 of the largest gradient norm.
+
+    Returns the kept saddles, their gradient norms and the symmetric matrix
+    of their pairwise distances, zero on the diagonal.  A mirror's norm is
+    its saddle's bitwise, so each seed's is solved once, and the distances
+    are those the merge test solved.
+    """
     found: list[SolveResult] = []
+    norms: list[float] = []
     for result in results:
         if result.converged:
             found += [result, replace(result, u=-result.u)]
-    if not found:
-        return []
-    delta = 1e-2 * max(sobolev_norm(r.u, s.pmax) for r in found)
-    distinct: list[SolveResult] = []
-    for cand in found:
-        dup = any(
-            sobolev_norm(cand.u - kept.u, s.pmax) <= delta for kept in distinct
-        )
-        if not dup:
-            distinct.append(cand)
-    return distinct
-
-
-def multi_solution_search(
-    lam: float,
-    s: ExponentSet,
-    seeds: list[GridFunction],
-    opts: SolverOptions | None = None,
-    override_hypotheses: bool = False,
-) -> list[SolveResult]:
-    """Saddle search per seed direction, then sign-mirroring and dedup."""
-    found = [mountain_pass(lam, s, seed, opts, override_hypotheses) for seed in seeds]
-    return dedupe_with_negatives(found, s)
-
-
-def distinctness_matrix(results: list[SolveResult], s: ExponentSet) -> np.ndarray:
-    """Pairwise gradient-norm distances between solution fields."""
-    n = len(results)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = sobolev_norm(results[i].u - results[j].u, s.pmax)
-            out[i, j] = out[j, i] = d
-    return out
+            norms += [sobolev_norm(result.u, s.pmax)] * 2
+    delta = 1e-2 * max(norms, default=0.0)
+    dist = np.zeros((len(found), len(found)))
+    kept: list[int] = []
+    for i, cand in enumerate(found):
+        for k in kept:
+            dist[i, k] = dist[k, i] = sobolev_norm(cand.u - found[k].u, s.pmax)
+            if dist[i, k] <= delta:
+                break
+        else:
+            kept.append(i)
+    return [found[k] for k in kept], [norms[k] for k in kept], dist[np.ix_(kept, kept)]

@@ -15,11 +15,11 @@ from doublephase.solvers import (
     SolverOptions,
     SubBox,
     bump_function,
+    dedupe_with_negatives,
     find_endpoint,
     lambda_star_search,
     minimize_energy,
     mountain_pass,
-    multi_solution_search,
 )
 from doublephase.spaces import (
     check_holder,
@@ -196,7 +196,8 @@ def test_criterion_6_mountain_pipeline(s16, bump16, mp_result):
     # two seeds with disjoint supports: at least four distinct critical points
     seed_a = bump_function(s16.grid, 2.0, SubBox.centered((0.3, 0.3, 0.3), 0.25)).fn
     seed_b = bump_function(s16.grid, 2.0, SubBox.centered((0.7, 0.7, 0.7), 0.25)).fn
-    solutions = multi_solution_search(1.0, s16, [seed_a, seed_b], opts=SolverOptions())
+    found = [mountain_pass(1.0, s16, seed, SolverOptions()) for seed in (seed_a, seed_b)]
+    solutions, _, _ = dedupe_with_negatives(found, s16)
     assert len(solutions) >= 4
     for sol in solutions:
         assert sol.residual <= 1e-6 and sol.energy.total > 0.0

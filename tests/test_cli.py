@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import doublephase
+from doublephase import cli, solvers
 from doublephase.cli import main
 from doublephase.config import ExperimentConfig, load_config
 from doublephase.errors import ConfigError, FieldShapeError
 from doublephase.grid import DomainGrid, GridFunction
 from doublephase.outputs import read_field_csv, sha256_of, write_field_csv
+from doublephase.spaces import sobolev_norm
 
 SMALL = """
 [grid]
@@ -148,11 +150,14 @@ def _line_numbers(rows, key):
         ("center = 0.1 0.5 0.5", "bump", "center", "lambda-star"),
         ("side = 1.5", "bump", "center", "lambda-star"),
         ("seed_centers = 0.05 0.3 0.3 | 0.7 0.7 0.7", "mountain", "seed_centers", "solve-mp"),
+        ("seed_centers = |", "mountain", "seed_centers", "solve-mp"),
+        ("lambda_grid = 1e-2 1e4 1e9", "problem", "lambda_grid", "lambda-star"),
     ],
 )
 def test_config_refuses_at_load_what_a_stage_refuses_later(tmp_path, capsys, line, section, key, stage):
     # default.cfg with one line changed; each value used to pass the loader
-    # and end the stage with exit 1.  A box is located at its centre key.
+    # and end the stage with exit 1, or for the 10^9-value lambda grid (8 GB)
+    # run it out of memory.  A box is located at its centre key.
     rows = DEFAULT_CFG.read_text().splitlines()
     [changed] = _line_numbers(rows, line.split(" = ")[0])
     rows[changed - 1] = line
@@ -395,6 +400,24 @@ def test_cmd_solve_mp_small(tmp_path, small_cfg):
     for sol in summary["solutions"]:
         assert sol["energy"]["total"] > 0.0
         assert sol["residual"] <= 1e-6
+
+
+def test_cmd_solve_mp_solves_each_norm_once(tmp_path, small_cfg, monkeypatch):
+    calls = []
+
+    def counted(u, p):
+        calls.append(1)
+        return sobolev_norm(u, p)
+
+    monkeypatch.setattr(solvers, "sobolev_norm", counted)
+    monkeypatch.setattr(cli, "sobolev_norm", counted)
+    out = tmp_path / "mp"
+    assert main(["solve-mp", "--config", str(small_cfg), "--out", str(out)]) == 0
+    n = len(json.loads((out / "solve_mp.json").read_text())["solutions"])
+    # both seeds converge and all four saddles are kept: one norm per seed,
+    # one distance per pair
+    assert n == 4
+    assert len(calls) <= 2 + n * (n - 1) // 2
 
 
 def test_cmd_solve_mp_2d_needs_override(tmp_path):

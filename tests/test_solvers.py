@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,10 @@ from doublephase.solvers import (
     SubBox,
     bump_function,
     dedupe_with_negatives,
-    distinctness_matrix,
     find_endpoint,
     lambda_star_search,
     minimize_energy,
     mountain_pass,
-    multi_solution_search,
 )
 from doublephase.spaces import sobolev_norm
 
@@ -413,8 +412,8 @@ def test_ray_slope_far_right_of_the_peak():
     assert d_value == -1.0
 
 
-def test_multi_solution_single_seed_gives_mirror_pair(s8, bump8):
-    sols = multi_solution_search(1.0, s8, [bump8.fn], opts=SolverOptions())
+def test_multi_solution_single_seed_gives_mirror_pair(s8, mp8):
+    sols, _, _ = dedupe_with_negatives([mp8], s8)
     assert len(sols) >= 2
     norms = [sobolev_norm(r.u, s8.pmax) for r in sols]
     delta = 1e-2 * max(norms)
@@ -425,9 +424,10 @@ def test_multi_solution_single_seed_gives_mirror_pair(s8, bump8):
 
 
 def test_multi_solution_duplicate_seeds_dedup(s8, bump8):
-    sols = multi_solution_search(
-        1.0, s8, [bump8.fn, bump8.fn.copy()], opts=SolverOptions()
-    )
+    found = [
+        mountain_pass(1.0, s8, seed, SolverOptions()) for seed in (bump8.fn, bump8.fn.copy())
+    ]
+    sols, _, _ = dedupe_with_negatives(found, s8)
     assert len(sols) == 2  # the mirror pair only, duplicates merged
 
 
@@ -437,12 +437,22 @@ def test_dedupe_drops_unconverged(s8, mp8):
     fake = SolveResult(
         mp8.u, mp8.energy, mp8.residual, mp8.iterations, list(mp8.history), "max_iter"
     )
-    assert dedupe_with_negatives([fake], s8) == []
+    sols, norms, distances = dedupe_with_negatives([fake], s8)
+    assert sols == [] and norms == [] and distances.shape == (0, 0)
 
 
-def test_distinctness_matrix_symmetry(s8, bump8):
-    sols = multi_solution_search(1.0, s8, [bump8.fn], opts=SolverOptions())
-    m = distinctness_matrix(sols, s8)
-    assert m.shape == (len(sols), len(sols))
-    assert np.allclose(m, m.T)
+def test_dedupe_table_matches_fresh_norms(s8, mp8, rng):
+    # converged stand-ins at random fields: three seeds, six distinct candidates
+    results = [mp8] + [
+        replace(mp8, u=random_field(s8.grid, rng, amp=amp)) for amp in (0.5, 2.0)
+    ]
+    sols, norms, m = dedupe_with_negatives(results, s8)
+    assert len(sols) == 6
+    assert norms == [sobolev_norm(r.u, s8.pmax) for r in sols]
+    assert m.shape == (6, 6)
+    assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0.0)
+    for i in range(6):
+        for j in range(6):
+            if i != j:
+                assert m[i, j] == sobolev_norm(sols[i].u - sols[j].u, s8.pmax)
