@@ -110,6 +110,12 @@ class EnergyReport:
         """The four terms in ``TERMS`` order."""
         return tuple(getattr(self, field) for field, _, _ in TERMS)
 
+    @property
+    def roundoff(self) -> float:
+        """Summation roundoff of ``total``: 64 eps max(sum |c_k| term_k, 1)."""
+        scale = sum(abs(c) * t for c, t in zip(coefficients(self.lam, self.form), self.terms))
+        return 64.0 * np.finfo(float).eps * max(scale, 1.0)
+
     def to_dict(self) -> dict:
         fields = {field: getattr(self, field) for field, _, _ in TERMS}
         return {"form": self.form, "lambda": self.lam, "total": self.total, **fields}

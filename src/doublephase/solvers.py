@@ -6,8 +6,9 @@ forms.  The core (:func:`_descent`) takes Barzilai-Borwein steps along the
 Sobolev gradient P^-1 g, where P is the p = 2 operator of the energies and
 its exact inverse is a sine transform (:func:`gradient_gram_inverse`), so
 its iteration counts do not grow with the grid.  One evaluation hook maps
-each trial field to its candidate point with that point's energy and
-gradient: :func:`energy_and_gradient` of the field itself for global
+each trial field to its candidate point with that point's report (the core
+reads only its level ``total`` and its ``roundoff``) and gradient:
+:func:`energy_and_gradient` of the field itself for global
 minimization of the coercive form, the ray-peak projection for the saddle
 search on the mountain form (descent on the set of ray maxima, started from
 the peak of the seed's ray).  A saddle trial takes one pass over the cells
@@ -16,11 +17,11 @@ rising and falling parts of its slope balance (:func:`decreasing_root` on
 their log ratio), and the kept pass the energy and gradient there;
 :func:`find_endpoint` scans doublings on :attr:`RayEnergy.poly`.  A step
 is accepted by one test: the nonmonotone Armijo test of Grippo, Lampariello
-and Lucidi against the highest of the last ``LOOKBACK`` accepted energies, as in
-Raydan's globalized Barzilai-Borwein method, relaxed by the summation
-roundoff of the energy, so most spectral steps are taken as they come, and
-once decreases are no longer resolvable any step without a resolvable rise
-above that level is taken.
+and Lucidi against the highest of the last ``LOOKBACK`` accepted levels, as in
+Raydan's globalized Barzilai-Borwein method, relaxed by the report's
+``roundoff``, so most spectral steps are taken as they come, and once
+decreases are no longer resolvable any step without a resolvable rise above
+that level is taken.
 """
 from __future__ import annotations
 
@@ -31,8 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import (
-    EnergyReport, RayEnergy, coefficients, energy_and_gradient, eval_energy, ray_energy,
-    residual_norm,
+    EnergyReport, RayEnergy, energy_and_gradient, eval_energy, ray_energy, residual_norm,
 )
 from .errors import (
     EndpointScheduleError,
@@ -78,11 +78,14 @@ class SolverOptions:
 
 @dataclass
 class SolveResult:
+    """The end of a :func:`_descent` run; ``history`` holds (best, residual)
+    per iteration, ``best`` the lowest level accepted so far."""
+
     u: GridFunction
     energy: EnergyReport
     residual: float
     iterations: int
-    history: list[tuple[float, float]]  # (energy, residual) per iteration
+    history: list[tuple[float, float]]
     termination: str  # "converged" | "max_iter" | "stagnated"
 
     @property
@@ -164,41 +167,36 @@ def _gate(s: ExponentSet, form: str, override: bool):
     return report
 
 
-def _fp_energy_floor(rep: EnergyReport) -> float:
-    """Smallest energy decrease distinguishable from summation roundoff."""
-    scale = sum(abs(c) * t for c, t in zip(coefficients(rep.lam, rep.form), rep.terms))
-    return 64.0 * np.finfo(float).eps * max(scale, 1.0)
-
-
 def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
     """Preconditioned Barzilai-Borwein descent with an evaluation hook.
 
-    ``evaluate(z)`` maps a trial field z to (point, energy report, gradient)
-    of its candidate point; the run starts at ``evaluate(z0)``.  The search
-    direction is the Sobolev gradient d = P^-1 g, P = G^T G the p = 2
-    operator, inverted exactly by :func:`gradient_gram_inverse`; the first
-    trial step is ``STEP_INIT``, later ones the spectral length s'Ps / s'y
-    of the last step s = -t d_prev before the hook (capped at
-    ``STEP_MAX``), where Ps = -t g_prev needs no transform.  A trial step t
-    is accepted when its energy satisfies
+    ``evaluate(z)`` maps a trial field z to (point, report, gradient) of its
+    candidate point, or rejects z by raising PathCollapseError (the step
+    then shrinks); the run starts at ``evaluate(z0)``.  Of a report, an
+    :class:`EnergyReport` or any other object, the core reads only the level
+    ``total`` and its ``roundoff``; it returns the last accepted point, and
+    its report unchanged as ``SolveResult.energy``.  The search direction is
+    the Sobolev gradient d = P^-1 g, P = G^T G the p = 2 operator, inverted
+    exactly by :func:`gradient_gram_inverse`; the first trial step is
+    ``STEP_INIT``, later ones the spectral length s'Ps / s'y of the last
+    step s = -t d_prev before the hook (capped at ``STEP_MAX``), where
+    Ps = -t g_prev needs no transform.  A trial step t is accepted when
 
         E_new <= max(levels) - ARMIJO * t * vol * sum(g d) + floor,
 
-    ``levels`` the last ``LOOKBACK`` accepted energies (the start's
-    included) and ``floor`` the summation roundoff of the current energy
-    (:func:`_fp_energy_floor`), an allowance proportional to |E| as in the
-    CG_DESCENT line search of Hager and Zhang.  Comparing against the
-    highest recent level rather than the lowest one so far is the
-    nonmonotone test of Grippo, Lampariello and Lucidi that Raydan's
-    globalized Barzilai-Borwein method uses: the spectral step, which does
-    not lower the energy at every step, is taken as it comes far more often,
-    while the highest of the last ``LOOKBACK`` levels never rises by more
-    than the floor.  Once decreases are not resolvable the test accepts any
-    step without a resolvable rise above that level.  Trial steps shrink by
-    ``STEP_SHRINK`` until one is accepted; when the step falls 18 decades
-    below its first trial the run ends ``stagnated``.  The returned point is
-    the last accepted one.  The energy column of the history is ``best``,
-    the lowest energy accepted so far, so it never increases.
+    ``levels`` the last ``LOOKBACK`` accepted levels (the start's included)
+    and ``floor`` the current report's ``roundoff``, an allowance
+    proportional to |E| as in the CG_DESCENT line search of Hager and Zhang.
+    Comparing against the highest recent level rather than the lowest one so
+    far is the nonmonotone test of Grippo, Lampariello and Lucidi that
+    Raydan's globalized Barzilai-Borwein method uses: the spectral step,
+    which does not lower the level at every step, is taken as it comes far
+    more often, while the highest of the last ``LOOKBACK`` levels never
+    rises by more than the floor.  Once decreases are not resolvable the
+    test accepts any step without a resolvable rise above that level.  Trial
+    steps shrink by ``STEP_SHRINK`` until one is accepted; when the step
+    falls 18 decades below its first trial the run ends ``stagnated``.  The
+    history's level column is ``best``, the lowest level accepted so far.
     """
     u, rep, g = evaluate(z0)
     grid = u.grid
@@ -217,7 +215,7 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
             break
         d = gradient_gram_inverse(grid, g.values)
         gd = float(np.sum(g.values * d))
-        floor = _fp_energy_floor(rep)
+        floor = rep.roundoff
         trial = min(step, STEP_MAX)
         stop = 1e-18 * trial
         while trial > stop:
@@ -368,7 +366,7 @@ class _RaySlope:
         p, c = poly
         cp = c * p
         if not np.isfinite(cp).all():
-            raise PathCollapseError("ray energy coefficients overflow (direction too large)")
+            raise PathCollapseError("ray energy polynomial overflows (direction too large)")
         lo, hi = p.min(initial=np.inf), p.max(initial=-np.inf)
         if not c[p == lo].sum() > 0.0:
             raise PathCollapseError("ray energy has no barrier (degenerate direction)")

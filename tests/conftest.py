@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -20,6 +22,21 @@ DEFAULT_Q = "4"
 def default_set(res=16, dim=3):
     grid = dp.DomainGrid(dim, (res,) * dim)
     return dp.build_exponent_set(DEFAULT_P1, DEFAULT_P2, DEFAULT_Q, grid)
+
+
+class Level(NamedTuple):
+    """A level and its summation roundoff: all that the descent core reads of
+    a report."""
+
+    total: float
+    roundoff: float
+
+
+def level(*parts) -> Level:
+    """The sum of ``parts`` with the roundoff an energy report gives its
+    terms: 64 eps max(sum |part|, 1)."""
+    size = sum(abs(x) for x in parts)
+    return Level(sum(parts), 64.0 * np.finfo(float).eps * max(size, 1.0))
 
 
 def random_field(grid, rng, amp=1.0, zero_boundary=True):

@@ -58,6 +58,17 @@ def test_report_identity_and_nonnegative_terms(set12, rng):
         assert min(rep.term_grad_p1, rep.term_grad_p2, rep.term_pmax, rep.term_q) >= 0.0
 
 
+def test_roundoff_counts_every_term_by_its_size(set12, rng):
+    eps64 = 64.0 * np.finfo(float).eps
+    u = random_field(set12.grid, rng)
+    for form in ("mountain", "coercive"):
+        rep = eval_energy(u, 0.7, set12, form)
+        size = rep.term_grad_p1 + rep.term_grad_p2 + 0.7 * rep.term_pmax + rep.term_q
+        assert size > abs(rep.total) and rep.roundoff == pytest.approx(eps64 * size, rel=1e-14)
+        # below a summed size of 1 the roundoff is that of 1
+        assert eval_energy(1e-3 * u, 0.7, set12, form).roundoff == eps64
+
+
 def test_rejects_bad_arguments(set12):
     g = set12.grid
     u = GridFunction(g, np.ones(g.node_shape))

@@ -14,9 +14,17 @@ from doublephase.errors import (
     SubdomainBoundsError,
 )
 from doublephase.exponents import build_exponent_set
-from doublephase.grid import DomainGrid, GridFunction, pairing
+from doublephase.grid import (
+    DomainGrid,
+    GridFunction,
+    fill_pad,
+    pairing,
+    transfer,
+    transfer_adjoint,
+)
 from doublephase.solvers import (
     SolverOptions,
+    _descent,
     _ray_peak,
     SubBox,
     bump_function,
@@ -28,7 +36,7 @@ from doublephase.solvers import (
 )
 from doublephase.spaces import sobolev_norm
 
-from conftest import default_set, random_field
+from conftest import default_set, level, random_field
 
 LAM_GRID = np.geomspace(1e-2, 1e4, 361)
 
@@ -262,6 +270,39 @@ def test_saddle_search_converges_at_a_tight_tolerance():
     bump = bump_function(s.grid, 2.0, SubBox.centered((0.5, 0.5, 0.5), 0.5))
     saddle = mountain_pass(1.0, s, bump.fn, SolverOptions(tol=1e-9))
     assert saddle.converged and saddle.residual <= 1e-9
+
+
+def _gradient_gram(grid, vals):
+    """G^T G of a node stack (leading batch axes), G the cell gradient, from
+    the gradient rows of the transfer maps and their adjoint."""
+    rows = range(1, grid.dim + 1)
+    maps = fill_pad(grid, transfer(grid, vals, rows=rows), 0.0)
+    return transfer_adjoint(grid, maps, rows=rows).reshape(vals.shape)
+
+
+def test_descent_minimizes_a_quadratic(rng):
+    # the core with an objective of its own: 1/2 vol u'Au - vol b'u on the
+    # interior nodes, A = G^T G + I, whose gradient in the node pairing is
+    # Au - b; its report carries only the level and its roundoff
+    grid = DomainGrid(3, (8, 8, 8))
+    vol = grid.cell_volume
+    interior = ~grid.boundary_mask()
+    b = np.where(interior, rng.standard_normal(grid.node_shape), 0.0)
+
+    def evaluate(z):
+        au = np.where(interior, _gradient_gram(grid, z.values) + z.values, 0.0)
+        quad, lin = 0.5 * vol * float(np.sum(z.values * au)), vol * float(np.sum(b * z.values))
+        return z, level(quad, -lin), GridFunction(grid, au - b)
+
+    result = _descent(GridFunction.zeros(grid), evaluate, SolverOptions(tol=1e-10))
+    assert result.converged
+    assert result.energy == evaluate(result.u)[1]
+    # the dense interior solve: A from the unit vectors of the interior nodes
+    units = np.zeros((interior.sum(),) + grid.node_shape)
+    units[(np.arange(len(units)), *np.nonzero(interior))] = 1.0
+    dense = _gradient_gram(grid, units)[:, interior] + np.eye(len(units))
+    exact = np.linalg.solve(dense, b[interior])
+    assert np.max(np.abs(result.u.values[interior] - exact)) <= 1e-8 * np.max(np.abs(exact))
 
 
 @pytest.fixture(scope="module")
