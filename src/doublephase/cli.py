@@ -12,7 +12,7 @@ from pathlib import Path
 from . import __version__
 from .config import load_config
 from .energy import REG_EPS
-from .errors import ConfigError, DoublePhaseError, FieldShapeError
+from .errors import ConfigError, DoublePhaseError, ExponentRangeError, FieldShapeError
 from .exponents import validate_hypotheses
 from .outputs import (
     read_field_csv,
@@ -73,41 +73,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(args):
+def _prepare(args, form):
+    """The config with the flag overrides, its exponent set, both hypothesis
+    reports and the output directory.  ``None`` when the ``form``
+    hypotheses fail without an override: the reports are written and the
+    failing conditions named."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = str(args.out)
-    if getattr(args, "override_hypotheses", False):
+    if args.override_hypotheses:
         cfg.override_hypotheses = True
+    try:
+        exps = cfg.exponents()
+    except ExponentRangeError as exc:
+        raise ConfigError(str(exc)) from None
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid = cfg.grid()
-    exps = cfg.exponents()
-    return cfg, out_dir, grid, exps
-
-
-def _hyp_reports(exps):
-    return {
-        "mountain": validate_hypotheses(exps, "mountain"),
-        "coercive": validate_hypotheses(exps, "coercive"),
-    }
-
-
-def _gate_or_fail(cfg, out_dir, form: str, hyps) -> bool:
-    if hyps[form].passed or cfg.override_hypotheses:
-        return True
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
+    hyps = {f: validate_hypotheses(exps, f) for f in ("mountain", "coercive")}
+    if form is None or hyps[form].passed or cfg.override_hypotheses:
+        return cfg, out_dir, exps, hyps
     write_json(out_dir / "hypothesis_reports.json", hyps)
     failing = [c.name for c in hyps[form].conditions if not c.satisfied]
     print(f"{form} hypotheses fail: {', '.join(failing)}", file=sys.stderr)
     print(f"report written to {out_dir / 'hypothesis_reports.json'}", file=sys.stderr)
-    return False
+    return None
 
 
-def cmd_verify(args) -> int:
-    cfg, out_dir, grid, exps = _prepare(args)
-    hyps = _hyp_reports(exps)
+# A stage takes the parsed arguments and what _prepare returns, writes its
+# payload files and returns (success, the files written, manifest extras).
+
+
+def cmd_verify(args, cfg, out_dir, exps, hyps):
     lam = cfg.lam if cfg.lam is not None else 1.0
     reports = run_all_checks(exps, lam=lam, seed=cfg.seed)
     written = []
@@ -116,47 +117,34 @@ def cmd_verify(args) -> int:
         status = "pass" if rep.passed else "FAIL"
         print(f"{status}  {rep.name}  samples={rep.samples} failures={rep.failures}")
     written.append(write_json(out_dir / "hypothesis_reports.json", hyps))
-    write_manifest(
-        out_dir, written, cfg, hyps, extra={"lambda": lam, "reg_eps": REG_EPS}
-    )
-    all_ok = (
-        bool(reports)
-        and all(r.passed for r in reports)
-        and hyps["mountain"].passed
-        and hyps["coercive"].passed
-    )
     for form in ("mountain", "coercive"):
         status = "pass" if hyps[form].passed else "FAIL"
         print(f"{status}  hypotheses[{form}]")
-    return EXIT_OK if all_ok else EXIT_FAIL
+    ok = bool(reports) and all(r.passed for r in reports) and all(h.passed for h in hyps.values())
+    return ok, written, {"lambda": lam}
 
 
-def cmd_lambda_star(args) -> int:
-    cfg, out_dir, grid, exps = _prepare(args)
-    hyps = _hyp_reports(exps)
-    if not _gate_or_fail(cfg, out_dir, "coercive", hyps):
-        return EXIT_FAIL
-    bump = bump_function(grid, cfg.t0, cfg.bump_box())
-    report = lambda_star_search(exps, bump, cfg.lam_grid())
+def _bump_and_star(cfg, exps):
+    """The plateau bump and the lambda* search along it."""
+    bump = bump_function(exps.grid, cfg.t0, cfg.bump_box())
+    return bump, lambda_star_search(exps, bump, cfg.lam_grid())
+
+
+def cmd_lambda_star(args, cfg, out_dir, exps, hyps):
+    bump, report = _bump_and_star(cfg, exps)
     written = [
         write_field_csv(out_dir / "bump.csv", bump.fn),
         write_json(out_dir / "lambda_star.json", report.to_dict()),
     ]
-    write_manifest(out_dir, written, cfg, hyps, extra={"reg_eps": REG_EPS})
     print(
         f"lambda_star={report.lam_star!r} exact={report.lam_star_exact!r} "
         f"bound={report.analytic_bound!r}"
     )
-    return EXIT_OK
+    return True, written, {}
 
 
-def cmd_solve_min(args) -> int:
-    cfg, out_dir, grid, exps = _prepare(args)
-    hyps = _hyp_reports(exps)
-    if not _gate_or_fail(cfg, out_dir, "coercive", hyps):
-        return EXIT_FAIL
-    bump = bump_function(grid, cfg.t0, cfg.bump_box())
-    star = lambda_star_search(exps, bump, cfg.lam_grid())
+def cmd_solve_min(args, cfg, out_dir, exps, hyps):
+    bump, star = _bump_and_star(cfg, exps)
     if cfg.lam is None:
         lam = 2.0 * star.lam_star
         lam_source = "auto: 2 * lambda_star"
@@ -181,24 +169,16 @@ def cmd_solve_min(args) -> int:
         write_history_csv(out_dir / "history.csv", result.history),
         write_json(out_dir / "solve_min.json", summary),
     ]
-    write_manifest(
-        out_dir, written, cfg, hyps,
-        extra={"lambda": lam, "lambda_source": lam_source, "reg_eps": REG_EPS},
-    )
     print(
         f"{result.termination}: iterations={result.iterations} "
         f"residual={result.residual!r} energy={result.energy.total!r}"
     )
-    return EXIT_OK if result.converged else EXIT_FAIL
+    return result.converged, written, {"lambda": lam, "lambda_source": lam_source}
 
 
-def cmd_solve_mp(args) -> int:
-    cfg, out_dir, grid, exps = _prepare(args)
-    hyps = _hyp_reports(exps)
-    if not _gate_or_fail(cfg, out_dir, "mountain", hyps):
-        return EXIT_FAIL
+def cmd_solve_mp(args, cfg, out_dir, exps, hyps):
     lam = cfg.lam if cfg.lam is not None else 1.0
-    seeds = [bump_function(grid, cfg.seed_t0, box).fn for box in cfg.seed_boxes()]
+    seeds = [bump_function(exps.grid, cfg.seed_t0, box).fn for box in cfg.seed_boxes()]
     opts = cfg.solver_options()
     found = [mountain_pass(lam, exps, seed, opts, cfg.override_hypotheses) for seed in seeds]
     solutions, norms, distances = dedupe_with_negatives(found, exps)
@@ -221,16 +201,12 @@ def cmd_solve_mp(args) -> int:
     if solutions:
         written.append(write_matrix_csv(out_dir / "distinct_matrix.csv", distances))
     written.append(write_json(out_dir / "solve_mp.json", {"lambda": lam, "solutions": summary}))
-    write_manifest(
-        out_dir, written, cfg, hyps, extra={"lambda": lam, "reg_eps": REG_EPS}
-    )
     print(f"distinct solutions: {len(solutions)} (lambda={lam!r})")
-    return EXIT_OK if solutions else EXIT_FAIL
+    return bool(solutions), written, {"lambda": lam}
 
 
-def cmd_norm(args) -> int:
-    cfg, out_dir, grid, exps = _prepare(args)
-    u = read_field_csv(args.field, grid)
+def cmd_norm(args, cfg, out_dir, exps, hyps):
+    u = read_field_csv(args.field, exps.grid)
     rows = {}
     for name, p in (("p1", exps.p1), ("p2", exps.p2), ("pmax", exps.pmax), ("q", exps.q)):
         mod = modular(u, p)
@@ -239,30 +215,34 @@ def cmd_norm(args) -> int:
         rows[name] = {"modular": mod, "luxemburg": lux, "gradient_luxemburg": grad}
         grad_txt = repr(grad) if grad is not None else "n/a (nonzero boundary)"
         print(f"{name}: modular={mod!r} luxemburg={lux!r} gradient_luxemburg={grad_txt}")
-    write_json(out_dir / "norms.json", {"field": str(args.field), "norms": rows})
-    return EXIT_OK
+    written = [write_json(out_dir / "norms.json", {"field": str(args.field), "norms": rows})]
+    return True, written, {}
 
 
+# each stage with the form whose hypotheses gate it (None: reported, not gated)
 _COMMANDS = {
-    "verify": cmd_verify,
-    "solve-min": cmd_solve_min,
-    "solve-mp": cmd_solve_mp,
-    "lambda-star": cmd_lambda_star,
-    "norm": cmd_norm,
+    "verify": (cmd_verify, None),
+    "solve-min": (cmd_solve_min, "coercive"),
+    "solve-mp": (cmd_solve_mp, "mountain"),
+    "lambda-star": (cmd_lambda_star, "coercive"),
+    "norm": (cmd_norm, None),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    stage, form = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, FieldShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        prepared = _prepare(args, form)
+        if prepared is None:
+            return EXIT_FAIL
+        cfg, out_dir, _, hyps = prepared
+        ok, written, extra = stage(args, *prepared)
+        write_manifest(out_dir, written, cfg, hyps, extra={**extra, "reg_eps": REG_EPS})
+        return EXIT_OK if ok else EXIT_FAIL
     except DoublePhaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_USAGE if isinstance(exc, (ConfigError, FieldShapeError)) else EXIT_FAIL
 
 
 if __name__ == "__main__":

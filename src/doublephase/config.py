@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, SubdomainBoundsError
 from .exponents import ExponentSet, build_exponent_set
+from .fieldexpr import parse_field_expression
 from .grid import DomainGrid
 from .solvers import SolverOptions, SubBox
 
@@ -95,6 +96,9 @@ def _checked(conv, ok, need: str):
 _ABOVE_1 = _checked(float, lambda v: 1.0 < v < np.inf, "must be finite and exceed 1")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "must be positive")
 _FINITE_POSITIVE = _checked(float, lambda v: 0.0 < v < np.inf, "must be finite and positive")
+_ALL_FINITE_POSITIVE = _checked(
+    _floats, lambda v: all(0.0 < e < np.inf for e in v), "must be finite and positive"
+)
 
 
 def _line_of(path: Path, section: str, key: str) -> str:
@@ -113,6 +117,50 @@ def _line_of(path: Path, section: str, key: str) -> str:
     return f"{path}: "
 
 
+def _lam_grid(raw: str) -> tuple[float, float, int]:
+    """lo, hi and the whole count of the geometric lambda grid."""
+    v = _floats(raw)
+    if len(v) != 3:
+        raise ValueError("lambda_grid wants: lo hi count")
+    lo, hi, count = v
+    if not (0.0 < lo < hi < np.inf and 2 <= count <= LAM_GRID_MAX_COUNT and count.is_integer()):
+        raise ValueError(
+            f"lambda_grid needs 0 < lo < hi < inf and a whole count from 2 to {LAM_GRID_MAX_COUNT}"
+        )
+    return lo, hi, int(count)
+
+
+# every key the loader reads, in reading order: (section, key) -> (the field
+# it sets, or the fields set from the parsed tuple, and the value's parser)
+_KEYS = {
+    ("grid", "dim"): ("dim", int),
+    ("grid", "res"): ("res", _ints),
+    ("grid", "extent"): ("extent", _ALL_FINITE_POSITIVE),
+    ("exponents", "p1"): ("p1", str),
+    ("exponents", "p2"): ("p2", str),
+    ("exponents", "q"): ("q", str),
+    ("problem", "lambda"): (
+        "lam", lambda raw: None if raw.strip().lower() == "auto" else _FINITE_POSITIVE(raw)),
+    ("problem", "lambda_grid"): (("lam_grid_lo", "lam_grid_hi", "lam_grid_count"), _lam_grid),
+    ("bump", "t0"): ("t0", _ABOVE_1),
+    ("bump", "center"): ("bump_center", _floats),
+    ("bump", "side"): ("bump_side", _POSITIVE),
+    ("mountain", "seed_centers"): (
+        "seed_centers",
+        _checked(
+            lambda raw: tuple(_floats(part) for part in raw.split("|") if part.strip()),
+            len, "needs at least one centre",
+        ),
+    ),
+    ("mountain", "seed_side"): ("seed_side", _POSITIVE),
+    ("mountain", "seed_t0"): ("seed_t0", _ABOVE_1),
+    ("solver", "tol"): ("tol", _FINITE_POSITIVE),
+    ("solver", "max_iter"): ("max_iter", _checked(int, lambda v: v >= 1, "must be 1 or more")),
+    ("sampling", "seed"): ("seed", _checked(int, lambda v: v >= 0, "must be 0 or more")),
+    ("output", "dir"): ("out_dir", str),
+}
+
+
 def load_config(path: str | Path | None) -> ExperimentConfig:
     """Read an INI config; missing file fields keep their defaults.  Each key
     of the file that sets no field is named in one ``UserWarning``."""
@@ -120,73 +168,40 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return cfg
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    read = set()
-
-    def take(section, key, conv, setter):
-        read.add((section, key))
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                setter(conv(raw))
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise ConfigError(
-                    f"{_line_of(path, section, key)}bad value for [{section}] {key}: {raw!r} ({exc})"
-                ) from None
-
-    def setattr_(name):
-        return lambda v: setattr(cfg, name, v)
-
-    take("grid", "dim", int, setattr_("dim"))
-    # dim-dependent defaults adapt unless the file overrides them
-    if not parser.has_option("grid", "res"):
-        cfg.res = (16,) * cfg.dim
-    if not parser.has_option("grid", "extent"):
-        cfg.extent = (1.0,) * cfg.dim
+    # one res or extent entry, as by default, fits any dim
+    cfg.res, cfg.extent = (16,), (1.0,)
+    for (section, key), (fields, parse) in _KEYS.items():
+        if not parser.has_option(section, key):
+            continue
+        raw = parser.get(section, key)
+        try:
+            value = parse(raw)
+        except Exception as exc:
+            raise ConfigError(
+                f"{_line_of(path, section, key)}bad value for [{section}] {key}: {raw!r} ({exc})"
+            ) from None
+        for name, v in zip(fields, value) if isinstance(fields, tuple) else [(fields, value)]:
+            setattr(cfg, name, v)
+    for name in ("res", "extent"):
+        if len(getattr(cfg, name)) == 1:
+            setattr(cfg, name, getattr(cfg, name) * cfg.dim)
+    # the other defaults sized by dim adapt unless the file sets them
     if not parser.has_option("bump", "center"):
         cfg.bump_center = (0.5,) * cfg.dim
     if not parser.has_option("mountain", "seed_centers"):
         cfg.seed_centers = ((0.3,) * cfg.dim, (0.7,) * cfg.dim)
-    take("grid", "res", _ints, lambda v: setattr(cfg, "res", v if len(v) > 1 else v * cfg.dim))
-    extent = _checked(_floats, lambda v: all(0.0 < e < np.inf for e in v), "must be finite and positive")
-    take("grid", "extent", extent, lambda v: setattr(cfg, "extent", v if len(v) > 1 else v * cfg.dim))
-
-    take("exponents", "p1", str, setattr_("p1"))
-    take("exponents", "p2", str, setattr_("p2"))
-    take("exponents", "q", str, setattr_("q"))
-
-    def parse_lam(raw):
-        raw = raw.strip()
-        if raw.lower() == "auto":
-            return None
-        return _FINITE_POSITIVE(raw)
-
-    take("problem", "lambda", parse_lam, setattr_("lam"))
-    take("problem", "lambda_grid", _floats, lambda v: _set_lam_grid(cfg, v))
-
-    take("bump", "t0", _ABOVE_1, setattr_("t0"))
-    take("bump", "center", _floats, setattr_("bump_center"))
-    take("bump", "side", _POSITIVE, setattr_("bump_side"))
-
-    take(
-        "mountain", "seed_centers",
-        _checked(
-            lambda raw: tuple(_floats(part) for part in raw.split("|") if part.strip()),
-            len, "needs at least one centre",
-        ),
-        setattr_("seed_centers"),
-    )
-    take("mountain", "seed_side", _POSITIVE, setattr_("seed_side"))
-    take("mountain", "seed_t0", _ABOVE_1, setattr_("seed_t0"))
     sized = [("grid", "res", cfg.res), ("grid", "extent", cfg.extent)]
     sized += [("bump", "center", cfg.bump_center)]
     sized += [("mountain", "seed_centers", center) for center in cfg.seed_centers]
@@ -196,19 +211,11 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
                 f"{_line_of(path, section, key)}{key} has {len(value)} entries for dim {cfg.dim}"
             )
 
-    take("solver", "tol", _FINITE_POSITIVE, setattr_("tol"))
-    take("solver", "max_iter", _checked(int, lambda v: v >= 1, "must be 1 or more"), setattr_("max_iter"))
-
-    take("sampling", "seed", _checked(int, lambda v: v >= 0, "must be 0 or more"), setattr_("seed"))
-    take("output", "dir", str, setattr_("out_dir"))
-
-    _warn_unread(path, parser, read)
+    _warn_unread(path, parser)
 
     # eager validation so bad expressions fail at load time with a location
     for key in ("p1", "p2", "q"):
         try:
-            from .fieldexpr import parse_field_expression
-
             parse_field_expression(getattr(cfg, key), cfg.dim)
         except ConfigError as exc:
             raise ConfigError(f"{_line_of(path, 'exponents', key)}{exc}") from None
@@ -230,27 +237,16 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     return cfg
 
 
-def _set_lam_grid(cfg: ExperimentConfig, v):
-    if len(v) != 3:
-        raise ValueError("lambda_grid wants: lo hi count")
-    lo, hi, count = v
-    if not (0.0 < lo < hi < np.inf and 2 <= count <= LAM_GRID_MAX_COUNT and count.is_integer()):
-        raise ValueError(
-            f"lambda_grid needs 0 < lo < hi < inf and a whole count from 2 to {LAM_GRID_MAX_COUNT}"
-        )
-    cfg.lam_grid_lo, cfg.lam_grid_hi, cfg.lam_grid_count = lo, hi, int(count)
-
-
-def _warn_unread(path: Path, parser: configparser.ConfigParser, read: set):
-    """One ``UserWarning`` per key of the file that no setting reads; a
-    ``[DEFAULT]`` key counts as read when some section's key of that name is."""
+def _warn_unread(path: Path, parser: configparser.ConfigParser):
+    """One ``UserWarning`` per key of the file that no row of ``_KEYS`` reads;
+    a ``[DEFAULT]`` key counts as read when some section's key of that name is."""
     defaults = set(parser.defaults())
-    taken = {key for _, key in read}
+    taken = {key for _, key in _KEYS}
     unread = [(configparser.DEFAULTSECT, key) for key in defaults if key not in taken]
     for section in parser.sections():
         unread += [
             (section, key) for key in parser.options(section)
-            if key not in defaults and (section, key) not in read
+            if key not in defaults and (section, key) not in _KEYS
         ]
     for section, key in unread:
         warnings.warn(

@@ -41,7 +41,7 @@ class SphereGeometryError(DoublePhaseError):
 
 
 class FieldShapeError(DoublePhaseError):
-    """A field file does not match the configured grid."""
+    """A field file cannot be read or does not match the configured grid."""
 
 
 class ConfigError(DoublePhaseError):

@@ -74,17 +74,17 @@ def parse_field_expression(text: str, dim: int):
         env.update(_FUNCS)
         return eval(code, {"__builtins__": {}}, env)
 
-    fn.expression = text
     return fn
 
 
 def as_field_function(spec, dim: int):
-    """Normalize a field spec (number, expression string, or callable)."""
+    """Normalize a field spec (number, expression string, or callable).  A
+    number evaluates, like the expression of that number, to one value."""
     if callable(spec):
         return spec
     if isinstance(spec, (int, float)):
         value = float(spec)
-        return lambda *coords: np.full_like(np.asarray(coords[0], dtype=float), value)
+        return lambda *coords: value
     if isinstance(spec, str):
         return parse_field_expression(spec, dim)
     raise ConfigError(f"field spec must be a number, string, or callable: {spec!r}")

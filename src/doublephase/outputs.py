@@ -76,7 +76,11 @@ def read_field_csv(path: Path, grid: DomainGrid) -> GridFunction:
     node in lexicographic order (:meth:`DomainGrid.node_axes`), to a
     millionth of the node spacing."""
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise FieldShapeError(f"{path}: cannot read the field file: {exc.strerror}") from None
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FieldShapeError(f"{path}: empty field file")
     skip = 1 if lines[0][0].isalpha() else 0  # a header row
@@ -166,17 +170,11 @@ def sha256_of(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(
-    out_dir: Path,
-    files,
-    config,
-    hypothesis_reports,
-    extra: dict | None = None,
-) -> Path:
+def write_manifest(out_dir: Path, files, config, hypothesis_reports, extra: dict) -> Path:
     """Checksum the payload files the calling stage wrote (``files``); other
-    files already in the output directory are not listed.  The config and
-    the hypothesis reports (dataclasses, or dicts of them) are written by
-    :func:`jsonable`."""
+    files already in the output directory are not listed.  The config, the
+    hypothesis reports (dataclasses, or dicts of them) and the ``extra``
+    entries, which follow them, are written by :func:`jsonable`."""
     out_dir = Path(out_dir)
     checksums = {Path(p).name: sha256_of(p) for p in files}
     manifest = {
@@ -186,6 +184,5 @@ def write_manifest(
         "hypothesis_reports": jsonable(hypothesis_reports),
         "outputs": checksums,
     }
-    if extra:
-        manifest.update(jsonable(extra))
+    manifest.update(jsonable(extra))
     return write_json(out_dir / "manifest.json", manifest)

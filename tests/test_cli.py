@@ -186,6 +186,43 @@ def test_cli_exit_2_on_malformed_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_config_it_cannot_read(tmp_path, capsys):
+    # ConfigParser.read skips a path it cannot open, which used to run the
+    # built-in experiment
+    with pytest.raises(ConfigError, match="cannot read config file .*: Is a directory"):
+        load_config(tmp_path)
+    assert main(["lambda-star", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot read config file")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_an_out_that_names_a_file(tmp_path, small_cfg, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["lambda-star", "--config", str(small_cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot make output directory {out}: File exists\n"
+
+
+def test_cli_refuses_an_exponent_that_reaches_1(tmp_path, capsys):
+    rows = DEFAULT_CFG.read_text().replace("\np1 = 2\n", "\np1 = 0.5\n")
+    path = tmp_path / "low.cfg"
+    path.write_text(rows)
+    for stage in ("verify", "lambda-star", "solve-mp"):
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: exponent p1 must exceed 1 everywhere")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_norm_refuses_a_missing_field_file(tmp_path, small_cfg, capsys):
+    f = tmp_path / "missing.csv"
+    assert main(["norm", str(f), "--config", str(small_cfg), "--out", str(tmp_path / "n")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {f}: cannot read the field file: No such file or directory\n"
+
+
 def test_cmd_norm_examples(tmp_path, small_cfg, capsys):
     grid = DomainGrid(3, (8, 8, 8))
     zero = GridFunction.zeros(grid)
@@ -206,6 +243,9 @@ def test_cmd_norm_examples(tmp_path, small_cfg, capsys):
     assert abs(report["norms"]["p1"]["luxemburg"] - 1.0) < 1e-9
     # nonzero boundary: no gradient norm
     assert report["norms"]["p1"]["gradient_luxemburg"] is None
+    manifest = json.loads((tmp_path / "n2" / "manifest.json").read_text())
+    assert manifest["outputs"] == {"norms.json": sha256_of(tmp_path / "n2" / "norms.json")}
+    assert manifest["hypothesis_reports"]["coercive"]["passed"]
 
 
 def test_cmd_norm_wrong_node_count(tmp_path, small_cfg):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from doublephase.energy import eval_energy
 from doublephase.errors import ExponentRangeError
 from doublephase.exponents import (
     ExponentField,
@@ -13,7 +14,7 @@ from doublephase.exponents import (
     validate_hypotheses,
 )
 from doublephase.fieldexpr import as_field_function
-from doublephase.grid import DomainGrid
+from doublephase.grid import DomainGrid, GridFunction
 
 
 def _summary(s):
@@ -118,6 +119,30 @@ def test_dense_ranges_hold_no_lattice_array():
 def test_rejects_a_callable_that_does_not_fit_the_lattice(spec):
     with pytest.raises(ValueError):
         build_exponent_set(spec, "3", "4", DomainGrid(3, (8, 8, 8)))
+
+
+@pytest.mark.parametrize(
+    "numbers, texts",
+    [
+        ((2, 2.5, 4), ("2", "2.5", "4")),
+        ((2, "2 + 0.5*sin(pi*x1)", 4.0), ("2", "2 + 0.5*sin(pi*x1)", "4")),
+    ],
+    ids=["constants", "mixed"],
+)
+def test_a_number_spec_is_its_expression(numbers, texts, rng):
+    # a number keeps one value on the sparse mesh, as the expression of it
+    # does, so the two sets store and sum the same arrays
+    g = DomainGrid(3, (16, 16, 16))
+    a = build_exponent_set(*numbers, g)
+    b = build_exponent_set(*texts, g)
+    for name in ("p1", "p2", "pmax", "q"):
+        fa, fb = getattr(a, name), getattr(b, name)
+        assert fa.compact.shape == fb.compact.shape
+        assert (fa.lo, fa.hi) == (fb.lo, fb.hi)
+    u = GridFunction(g, rng.standard_normal(g.node_shape) * ~g.boundary_mask())
+    for form in ("mountain", "coercive"):
+        ea, eb = eval_energy(u, 3.0, a, form), eval_energy(u, 3.0, b, form)
+        assert repr(ea.to_dict()) == repr(eb.to_dict())  # bitwise, -0.0 apart from 0.0
 
 
 def test_rejects_non_admissible():
