@@ -4,7 +4,7 @@ Library layout:
     grid          -- uniform grids, discrete gradient/average/quadrature
     fieldexpr     -- the small expression grammar for analytic field specs
     exponents     -- exponent fields, summaries, hypothesis checks
-    spaces        -- modulars, Luxemburg norms, pairing/sandwich/inclusion checks
+    spaces        -- modulars, Luxemburg norms, gradient norms
     energy        -- the two energies and their exact discrete gradients
     solvers       -- bump, threshold search, minimization, saddle search
     verification  -- randomized oracles for every inequality the arguments use

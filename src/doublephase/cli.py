@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import load_config
+from .config import line_of, load_config
 from .energy import REG_EPS
 from .errors import ConfigError, DoublePhaseError, ExponentRangeError, FieldShapeError
 from .exponents import validate_hypotheses
@@ -88,7 +88,7 @@ def _prepare(args, form):
     try:
         exps = cfg.exponents()
     except ExponentRangeError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{line_of(args.config, 'exponents', exc.key)}{exc}") from None
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from .fieldexpr import parse_field_expression
 from .grid import DomainGrid
 from .solvers import SolverOptions, SubBox
 
-__all__ = ["ExperimentConfig", "load_config"]
+__all__ = ["ExperimentConfig", "line_of", "load_config"]
 
 # the most values a lambda_grid may ask for: 10^6 doubles are 8 MB
 LAM_GRID_MAX_COUNT = 10**6
@@ -101,7 +101,7 @@ _ALL_FINITE_POSITIVE = _checked(
 )
 
 
-def _line_of(path: Path, section: str, key: str) -> str:
+def line_of(path: Path, section: str, key: str) -> str:
     """Best-effort line locator for diagnostics."""
     try:
         lines = path.read_text().splitlines()
@@ -133,8 +133,9 @@ def _lam_grid(raw: str) -> tuple[float, float, int]:
 # every key the loader reads, in reading order: (section, key) -> (the field
 # it sets, or the fields set from the parsed tuple, and the value's parser)
 _KEYS = {
-    ("grid", "dim"): ("dim", int),
-    ("grid", "res"): ("res", _ints),
+    ("grid", "dim"): ("dim", _checked(int, lambda v: v in (2, 3), "must be 2 or 3")),
+    ("grid", "res"): (
+        "res", _checked(_ints, lambda v: all(n >= 4 for n in v), "needs 4 or more nodes per axis")),
     ("grid", "extent"): ("extent", _ALL_FINITE_POSITIVE),
     ("exponents", "p1"): ("p1", str),
     ("exponents", "p2"): ("p2", str),
@@ -190,7 +191,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
             value = parse(raw)
         except Exception as exc:
             raise ConfigError(
-                f"{_line_of(path, section, key)}bad value for [{section}] {key}: {raw!r} ({exc})"
+                f"{line_of(path, section, key)}bad value for [{section}] {key}: {raw!r} ({exc})"
             ) from None
         for name, v in zip(fields, value) if isinstance(fields, tuple) else [(fields, value)]:
             setattr(cfg, name, v)
@@ -208,7 +209,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     for section, key, value in sized:
         if len(value) != cfg.dim:
             raise ConfigError(
-                f"{_line_of(path, section, key)}{key} has {len(value)} entries for dim {cfg.dim}"
+                f"{line_of(path, section, key)}{key} has {len(value)} entries for dim {cfg.dim}"
             )
 
     _warn_unread(path, parser)
@@ -218,11 +219,8 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         try:
             parse_field_expression(getattr(cfg, key), cfg.dim)
         except ConfigError as exc:
-            raise ConfigError(f"{_line_of(path, 'exponents', key)}{exc}") from None
-    try:
-        grid = cfg.grid()
-    except Exception as exc:
-        raise ConfigError(f"{path}: invalid grid: {exc}") from None
+            raise ConfigError(f"{line_of(path, 'exponents', key)}{exc}") from None
+    grid = cfg.grid()
     # the boxes bump_function would refuse, located at their centre key
     boxes = [("bump", "center", cfg.bump_center, cfg.bump_side)]
     boxes += [("mountain", "seed_centers", c, cfg.seed_side) for c in cfg.seed_centers]
@@ -231,7 +229,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
             SubBox.centered(center, side).interior_gap(grid)
         except SubdomainBoundsError as exc:
             raise ConfigError(
-                f"{_line_of(path, section, key)}bad value for [{section}] {key}: "
+                f"{line_of(path, section, key)}bad value for [{section}] {key}: "
                 f"box at {center} of side {side}: {exc}"
             ) from None
     return cfg
@@ -250,7 +248,7 @@ def _warn_unread(path: Path, parser: configparser.ConfigParser):
         ]
     for section, key in unread:
         warnings.warn(
-            f"{_line_of(path, section, key)}unread key [{section}] {key}: no setting reads it",
+            f"{line_of(path, section, key)}unread key [{section}] {key}: no setting reads it",
             UserWarning,
             stacklevel=3,
         )

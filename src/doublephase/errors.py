@@ -8,6 +8,8 @@ class DoublePhaseError(Exception):
 class ExponentRangeError(DoublePhaseError):
     """An exponent field takes a value <= 1 somewhere (not an admissible exponent)."""
 
+    key = None  # the spec (p1, p2 or q) the error is about, when it is about one
+
 
 class NormBracketError(DoublePhaseError):
     """The Luxemburg norm could not be solved and certified.

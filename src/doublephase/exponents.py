@@ -212,9 +212,11 @@ def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSe
         lo = float(min(cells.min(), dense[name][0]))
         hi = float(max(cells.max(), dense[name][1]))
         if lo <= 1.0:
-            raise ExponentRangeError(
+            exc = ExponentRangeError(
                 f"exponent {name} must exceed 1 everywhere (min sampled value {lo})"
             )
+            exc.key = name
+            raise exc
         fields[name] = ExponentField(grid, cells, lo, hi)
     pm_cells = _sample(lambda *x: np.maximum(fns["p1"](*x), fns["p2"](*x)), cell_axes)
     lo = float(min(pm_cells.min(), dense["pmax"][0]))

@@ -1,13 +1,15 @@
 """Variable-exponent Lebesgue machinery on the cell measure space.
 
 Modulars integrate the cell-averaged absolute value, so the norm-modular
-relations and the Hoelder pairing hold exactly in the discrete model (up to
-roundoff), not just asymptotically.  The Luxemburg norm is a root of the
-decreasing function log rho(a/e^x), found by the package's one
-one-dimensional root finder, :func:`decreasing_root` (safeguarded Newton in
-a sign bracket), which also finds the solvers' ray peaks.  Each norm takes
-one log pass over the cells and then one exp pass per Newton step; a
-constant exponent takes one power pass, and its steps run on a single term.
+relations, the Hoelder pairing and the embedding bound hold exactly in the
+discrete model (up to roundoff), not just asymptotically; :mod:`verification`
+samples them, and this module keeps only the modulars and the norms.  The
+Luxemburg norm is a root of the decreasing function log rho(a/e^x), found by
+the package's one one-dimensional root finder, :func:`decreasing_root`
+(safeguarded Newton in a sign bracket), which also finds the solvers' ray
+peaks.  Each norm takes one log pass over the cells and then one exp pass
+per Newton step; a constant exponent takes one power pass, and its steps run
+on a single term.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBracketError
-from .exponents import ExponentField, conjugate_exponent
+from .exponents import ExponentField
 from .grid import DomainGrid, GridFunction, cell_quadrature, gradient_values, node_to_cell
 
 __all__ = [
@@ -29,9 +31,6 @@ __all__ = [
     "luxemburg_norm",
     "luxemburg_norm_cells",
     "sobolev_norm",
-    "check_holder",
-    "check_modular_norm_relations",
-    "check_inclusion_bound",
 ]
 
 # asserted bound on the root residual |rho(a/nu) - 1| of the normalized field;
@@ -46,8 +45,6 @@ _END_SHARE = 1e-3
 # the largest served field scale is float-max / _SCALE_HEADROOM, so that the
 # norm mu = scale * nu stays finite for a normalized norm nu up to 2**60
 _SCALE_HEADROOM = 2.0**60
-
-_REL_SLACK = 1e-12
 
 
 @dataclass
@@ -217,75 +214,3 @@ def sobolev_norm(u: GridFunction, p: ExponentField) -> float:
     value, _ = luxemburg_norm_cells(u.grid, np.sqrt(np.sum(g * g, axis=0)), p)
     return value
 
-
-@dataclass
-class HolderReport:
-    lhs: float
-    rhs: float
-    norm_u: float
-    norm_v: float
-    constant: float
-    passed: bool
-
-
-def check_holder(u: GridFunction, v: GridFunction, p: ExponentField) -> HolderReport:
-    """Pairing bound |int u v| <= (1/p.lo + 1/p'.lo) |u|_p |v|_p'."""
-    pc = conjugate_exponent(p)
-    au, av = node_to_cell(u), node_to_cell(v)
-    lhs = abs(cell_quadrature(u.grid, au * av))
-    nu, _ = luxemburg_norm_cells(u.grid, au, p)
-    nv, _ = luxemburg_norm_cells(u.grid, av, pc)
-    const = 1.0 / p.lo + 1.0 / pc.lo
-    rhs = const * nu * nv
-    return HolderReport(lhs, rhs, nu, nv, const, lhs <= rhs + _REL_SLACK * rhs)
-
-
-@dataclass
-class SandwichReport:
-    norm: float
-    modular: float
-    side: str  # "above_one", "below_one", "at_one"
-    lower: float
-    upper: float
-    passed: bool
-
-
-def check_modular_norm_relations(u: GridFunction, p: ExponentField) -> SandwichReport:
-    """Norm-modular sandwich: the modular sits between norm^lo and norm^hi,
-    with the exponents swapping roles on either side of norm = 1."""
-    a = node_to_cell(u)
-    nu, _ = luxemburg_norm_cells(u.grid, a, p)
-    rho = modular_cells(u.grid, a, p)
-    if abs(nu - 1.0) <= NORM_TOL:
-        ok = abs(rho - 1.0) <= NORM_TOL
-        return SandwichReport(nu, rho, "at_one", 1.0, 1.0, ok)
-    if nu > 1.0:
-        lower, upper = nu**p.lo, nu**p.hi
-        side = "above_one"
-    else:
-        lower, upper = nu**p.hi, nu**p.lo
-        side = "below_one"
-    ok = lower * (1.0 - _REL_SLACK) <= rho <= upper * (1.0 + _REL_SLACK)
-    return SandwichReport(nu, rho, side, lower, upper, ok)
-
-
-@dataclass
-class InclusionReport:
-    lhs: float
-    rhs: float
-    constant: float
-    passed: bool
-
-
-def check_inclusion_bound(
-    u: GridFunction, r1: ExponentField, r2: ExponentField
-) -> InclusionReport:
-    """Embedding bound |u|_{r1} <= (|domain|+1) |u|_{r2} for r1 <= r2 pointwise."""
-    if np.any(r1.values > r2.values):
-        raise ValueError("inclusion bound requires r1 <= r2 at every cell")
-    const = u.grid.volume + 1.0
-    a = node_to_cell(u)
-    n1, _ = luxemburg_norm_cells(u.grid, a, r1)
-    n2, _ = luxemburg_norm_cells(u.grid, a, r2)
-    rhs = const * n2
-    return InclusionReport(n1, rhs, const, n1 <= rhs + _REL_SLACK * rhs)

@@ -7,7 +7,9 @@ runs the whole battery, each check at its default size; the sample count is
 the only size a caller sets.
 
 The ray checks read each sampled direction from one :class:`RayEnergy` pass
-over its cells, never from the cells of a scaled copy.
+over its cells, never from the cells of a scaled copy.  The Hoelder pairing,
+norm-modular sandwich and embedding bounds are decided and measured here, one
+sample at a time, from the modulars and norms of :mod:`spaces`.
 """
 from __future__ import annotations
 
@@ -19,16 +21,10 @@ import numpy as np
 
 from .energy import RayEnergy, ray_energy
 from .errors import DoublePhaseError, HypothesisGateError, SphereGeometryError
-from .exponents import ExponentField, ExponentSet, validate_hypotheses
-from .grid import GridFunction
+from .exponents import ExponentField, ExponentSet, conjugate_exponent, validate_hypotheses
+from .grid import GridFunction, cell_quadrature, node_to_cell
 from .solvers import SubBox, bump_function
-from .spaces import (
-    check_holder,
-    check_inclusion_bound,
-    check_modular_norm_relations,
-    decreasing_root,
-    luxemburg_norm_cells,
-)
+from .spaces import NORM_TOL, decreasing_root, luxemburg_norm_cells, modular_cells
 
 __all__ = [
     "CheckReport",
@@ -382,6 +378,47 @@ def _sampled(name: str, n: int, trial) -> CheckReport:
     return CheckReport(name, n, failures, float(worst))
 
 
+def _holder(u: GridFunction, v: GridFunction, p: ExponentField) -> tuple[float, bool]:
+    """Pairing bound lhs = |int u v| <= rhs = (1/p.lo + 1/p'.lo) |u|_p |v|_p';
+    returns ((rhs - lhs)/rhs, passed)."""
+    pc = conjugate_exponent(p)
+    au, av = node_to_cell(u), node_to_cell(v)
+    lhs = abs(cell_quadrature(u.grid, au * av))
+    nu, _ = luxemburg_norm_cells(u.grid, au, p)
+    nv, _ = luxemburg_norm_cells(u.grid, av, pc)
+    rhs = (1.0 / p.lo + 1.0 / pc.lo) * nu * nv
+    return (rhs - lhs) / max(rhs, 1e-300), lhs <= rhs + _REL_SLACK * rhs
+
+
+def _sandwich(u: GridFunction, p: ExponentField) -> tuple[float, bool]:
+    """Norm-modular sandwich: the modular rho sits between lower and upper,
+    norm^lo and norm^hi in the order of their size (both 1 at norm 1, where rho
+    must be 1 to ``NORM_TOL``); returns (min(rho - lower, upper - rho)/upper, passed)."""
+    a = node_to_cell(u)
+    nu, _ = luxemburg_norm_cells(u.grid, a, p)
+    rho = modular_cells(u.grid, a, p)
+    if abs(nu - 1.0) <= NORM_TOL:
+        lower = upper = 1.0
+        passed = abs(rho - 1.0) <= NORM_TOL
+    else:
+        lower, upper = (nu**p.lo, nu**p.hi) if nu > 1.0 else (nu**p.hi, nu**p.lo)
+        passed = lower * (1.0 - _REL_SLACK) <= rho <= upper * (1.0 + _REL_SLACK)
+    top = max(upper, 1e-300)
+    return min((rho - lower) / top, (upper - rho) / top), passed
+
+
+def _inclusion(u: GridFunction, r1: ExponentField, r2: ExponentField) -> tuple[float, bool]:
+    """Embedding bound lhs = |u|_{r1} <= rhs = (|domain|+1) |u|_{r2} for
+    r1 <= r2 pointwise; returns ((rhs - lhs)/rhs, passed)."""
+    if np.any(r1.values > r2.values):
+        raise ValueError("inclusion bound requires r1 <= r2 at every cell")
+    a = node_to_cell(u)
+    n1, _ = luxemburg_norm_cells(u.grid, a, r1)
+    n2, _ = luxemburg_norm_cells(u.grid, a, r2)
+    rhs = (u.grid.volume + 1.0) * n2
+    return (rhs - n1) / max(rhs, 1e-300), n1 <= rhs + _REL_SLACK * rhs
+
+
 def check_holder_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckReport:
     """Randomized pairing bound on the p1 exponent field."""
     rng = np.random.default_rng(seed)
@@ -390,8 +427,7 @@ def check_holder_random(s: ExponentSet, n_samples: int = 200, seed=0) -> CheckRe
     def trial(_):
         u = GridFunction(grid, rng.standard_normal(grid.node_shape) * rng.uniform(0.1, 5.0))
         v = GridFunction(grid, rng.standard_normal(grid.node_shape) * rng.uniform(0.1, 5.0))
-        rep = check_holder(u, v, s.p1)
-        return (rep.rhs - rep.lhs) / max(rep.rhs, 1e-300), rep.passed
+        return _holder(u, v, s.p1)
 
     return _sampled("holder_pairing", n_samples, trial)
 
@@ -403,11 +439,7 @@ def check_sandwich_random(s: ExponentSet, n_samples: int = 200, seed=0) -> Check
 
     def trial(i):
         amp = rng.uniform(0.05, 0.5) if i % 2 else rng.uniform(1.0, 20.0)
-        u = GridFunction(grid, amp * rng.standard_normal(grid.node_shape))
-        rep = check_modular_norm_relations(u, s.p2)
-        lo_m = (rep.modular - rep.lower) / max(rep.upper, 1e-300)
-        hi_m = (rep.upper - rep.modular) / max(rep.upper, 1e-300)
-        return min(lo_m, hi_m), rep.passed
+        return _sandwich(GridFunction(grid, amp * rng.standard_normal(grid.node_shape)), s.p2)
 
     return _sampled("norm_modular_sandwich", n_samples, trial)
 
@@ -419,8 +451,7 @@ def check_inclusion_random(s: ExponentSet, n_samples: int = 200, seed=0) -> Chec
 
     def trial(_):
         u = GridFunction(grid, rng.standard_normal(grid.node_shape) * rng.uniform(0.1, 10.0))
-        rep = check_inclusion_bound(u, s.p1, s.pmax)
-        return (rep.rhs - rep.lhs) / max(rep.rhs, 1e-300), rep.passed
+        return _inclusion(u, s.p1, s.pmax)
 
     return _sampled("inclusion_bound", n_samples, trial)
 

@@ -152,12 +152,16 @@ def _line_numbers(rows, key):
         ("seed_centers = 0.05 0.3 0.3 | 0.7 0.7 0.7", "mountain", "seed_centers", "solve-mp"),
         ("seed_centers = |", "mountain", "seed_centers", "solve-mp"),
         ("lambda_grid = 1e-2 1e4 1e9", "problem", "lambda_grid", "lambda-star"),
+        ("res = 3", "grid", "res", "verify"),
+        ("dim = 4", "grid", "dim", "verify"),
     ],
 )
 def test_config_refuses_at_load_what_a_stage_refuses_later(tmp_path, capsys, line, section, key, stage):
     # default.cfg with one line changed; each value used to pass the loader
     # and end the stage with exit 1, or for the 10^9-value lambda grid (8 GB)
-    # run it out of memory.  A box is located at its centre key.
+    # run it out of memory.  A box is located at its centre key.  The grid
+    # rows were refused at load, but without a line (res = 3) or at the
+    # bump centre, whose length no longer matched (dim = 4).
     rows = DEFAULT_CFG.read_text().splitlines()
     [changed] = _line_numbers(rows, line.split(" = ")[0])
     rows[changed - 1] = line
@@ -209,10 +213,12 @@ def test_cli_refuses_an_exponent_that_reaches_1(tmp_path, capsys):
     rows = DEFAULT_CFG.read_text().replace("\np1 = 2\n", "\np1 = 0.5\n")
     path = tmp_path / "low.cfg"
     path.write_text(rows)
+    [line] = _line_numbers(rows.splitlines(), "p1")
     for stage in ("verify", "lambda-star", "solve-mp"):
         assert main([stage, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: exponent p1 must exceed 1 everywhere")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}:{line}: exponent p1 must exceed 1 everywhere")
     assert not (tmp_path / "out").exists()
 
 

@@ -13,15 +13,13 @@ from doublephase.exponents import ExponentField, build_exponent_set
 from doublephase.grid import DomainGrid, GridFunction, gradient_values, node_to_cell
 from doublephase.spaces import (
     NORM_TOL,
-    check_holder,
-    check_inclusion_bound,
-    check_modular_norm_relations,
     decreasing_root,
     luxemburg_norm,
     luxemburg_norm_cells,
     modular,
     sobolev_norm,
 )
+from doublephase.verification import _holder, _inclusion, _sandwich
 
 from conftest import random_field
 
@@ -430,12 +428,11 @@ def test_holder_zero_and_equality_cases():
     p2 = ExponentField.from_values(g, 2.0)
     zero = GridFunction.zeros(g)
     one = GridFunction(g, np.ones(g.node_shape))
-    rep = check_holder(zero, one, p2)
-    assert rep.passed and rep.lhs == 0.0
+    assert _holder(zero, one, p2) == (0.0, True)
     # Cauchy-Schwarz equality at u = v with the constant exponent 2
-    rep = check_holder(one, one, p2)
-    assert rep.passed
-    assert abs(rep.lhs - rep.rhs) <= 1e-12 * rep.rhs
+    margin, passed = _holder(one, one, p2)
+    assert passed
+    assert abs(margin) <= 1e-12
 
 
 def test_holder_randomized(rng):
@@ -445,7 +442,7 @@ def test_holder_randomized(rng):
     for _ in range(200):
         u = random_field(g, rng, amp=rng.uniform(0.05, 5.0), zero_boundary=False)
         v = random_field(g, rng, amp=rng.uniform(0.05, 5.0), zero_boundary=False)
-        if not check_holder(u, v, s.p2).passed:
+        if not _holder(u, v, s.p2)[1]:
             failures += 1
     assert failures == 0
 
@@ -456,9 +453,9 @@ def test_sandwich_at_norm_one(rng):
     u = random_field(g, rng, zero_boundary=False)
     nu, _ = luxemburg_norm(u, s.p2)
     u1 = (1.0 / nu) * u
-    rep = check_modular_norm_relations(u1, s.p2)
-    assert rep.side == "at_one" and rep.passed
-    assert abs(rep.modular - 1.0) <= NORM_TOL
+    margin, passed = _sandwich(u1, s.p2)
+    assert passed
+    assert margin >= -NORM_TOL
 
 
 def test_sandwich_constant_exponent_equality(rng):
@@ -467,9 +464,10 @@ def test_sandwich_constant_exponent_equality(rng):
     u = random_field(g, rng, zero_boundary=False)
     nu, _ = luxemburg_norm(u, p2)
     u3 = (3.0 / nu) * u
-    rep = check_modular_norm_relations(u3, p2)
-    assert rep.passed and rep.side == "above_one"
-    assert abs(rep.modular - 9.0) <= 1e-8
+    margin, passed = _sandwich(u3, p2)
+    assert passed
+    # both ends are 9, so the margin is -|modular - 9| / 9
+    assert -9.0 * margin <= 1e-8
 
 
 def test_sandwich_randomized(rng):
@@ -479,7 +477,7 @@ def test_sandwich_randomized(rng):
     for i in range(200):
         amp = rng.uniform(0.01, 0.3) if i % 2 else rng.uniform(1.0, 30.0)
         u = random_field(g, rng, amp=amp, zero_boundary=False)
-        if not check_modular_norm_relations(u, s.p2).passed:
+        if not _sandwich(u, s.p2)[1]:
             failures += 1
     assert failures == 0
 
@@ -489,13 +487,14 @@ def test_inclusion_examples_and_precondition():
     r1 = ExponentField.from_values(g, 2.0)
     r2 = ExponentField.from_values(g, 3.0)
     zero = GridFunction.zeros(g)
-    assert check_inclusion_bound(zero, r1, r2).passed
+    assert _inclusion(zero, r1, r2)[1]
     one = GridFunction(g, np.ones(g.node_shape))
-    rep = check_inclusion_bound(one, r1, r2)
-    assert rep.passed
-    assert abs(rep.lhs - 1.0) <= 1e-9 and abs(rep.rhs - 2.0) <= 1e-9
+    # |one| = 1 in both spaces and |domain| + 1 = 2
+    margin, passed = _inclusion(one, r1, r2)
+    assert passed
+    assert abs(margin - 0.5) <= 1e-9
     with pytest.raises(ValueError):
-        check_inclusion_bound(one, r2, r1)
+        _inclusion(one, r2, r1)
 
 
 def test_inclusion_randomized(rng):
@@ -504,7 +503,7 @@ def test_inclusion_randomized(rng):
     failures = 0
     for _ in range(200):
         u = random_field(g, rng, amp=rng.uniform(0.05, 10.0), zero_boundary=False)
-        if not check_inclusion_bound(u, s.p1, s.pmax).passed:
+        if not _inclusion(u, s.p1, s.pmax)[1]:
             failures += 1
     assert failures == 0
 

@@ -357,9 +357,28 @@ def test_coercivity_floor_trend_along_bump_ray(s8):
 
 
 def test_randomized_space_checks(s8):
-    assert check_holder_random(s8, 100, seed=5).passed
-    assert check_sandwich_random(s8, 100, seed=6).passed
-    assert check_inclusion_random(s8, 100, seed=7).passed
+    # the worst margins as measured when spaces decided the bounds and this
+    # module read its reports back
+    pinned = [
+        (check_holder_random(s8, 100, seed=5), 0.7192026214539288),
+        (check_sandwich_random(s8, 100, seed=6), 0.02664513108521332),
+        (check_inclusion_random(s8, 100, seed=7), 0.5191341516447721),
+    ]
+    for rep, worst in pinned:
+        assert rep.passed and rep.samples == 100
+        assert rep.worst_margin == pytest.approx(worst, rel=1e-12)
+
+
+def test_randomized_space_checks_on_a_variable_p1():
+    # the default p1 = 2 is constant; here both the pairing and the
+    # embedding bound meet a p1 that varies (and stays below pmax = 2.5)
+    s = build_exponent_set("2 + 0.5*x1", "2.5", "4", DomainGrid(3, (8, 8, 8)))
+    assert not s.p1.is_constant()
+    holder = check_holder_random(s, 100, seed=5)
+    inclusion = check_inclusion_random(s, 100, seed=7)
+    assert holder.failures == 0 and inclusion.failures == 0
+    assert holder.worst_margin == pytest.approx(0.7488757228634917, rel=1e-12)
+    assert inclusion.worst_margin == pytest.approx(0.5111608817220213, rel=1e-12)
 
 
 def test_run_all_checks_fast(s8):
