@@ -126,13 +126,16 @@ class _Term(NamedTuple):
     field, the signed coefficient, the base kind, the weight w on the flat
     node layout of :func:`grid.transfer`, and the squared cell base x2
     (|grad u|^2 or the squared corner average) where the weight at t*u reads
-    it: on the regularized cells of a row with ``p.lo < 2``, else None."""
+    it: on the regularized cells of a row with ``p.lo < 2``, else None.
+    ``sums`` are its entry sums of b^p grouped by the exponent ``values``."""
 
     p: ExponentField
     c: float
     kind: str
     w: np.ndarray | float
     x2: np.ndarray | None
+    values: np.ndarray
+    sums: np.ndarray
 
 
 def _powers(x2: np.ndarray, p: ExponentField):
@@ -324,17 +327,18 @@ class RayEnergy:
     experiment keeps 18 terms at 16^3 nodes against 3375 cells; a field of
     all-distinct cell exponents compresses nothing.
 
-    The pass keeps the transfer maps, each row's weight w (for p = 4 the
-    squared base itself, for p = 2 the scalar 1), the squared bases only
-    where a row with p < 2 reads them, and the group sums.  :meth:`at` gives
-    the energy report and the residual at t*u from them: the maps scale by
-    t and each weight by t^(p-2), gathered at the exponent's shape and
-    broadcast onto the cells, so only the regularized cells (p < 2) take a
-    fresh power.  Both agree with :func:`energy_and_gradient` of t*u to
-    rounding.  On the default exponents the pass keeps 7 node arrays, and
-    :meth:`at` peaks near 5 more.  :attr:`gradient_magnitude`,
-    :attr:`corner_average` and :meth:`modular` read the same pass for the
-    norms and modulars of the verify battery.
+    The pass keeps the transfer maps and one record per row of ``TERMS``:
+    its weight w (for p = 4 the squared base itself, for p = 2 the scalar
+    1), its squared base only where the row has p < 2, and its group values
+    and sums.  :meth:`at` gives the energy report and the residual at t*u
+    from them: the maps scale by t and each weight by t^(p-2), gathered at
+    the exponent's shape and broadcast onto the cells, so only the
+    regularized cells (p < 2) take a fresh power.  Both agree with
+    :func:`energy_and_gradient` of t*u to rounding.  On the default
+    exponents the pass keeps 7 node arrays, and :meth:`at` peaks near 5
+    more.  :attr:`gradient_magnitude`, :attr:`corner_average` and
+    :meth:`modular` read the same pass for the norms and modulars of the
+    verify battery.
     """
 
     def __init__(self, u: GridFunction, lam: float, s: ExponentSet, form: str):
@@ -342,17 +346,16 @@ class RayEnergy:
             raise ValueError("energy is defined on zero-boundary grid functions")
         self.grid, self.lam, self.form = u.grid, lam, form
         self._maps, x2 = _cell_pass(u.grid, u.values)
-        self._rows, self._sums = [], []
+        self._rows = []
         for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
-            self._rows.append(_Term(p, c, kind, w, x2[kind] if p.lo < 2.0 else None))
             values, inverse = p.groups
             sums = _entry_sums(self.grid, bp, p).reshape(-1)
             del bp
-            self._sums.append((values, np.bincount(inverse.reshape(-1), sums, values.size)))
-        expos = np.concatenate([values for values, _ in self._sums])
+            sums = np.bincount(inverse.reshape(-1), sums, values.size)
+            self._rows.append(_Term(p, c, kind, w, x2[kind] if p.lo < 2.0 else None, values, sums))
+        expos = np.concatenate([row.values for row in self._rows])
         coeffs = np.concatenate([
-            (self.grid.cell_volume * row.c) * sums / values
-            for row, (values, sums) in zip(self._rows, self._sums)
+            (self.grid.cell_volume * row.c) * row.sums / row.values for row in self._rows
         ])
         keep = coeffs != 0.0
         self.poly = (expos[keep], coeffs[keep])
@@ -372,10 +375,9 @@ class RayEnergy:
         """Cell integral of base^p of the ``TERMS`` row named ``term`` (an
         :class:`EnergyReport` field, such as ``"term_pmax"``) at t*u, from
         its group sums: the term without its 1/p and its sign."""
-        names = [name for name, _, _ in TERMS]
-        values, sums = self._sums[names.index(term)]
+        row = self._rows[[name for name, _, _ in TERMS].index(term)]
         with np.errstate(over="ignore"):
-            return self.grid.cell_volume * float(np.sum(sums * t**values))
+            return self.grid.cell_volume * float(np.sum(row.sums * t**row.values))
 
     def _weight(self, row: _Term, t: float):
         """Signed weight c * w of ``row`` at t*u times t, the scale of its
@@ -399,7 +401,7 @@ class RayEnergy:
         """Energy report and residual of t*u, for t > 0."""
         vol = self.grid.cell_volume
         with np.errstate(over="ignore"):
-            terms = [vol * float(np.sum(sums * t**values / values)) for values, sums in self._sums]
+            terms = [vol * float(np.sum(r.sums * t**r.values / r.values)) for r in self._rows]
         weights = {"grad": 0, "avg": 0}
         for row in self._rows:
             weights[row.kind] = _add(weights[row.kind], self._weight(row, t))

@@ -11,6 +11,7 @@ field and always bracket the cell samples.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,8 @@ def _sample(fn, axes: list[np.ndarray]) -> np.ndarray:
     shape ``fn`` returns, broadcast onto the lattice (zero strides on the
     axes ``fn`` does not depend on)."""
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    out = np.array(fn(*mesh), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array(fn(*mesh), dtype=float)
     return np.broadcast_to(out, tuple(len(ax) for ax in axes))
 
 
@@ -63,7 +65,10 @@ def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]
     array of only their extent, and since a broadcast repeats its operand's
     values, its min and max are the operand's.  A result that does not
     broadcast to the slab is refused.  Min and max are exact, so the result
-    depends neither on the slab size nor on the mesh being sparse.
+    depends neither on the slab size nor on the mesh being sparse.  A spec
+    that overflows or turns nan does so without a warning and gives a range
+    that is not finite (a nan is kept), which :func:`build_exponent_set`
+    refuses.
     """
     axes = _dense_axes(grid)
     plane = int(np.prod([len(ax) for ax in axes[1:]]))
@@ -75,7 +80,8 @@ def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]
         mesh = np.meshgrid(*slab_axes, indexing="ij", sparse=True)
         vals = {}
         for name, fn in fns.items():
-            v = np.asarray(fn(*mesh), dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.asarray(fn(*mesh), dtype=float)
             if np.broadcast_shapes(v.shape, shape) != shape:
                 raise ValueError(
                     f"exponent {name} of shape {v.shape} does not fit the lattice {shape}"
@@ -84,7 +90,7 @@ def _dense_ranges(fns: dict, grid: DomainGrid) -> dict[str, tuple[float, float]]
         vals["pmax"] = np.maximum(vals["p1"], vals["p2"])
         for name, v in vals.items():
             lo, hi = ranges.get(name, (np.inf, -np.inf))
-            ranges[name] = (min(lo, float(v.min())), max(hi, float(v.max())))
+            ranges[name] = (float(np.minimum(lo, v.min())), float(np.maximum(hi, v.max())))
     return ranges
 
 
@@ -193,12 +199,13 @@ class ExponentSet:
 
 
 def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSet:
-    """Sample the three exponent specs; derive the pointwise max field.  When
-    p2 (else p1) has the values and the summaries of the max, ``pmax`` is
-    that field itself.
+    """Sample the three exponent specs, each once on the cells; the cell
+    values of the pointwise max field are the max of the sampled p1 and p2
+    fields.  When p2 (else p1) has the values and the summaries of the max,
+    ``pmax`` is that field itself.
 
-    Raises ExponentRangeError if any sampled value (cells or dense lattice)
-    is <= 1.
+    Raises ExponentRangeError, with the spec's name on ``key``, if any
+    sampled value (cells or dense lattice) is not finite or is <= 1.
     """
     cell_axes = grid.cell_axes()
     fns = {
@@ -209,16 +216,19 @@ def build_exponent_set(p1_spec, p2_spec, q_spec, grid: DomainGrid) -> ExponentSe
     fields = {}
     for name, fn in fns.items():
         cells = _sample(fn, cell_axes)
-        lo = float(min(cells.min(), dense[name][0]))
-        hi = float(max(cells.max(), dense[name][1]))
-        if lo <= 1.0:
-            exc = ExponentRangeError(
-                f"exponent {name} must exceed 1 everywhere (min sampled value {lo})"
-            )
+        lo = float(np.minimum(cells.min(), dense[name][0]))
+        hi = float(np.maximum(cells.max(), dense[name][1]))
+        if not (lo > 1.0 and hi < math.inf):  # also refuses a nan
+            if math.isfinite(lo) and math.isfinite(hi):
+                problem = f"exceed 1 everywhere (min sampled value {lo})"
+            else:
+                problem = f"be finite everywhere (sampled {lo} to {hi})"
+            exc = ExponentRangeError(f"exponent {name} must {problem}")
             exc.key = name
             raise exc
         fields[name] = ExponentField(grid, cells, lo, hi)
-    pm_cells = _sample(lambda *x: np.maximum(fns["p1"](*x), fns["p2"](*x)), cell_axes)
+    pm_cells = np.maximum(fields["p1"].compact, fields["p2"].compact)
+    pm_cells = np.broadcast_to(pm_cells, grid.cell_shape)
     lo = float(min(pm_cells.min(), dense["pmax"][0]))
     hi = float(max(pm_cells.max(), dense["pmax"][1]))
     # a field equal to the max (p2 >= p1 everywhere, as by default) is the

@@ -306,8 +306,9 @@ def transfer_adjoint(grid: DomainGrid, ys, rows=None) -> np.ndarray:
 
 
 def node_to_cell_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
-    """Corner average on the trailing node axes (leading axes are batch)."""
-    return cells(grid, transfer(grid, vals, rows=(0,))[0]).copy()
+    """Corner average on the trailing node axes (leading axes are batch): the
+    cell view of the map's flat row, not a contiguous copy."""
+    return cells(grid, transfer(grid, vals, rows=(0,))[0])
 
 
 def node_to_cell(u: GridFunction) -> np.ndarray:

@@ -6,10 +6,13 @@ reported, never asserted to equal a specific value.  :func:`run_all_checks`
 runs the whole battery, each check at its default size; the sample count is
 the only size a caller sets.
 
-The ray checks read each sampled direction from one :class:`RayEnergy` pass
-over its cells, never from the cells of a scaled copy.  The Hoelder pairing,
-norm-modular sandwich and embedding bounds are decided and measured here, one
-sample at a time, from the modulars and norms of :mod:`spaces`.
+Five checks judge one sample at a time through one loop, ``_sampled``: each
+draws and judges a sample per ``trial`` call, and the loop counts the
+failures and keeps the smallest margin.  The ray checks (ray boundedness and
+the coercivity floor) read each sampled direction from one
+:class:`RayEnergy` pass over its cells, never from the cells of a scaled
+copy.  The Hoelder pairing, norm-modular sandwich and embedding bounds are
+decided and measured here from the modulars and norms of :mod:`spaces`.
 """
 from __future__ import annotations
 
@@ -298,8 +301,9 @@ def check_ray_boundedness(
         t0 = rng.uniform(1.5, 3.0)
         basis.append(bump_function(grid, t0, SubBox.centered(center, side)).fn.values)
     ts = 2.0 ** np.arange(_MAX_DOUBLINGS + 1)
-    crossings, margins = [], []
-    for _ in range(n_rays):
+    crossings = []
+
+    def trial(_):
         coeff = rng.standard_normal(_SUBSPACE_DIM)
         coeff /= np.linalg.norm(coeff)
         w = GridFunction(grid, sum(c * b for c, b in zip(coeff, basis)))
@@ -308,15 +312,15 @@ def check_ray_boundedness(
         nonneg = np.flatnonzero(energy >= 0.0)
         k = min(nonneg[-1] + 1 if nonneg.size else 0, ts.size - 1)
         crossings.append(ts[k] if energy[-1] < 0.0 else math.inf)
-        margins.append(float(-energy[k] / ray_energy((expos, np.abs(coeffs)), ts[k])))
-    return CheckReport(
-        "ray_boundedness", n_rays, crossings.count(math.inf), float(min(margins)),
-        constants={
-            "inf_T": float(min(crossings)),
-            "sup_T": float(max(crossings)),
-            "subspace_dim": _SUBSPACE_DIM,
-        },
-    )
+        return float(-energy[k] / ray_energy((expos, np.abs(coeffs)), ts[k])), energy[-1] < 0.0
+
+    report = _sampled("ray_boundedness", n_rays, trial)
+    report.constants = {
+        "inf_T": float(min(crossings)),
+        "sup_T": float(max(crossings)),
+        "subspace_dim": _SUBSPACE_DIM,
+    }
+    return report
 
 
 def check_coercivity(
@@ -341,12 +345,11 @@ def check_coercivity(
     base = lam * qhi / mlo
     c_const = (lam / mlo) * (base ** (mhi / (qlo - mhi)) + base ** (mlo / (qhi - mlo)))
     d_const = c_const * grid.volume
+    log_lo, log_hi = np.log10(1.01), np.log10(50.0)
 
-    failures = 0
-    worst = np.inf
-    for _ in range(n_samples):
+    def trial(_):
         w = _random_direction(grid, rng)
-        target = 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0))
+        target = 10.0 ** rng.uniform(log_lo, log_hi)
         ray = RayEnergy(w, lam, s, "coercive")
         norm, _ = luxemburg_norm_cells(grid, ray.gradient_magnitude, s.pmax)
         t = target / norm
@@ -357,13 +360,11 @@ def check_coercivity(
         floor = (1.0 / mhi) * target**mlo - d_const
         scale2 = max(1.0, abs(total), abs(floor))
         m2 = (total - floor) / scale2
-        worst = min(worst, m1, m2)
-        if m1 < -_REL_SLACK or m2 < -_REL_SLACK:
-            failures += 1
-    return CheckReport(
-        "coercivity_floor", n_samples, failures, float(worst),
-        constants={"C": c_const, "D": d_const},
-    )
+        return min(m1, m2), not (m1 < -_REL_SLACK or m2 < -_REL_SLACK)
+
+    report = _sampled("coercivity_floor", n_samples, trial)
+    report.constants = {"C": c_const, "D": d_const}
+    return report
 
 
 def _sampled(name: str, n: int, trial) -> CheckReport:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -219,6 +222,29 @@ def test_cli_refuses_an_exponent_that_reaches_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path}:{line}: exponent p1 must exceed 1 everywhere")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, line", [("p1", "p1 = 2 + exp(exp(exp(3*x1)))"), ("q", "q = 4 + 0*exp(1000)")]
+)
+def test_cli_refuses_a_non_finite_exponent_at_its_line(tmp_path, key, line):
+    # the overflow (inf) and the 0*inf (nan) are refused by key, without a
+    # RuntimeWarning, even where one would be an error
+    rows = [line if r.startswith(f"{key} = ") else r for r in DEFAULT_CFG.read_text().splitlines()]
+    path = tmp_path / "overflow.cfg"
+    path.write_text("\n".join(rows) + "\n")
+    [at] = _line_numbers(rows, key)
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    cmd = ["-W", "error::RuntimeWarning", "-m", "doublephase", "verify"]
+    proc = subprocess.run(
+        [sys.executable, *cmd, "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {path}:{at}: exponent {key} must be finite everywhere")
+    assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

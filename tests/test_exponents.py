@@ -159,6 +159,44 @@ def test_pointwise_max_exact():
     assert np.array_equal(s.pmax.values, np.maximum(s.p1.values, s.p2.values))
 
 
+def test_each_spec_is_evaluated_once_on_the_cells():
+    g = DomainGrid(3, (8, 8, 8))
+    cell_x1 = g.cell_axes()[0]
+    calls = {"p1": 0, "p2": 0, "q": 0}
+
+    def counted(name, text):
+        fn = as_field_function(text, g.dim)
+
+        def spec(*x):
+            calls[name] += np.array_equal(np.ravel(x[0]), cell_x1)
+            return fn(*x)
+
+        return spec
+
+    # p1 exceeds p2 near x1 = 0, so pmax is a field of its own
+    s = build_exponent_set(
+        counted("p1", "2 + 0.3*x2"), counted("p2", "2 + 0.5*sin(pi*x1)"), counted("q", "4"), g
+    )
+    assert calls == {"p1": 1, "p2": 1, "q": 1}
+    assert s.pmax is not s.p1 and s.pmax is not s.p2
+    assert np.array_equal(s.pmax.values, np.maximum(s.p1.values, s.p2.values))
+
+
+@pytest.mark.parametrize(
+    "key, specs",
+    [
+        ("p1", ("2 + exp(exp(exp(3*x1)))", "3", "4")),
+        ("q", ("2", "3", "4 + 0*exp(1000)")),
+        # a nan on the boundary only, which the cells do not reach
+        ("p2", ("2", lambda *x: np.where(x[0] == 0.0, np.nan, 3.0 + 0.0 * x[0]), "4")),
+    ],
+)
+def test_rejects_a_non_finite_spec_by_key(key, specs):
+    with pytest.raises(ExponentRangeError, match=f"exponent {key} must be finite") as info:
+        build_exponent_set(*specs, DomainGrid(3, (8, 8, 8)))
+    assert info.value.key == key
+
+
 def test_hypotheses_default_pass_both():
     g = DomainGrid(3, (16, 16, 16))
     s = build_exponent_set("2", "2 + 0.5*sin(pi*x1)", "4", g)
