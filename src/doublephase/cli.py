@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: verify | solve-min | solve-mp | norm | lambda-star.
+One subcommand per entry of ``_COMMANDS``.
 Exit codes: 0 success, 1 check/solve failure, 2 usage or config error.
 """
 from __future__ import annotations
@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, (_, _, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", type=Path, default=None, help="INI config file")
         p.add_argument("--seed", type=_seed, default=None, help="override sampling seed")
         p.add_argument("--out", type=Path, default=None, help="override output directory")
@@ -62,14 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="run even when the theorem hypotheses fail (logged in the manifest)",
         )
-
-    common(sub.add_parser("verify", help="run every inequality/geometry check"))
-    common(sub.add_parser("solve-min", help="bump, threshold search, global minimization"))
-    common(sub.add_parser("solve-mp", help="saddle search per seed, multi-solution sweep"))
-    common(sub.add_parser("lambda-star", help="threshold-parameter search only"))
-    p_norm = sub.add_parser("norm", help="norms of a stored field under the configured exponents")
-    common(p_norm)
-    p_norm.add_argument("field", type=Path, help="field CSV (x1..xN,value rows)")
+    sub.choices["norm"].add_argument("field", type=Path, help="field CSV (x1..xN,value rows)")
     return parser
 
 
@@ -219,19 +213,19 @@ def cmd_norm(args, cfg, out_dir, exps, hyps):
     return True, written, {}
 
 
-# each stage with the form whose hypotheses gate it (None: reported, not gated)
+# each stage, in --help order, with the form gating it (None: not gated) and its help line
 _COMMANDS = {
-    "verify": (cmd_verify, None),
-    "solve-min": (cmd_solve_min, "coercive"),
-    "solve-mp": (cmd_solve_mp, "mountain"),
-    "lambda-star": (cmd_lambda_star, "coercive"),
-    "norm": (cmd_norm, None),
+    "verify": (cmd_verify, None, "run every inequality/geometry check"),
+    "solve-min": (cmd_solve_min, "coercive", "bump, threshold search, global minimization"),
+    "solve-mp": (cmd_solve_mp, "mountain", "saddle search per seed, multi-solution sweep"),
+    "lambda-star": (cmd_lambda_star, "coercive", "threshold-parameter search only"),
+    "norm": (cmd_norm, None, "norms of a stored field under the configured exponents"),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    stage, form = _COMMANDS[args.command]
+    stage, form, _ = _COMMANDS[args.command]
     try:
         prepared = _prepare(args, form)
         if prepared is None:

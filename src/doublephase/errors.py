@@ -33,6 +33,10 @@ class LambdaGridError(DoublePhaseError):
     """No value on the supplied lambda grid makes the energy of the bump negative."""
 
 
+class NonFiniteError(DoublePhaseError, ValueError):
+    """A field, an energy level or a constant overflowed or is not a number."""
+
+
 class PathCollapseError(DoublePhaseError):
     """A ray has no interior energy peak: along it the mountain energy never
     turns down, or it has no barrier near the origin (degenerate direction)."""

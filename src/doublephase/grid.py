@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 __all__ = [
     "DomainGrid",
     "GridFunction",
@@ -154,7 +156,7 @@ class GridFunction:
                 f"values shape {vals.shape} != node shape {self.grid.node_shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("grid function values must be finite")
+            raise NonFiniteError("grid function values must be finite")
         self.values = vals
 
     @property

@@ -113,34 +113,29 @@ def read_field_csv(path: Path, grid: DomainGrid) -> GridFunction:
     return GridFunction(grid, np.ascontiguousarray(table[:, -1]).reshape(grid.node_shape))
 
 
+def _write_table(path: Path, header: str, rows) -> Path:
+    """A small CSV table: the header and one line per row, each ended by a
+    newline, written at once."""
+    path = Path(path)
+    path.write_text("\n".join(itertools.chain([header], rows)) + "\n")
+    return path
+
+
 def write_history_csv(path: Path, history) -> Path:
     """One row per history entry: iteration, energy, residual."""
-    lines = ["iteration,energy,residual"]
-    for i, (energy, residual) in enumerate(history):
-        lines.append(f"{i},{_fmt(energy)},{_fmt(residual)}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = (f"{i},{_fmt(energy)},{_fmt(residual)}" for i, (energy, residual) in enumerate(history))
+    return _write_table(path, "iteration,energy,residual", rows)
 
 
 def write_path_profile_csv(path: Path, snapshots) -> Path:
     """Long-format path energies: one row per (snapshot iteration, path index)."""
-    lines = ["iteration,k,energy"]
-    for it, energies in snapshots:
-        for k, e in enumerate(energies):
-            lines.append(f"{it},{k},{_fmt(e)}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = (f"{it},{k},{_fmt(e)}" for it, energies in snapshots for k, e in enumerate(energies))
+    return _write_table(path, "iteration,k,energy", rows)
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> Path:
-    lines = [",".join(f"u{j}" for j in range(matrix.shape[1]))]
-    for row in matrix:
-        lines.append(",".join(_fmt(x) for x in row))
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    header = ",".join(f"u{j}" for j in range(matrix.shape[1]))
+    return _write_table(path, header, (",".join(map(_fmt, row)) for row in matrix))
 
 
 def jsonable(obj):

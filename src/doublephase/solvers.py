@@ -38,6 +38,7 @@ from .errors import (
     EndpointScheduleError,
     HypothesisGateError,
     LambdaGridError,
+    NonFiniteError,
     PathCollapseError,
     SubdomainBoundsError,
 )
@@ -172,7 +173,8 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
 
     ``evaluate(z)`` maps a trial field z to (point, report, gradient) of its
     candidate point, or rejects z by raising PathCollapseError (the step
-    then shrinks); the run starts at ``evaluate(z0)``.  Of a report, an
+    then shrinks, as for a field, level or residual that is not finite); the
+    run starts at ``evaluate(z0)`` (NonFiniteError if not finite).  Of a report, an
     :class:`EnergyReport` or any other object, the core reads only the level
     ``total`` and its ``roundoff``; it returns the last accepted point, and
     its report unchanged as ``SolveResult.energy``.  The search direction is
@@ -198,20 +200,22 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
     falls 18 decades below its first trial the run ends ``stagnated``.  The
     history's level column is ``best``, the lowest level accepted so far.
     """
-    u, rep, g = evaluate(z0)
+    try:
+        u, rep, g = evaluate(z0)
+        res = residual_norm(g)
+        if not (math.isfinite(rep.total) and math.isfinite(res)):
+            raise NonFiniteError(f"energy level {rep.total!r} with residual {res!r}")
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"the descent cannot start: {exc}") from None
     grid = u.grid
     vol = grid.cell_volume
-    res = residual_norm(g)
     best = rep.total
     levels = deque([best], maxlen=LOOKBACK)
     history = [(best, res)]
     step = STEP_INIT
     termination = "max_iter"
-    iterations = 0
-
     for _ in range(opts.max_iter):
         if res <= opts.tol:
-            termination = "converged"
             break
         d = gradient_gram_inverse(grid, g.values)
         gd = float(np.sum(g.values * d))
@@ -221,10 +225,12 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
         while trial > stop:
             try:
                 u_new, rep_new, g_new = evaluate(GridFunction(grid, u.values - trial * d))
-            except PathCollapseError:
+            except (PathCollapseError, NonFiniteError):
                 trial *= STEP_SHRINK
                 continue
-            if rep_new.total <= max(levels) - ARMIJO * trial * vol * gd + floor:
+            res_new = residual_norm(g_new)
+            bound = max(levels) - ARMIJO * trial * vol * gd + floor
+            if math.isfinite(rep_new.total) and rep_new.total <= bound and math.isfinite(res_new):
                 break
             trial *= STEP_SHRINK
         else:
@@ -233,15 +239,14 @@ def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
 
         sy = trial * float(np.sum(d * (g.values - g_new.values)))
         step = trial * trial * gd / sy if sy > 0.0 else trial
-        u, rep, g, res = u_new, rep_new, g_new, residual_norm(g_new)
+        u, rep, g, res = u_new, rep_new, g_new, res_new
         levels.append(rep.total)
         best = min(best, rep.total)
         history.append((best, res))
-        iterations += 1
 
     if res <= opts.tol:
         termination = "converged"
-    return SolveResult(u, rep, res, iterations, history, termination)
+    return SolveResult(u, rep, res, len(history) - 1, history, termination)
 
 
 def minimize_energy(

@@ -6,10 +6,11 @@ reported, never asserted to equal a specific value.  :func:`run_all_checks`
 runs the whole battery, each check at its default size; the sample count is
 the only size a caller sets.
 
-Five checks judge one sample at a time through one loop, ``_sampled``: each
-draws and judges a sample per ``trial`` call, and the loop counts the
-failures and keeps the smallest margin.  The ray checks (ray boundedness and
-the coercivity floor) read each sampled direction from one
+Every sampled check goes through one loop, ``_sampled``, which counts the
+samples and failures and keeps the smallest margin: the pointwise,
+auxiliary and monotonicity checks judge a block of rows per ``trial`` call,
+the other five one sample.  The ray checks (ray boundedness and the
+coercivity floor) read each sampled direction from one
 :class:`RayEnergy` pass over its cells, never from the cells of a scaled
 copy.  The Hoelder pairing, norm-modular sandwich and embedding bounds are
 decided and measured here from the modulars and norms of :mod:`spaces`.
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .energy import RayEnergy, ray_energy
-from .errors import DoublePhaseError, HypothesisGateError, SphereGeometryError
+from .errors import DoublePhaseError, HypothesisGateError, NonFiniteError, SphereGeometryError
 from .exponents import ExponentField, ExponentSet, conjugate_exponent, validate_hypotheses
 from .grid import GridFunction, cell_quadrature, node_to_cell
 from .solvers import SubBox, bump_function
@@ -82,35 +83,28 @@ def _sample_magnitudes(rng, n):
 
 def check_pointwise_inequalities(n_samples: int = 10_000, seed=0) -> CheckReport:
     """Max-exponent domination s^p1 + s^p2 >= s^max(p1,p2) and endpoint
-    domination s^qlo + s^qhi >= s^q; exact facts, 1e-15 relative slack."""
+    domination s^qlo + s^qhi >= s^q; exact facts, 1e-15 relative slack.
+    Each sample counts twice, once per domination."""
     rng = np.random.default_rng(seed)
     s = _sample_magnitudes(rng, n_samples)
     p1 = rng.uniform(1.01, 8.0, size=n_samples)
     p2 = rng.uniform(1.01, 8.0, size=n_samples)
     m = np.maximum(p1, p2)
-    lhs_a = s**p1 + s**p2
-    rhs_a = s**m
     qlo = rng.uniform(1.01, 8.0, size=n_samples)
     qhi = qlo + rng.uniform(0.0, 4.0, size=n_samples)
     q = rng.uniform(qlo, qhi)
-    lhs_b = s**qlo + s**qhi
-    rhs_b = s**q
-    scale_a = np.maximum(np.maximum(lhs_a, rhs_a), 1.0)
-    scale_b = np.maximum(np.maximum(lhs_b, rhs_b), 1.0)
-    margin_a = (lhs_a - rhs_a) / scale_a
-    margin_b = (lhs_b - rhs_b) / scale_b
-    worst = float(min(margin_a.min(), margin_b.min()))
-    failures = int(np.sum(margin_a < -_EXACT_SLACK) + np.sum(margin_b < -_EXACT_SLACK))
-    return CheckReport(
-        "pointwise_inequalities", 2 * n_samples, failures, worst,
-        constants={}, notes="both dominations sampled on [0, 10] with log focus at 0 and 1",
-    )
 
+    def trial(rows):
+        margins = []
+        for lo, hi, top in ((p1, p2, m), (qlo, qhi, q)):
+            lhs, rhs = s[rows] ** lo[rows] + s[rows] ** hi[rows], s[rows] ** top[rows]
+            margins.append((lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0))
+        margins = np.concatenate(margins)
+        return margins, ~(margins < -_EXACT_SLACK)
 
-def _row_blocks(n: int, width: int):
-    """Slices of ``_BLOCK_ELEMENTS // width`` rows (at least one) covering n rows."""
-    rows = max(1, _BLOCK_ELEMENTS // width)
-    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+    report = _sampled("pointwise_inequalities", n_samples, trial, width=1)
+    report.notes = "both dominations sampled on [0, 10] with log focus at 0 and 1"
+    return report
 
 
 def check_auxiliary_inequality(n_samples: int = 10_000, seed=0) -> CheckReport:
@@ -124,20 +118,19 @@ def check_auxiliary_inequality(n_samples: int = 10_000, seed=0) -> CheckReport:
     k = rng.uniform(0.1, 4.0, size=n_samples)
     l = k + rng.uniform(0.1, 4.0, size=n_samples)
     unit = np.linspace(0.0, 1.0, _T_POINTS)[None, :]
-    worst, failures = [], 0
+
+    def trial(rows):
+        t = unit * t_hi[rows, None]
+        lhs = a[rows, None] * t ** k[rows, None] - b[rows, None] * t ** l[rows, None]
+        margin = (rhs[rows, None] - lhs) / np.maximum(rhs[rows, None], 1.0)
+        return margin, ~np.any(margin < -_REL_SLACK, axis=1)
+
     with np.errstate(over="ignore"):
         rhs = a * (a / b) ** (k / (l - k))
         t_hi = 2.0 * (a / b) ** (1.0 / (l - k))
-        for rows in _row_blocks(n_samples, _T_POINTS):
-            t = unit * t_hi[rows, None]
-            lhs = a[rows, None] * t ** k[rows, None] - b[rows, None] * t ** l[rows, None]
-            margin = (rhs[rows, None] - lhs) / np.maximum(rhs[rows, None], 1.0)
-            worst.append(np.min(margin))
-            failures += int(np.sum(np.any(margin < -_REL_SLACK, axis=1)))
-    return CheckReport(
-        "auxiliary_inequality", n_samples, failures, float(np.min(worst)),
-        notes=f"{_T_POINTS} t-points per sample, grid reaches twice the crossing radius",
-    )
+        report = _sampled("auxiliary_inequality", n_samples, trial, width=_T_POINTS)
+    report.notes = f"{_T_POINTS} t-points per sample, grid reaches twice the crossing radius"
+    return report
 
 
 def check_strong_monotonicity(
@@ -154,39 +147,32 @@ def check_strong_monotonicity(
         raise ValueError(f"exponent must be at least 2, got {r}")
     xi_rng = np.random.default_rng(seed)
     psi_rng = copy.deepcopy(xi_rng)
-    blocks = [(rows.stop - rows.start, dim) for rows in _row_blocks(n_samples, dim)]
-    for shape in blocks:
-        psi_rng.normal(size=shape)
-    kept = skipped = failures = 0
-    ratios, worst = [], []
-    for shape in blocks:
+    for start in range(0, n_samples * dim, _BLOCK_ELEMENTS):
+        psi_rng.normal(size=min(_BLOCK_ELEMENTS, n_samples * dim - start))
+    ratios = []
+
+    def trial(rows):
+        shape = (rows.stop - rows.start, dim)
         xi, psi = xi_rng.normal(size=shape), psi_rng.normal(size=shape)
         nxi = np.linalg.norm(xi, axis=1)
         npsi = np.linalg.norm(psi, axis=1)
         diff = xi - psi
         ndiff = np.linalg.norm(diff, axis=1)
         keep = ndiff > 0.0
-        skipped += int(np.sum(~keep))
-        if not keep.any():
-            continue
-        xi, psi, nxi, npsi, diff, ndiff = (
-            arr[keep] for arr in (xi, psi, nxi, npsi, diff, ndiff)
-        )
         lhs = np.einsum(
             "ij,ij->i", nxi[:, None] ** (r - 2.0) * xi - npsi[:, None] ** (r - 2.0) * psi, diff
-        )
-        scale = (nxi + npsi) ** r + 1.0
-        failures += int(np.sum(lhs < -_REL_SLACK * scale))
-        ratios.append(np.min(lhs / ndiff**r))
-        worst.append(np.min(lhs / scale))
-        kept += lhs.size
+        )[keep]
+        scale, ndiff = ((nxi + npsi) ** r + 1.0)[keep], ndiff[keep]
+        ratios.append(np.min(lhs / ndiff**r, initial=math.inf))
+        return lhs / scale, ~(lhs < -_REL_SLACK * scale)
+
+    report = _sampled(f"strong_monotonicity_r{r:g}", n_samples, trial, width=dim)
     c_hat = float(np.min(ratios))
-    if c_hat <= 0.0:
-        failures += 1
-    return CheckReport(
-        f"strong_monotonicity_r{r:g}", kept, failures, float(np.min(worst)),
-        constants={"C_hat": c_hat, "r": float(r), "skipped_degenerate": skipped},
-    )
+    skipped = n_samples - report.samples
+    report.constants = {"C_hat": c_hat, "r": float(r), "skipped_degenerate": skipped}
+    if c_hat <= 0.0:  # a constant that is not positive fails even when every sample holds
+        report = replace(report, failures=report.failures + 1)
+    return report
 
 
 def _random_direction(grid, rng) -> GridFunction:
@@ -342,8 +328,11 @@ def check_coercivity(
     grid = s.grid
     mlo, mhi = s.pmax.lo, s.pmax.hi
     qlo, qhi = s.q.lo, s.q.hi
-    base = lam * qhi / mlo
-    c_const = (lam / mlo) * (base ** (mhi / (qlo - mhi)) + base ** (mlo / (qhi - mlo)))
+    base = np.float64(lam * qhi / mlo)
+    with np.errstate(over="ignore"):
+        c_const = float((lam / mlo) * (base ** (mhi / (qlo - mhi)) + base ** (mlo / (qhi - mlo))))
+    if not math.isfinite(c_const):
+        raise NonFiniteError(f"the constant C overflows at lambda = {lam!r}")
     d_const = c_const * grid.volume
     log_lo, log_hi = np.log10(1.01), np.log10(50.0)
 
@@ -367,16 +356,26 @@ def check_coercivity(
     return report
 
 
-def _sampled(name: str, n: int, trial) -> CheckReport:
-    """Run ``trial(i)`` for i < n; each returns (margin, passed), and the
-    report counts the failures and keeps the smallest margin."""
-    failures = 0
-    worst = np.inf
-    for i in range(n):
-        margin, passed = trial(i)
-        worst = min(worst, margin)
-        failures += not passed
-    return CheckReport(name, n, failures, float(worst))
+def _sampled(name: str, n: int, trial, width: int | None = None) -> CheckReport:
+    """The battery's one sample loop: it counts the samples and failures and
+    keeps the smallest margin.  Without ``width``, ``trial(i)`` returns
+    scalars (margin, passed) for sample i < n; with it, ``trial(rows)``
+    returns arrays for a slice of max(1, ``_BLOCK_ELEMENTS // width``) rows:
+    margins, and one passed flag per sample judged."""
+    worst, samples, failures = math.inf, 0, 0
+    if width is None:
+        for i in range(n):
+            margin, passed = trial(i)
+            worst = min(worst, margin)
+            failures += not passed
+        return CheckReport(name, n, failures, float(worst))
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, n, rows):
+        margins, passed = trial(slice(start, min(start + rows, n)))
+        worst = np.min(margins, initial=worst)
+        samples += passed.size
+        failures += passed.size - int(np.count_nonzero(passed))
+    return CheckReport(name, samples, failures, float(worst))
 
 
 def _holder(u: GridFunction, v: GridFunction, p: ExponentField) -> tuple[float, bool]:

@@ -412,6 +412,48 @@ def test_cmd_solve_min_auto_lambda(tmp_path, small_cfg):
         assert sha256_of(out / name) == digest
 
 
+def test_help_lists_the_commands_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "{verify,solve-min,solve-mp,lambda-star,norm}" in out
+    rows = [line.split(None, 1) for line in out.splitlines() if line.startswith("    ")]
+    listed = [row for row in rows if row[0] in cli._COMMANDS]
+    assert listed == [
+        ["verify", "run every inequality/geometry check"],
+        ["solve-min", "bump, threshold search, global minimization"],
+        ["solve-mp", "saddle search per seed, multi-solution sweep"],
+        ["lambda-star", "threshold-parameter search only"],
+        ["norm", "norms of a stored field under the configured exponents"],
+    ]
+
+
+@pytest.mark.parametrize("stage", ["verify", "solve-min", "solve-mp"])
+def test_a_lambda_that_overflows_ends_without_a_traceback(tmp_path, stage):
+    # at lambda = 1e300 the coercivity constant overflows (verify reports the
+    # check as not run) and the descent start is not finite (the solve
+    # stages refuse it with an error line); both exit 1
+    path = tmp_path / "big.cfg"
+    path.write_text(DEFAULT_CFG.read_text().replace("\nlambda = auto\n", "\nlambda = 1e300\n"))
+    assert "lambda = 1e300" in path.read_text().splitlines()
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    cmd = [sys.executable, "-m", "doublephase", stage, "--config", str(path)]
+    proc = subprocess.run(
+        [*cmd, "--out", str(tmp_path / "out")], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if stage == "verify":
+        assert "FAIL  coercivity_floor  samples=0 failures=1" in proc.stdout
+        report = json.loads((tmp_path / "out" / "check_coercivity_floor.json").read_text())
+        assert report["notes"] == "did not run: the constant C overflows at lambda = 1e+300"
+    else:
+        assert proc.stderr.splitlines()[-1].startswith("error: the descent cannot start: ")
+
+
 def test_version_has_one_source():
     # pyproject.toml reads the version from doublephase.__version__
     from setuptools.config.pyprojecttoml import read_configuration

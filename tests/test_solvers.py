@@ -10,6 +10,7 @@ from doublephase.errors import (
     EndpointScheduleError,
     HypothesisGateError,
     LambdaGridError,
+    NonFiniteError,
     PathCollapseError,
     SubdomainBoundsError,
 )
@@ -303,6 +304,42 @@ def test_descent_minimizes_a_quadratic(rng):
     dense = _gradient_gram(grid, units)[:, interior] + np.eye(len(units))
     exact = np.linalg.solve(dense, b[interior])
     assert np.max(np.abs(result.u.values[interior] - exact)) <= 1e-8 * np.max(np.abs(exact))
+
+
+def test_descent_rejects_a_trial_that_is_not_finite(rng):
+    # a level that is nan, and a gradient whose residual overflows, are
+    # refused like a collapsed ray: the step shrinks and the run goes on; a
+    # start that is not finite is refused
+    grid = DomainGrid(3, (8, 8, 8))
+    b = np.where(~grid.boundary_mask(), rng.standard_normal(grid.node_shape), 0.0)
+    calls = []
+
+    def evaluate(z):
+        calls.append(len(calls))
+        g = GridFunction(grid, np.where(~grid.boundary_mask(), z.values - b, 0.0))
+        if len(calls) == 2:
+            return z, level(math.nan), g
+        if len(calls) == 3:
+            return z, level(0.0), GridFunction(grid, np.full(grid.node_shape, 1e200))
+        return z, level(0.5 * float(np.sum(z.values * z.values)), -float(np.sum(b * z.values))), g
+
+    with np.errstate(over="ignore"):
+        result = _descent(GridFunction.zeros(grid), evaluate, SolverOptions(tol=1e-10))
+    assert result.converged and len(calls) > 3
+    assert all(math.isfinite(e) and math.isfinite(r) for e, r in result.history)
+    with pytest.raises(NonFiniteError, match="the descent cannot start: energy level nan"):
+        _descent(GridFunction.zeros(grid), lambda z: (z, level(math.nan), z), SolverOptions())
+
+
+def test_mountain_pass_refuses_a_start_whose_level_overflows():
+    # at lambda = 1e150 the energy terms of the 16^3 default seed's ray peak
+    # overflow and its level is nan; the search is refused instead of
+    # spending its trial budget there
+    s = default_set(16)
+    seed = bump_function(s.grid, 2.0, SubBox.centered((0.3, 0.3, 0.3), 0.25)).fn
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="the descent cannot start"):
+            mountain_pass(1e150, s, seed, SolverOptions())
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import doublephase.grid
 import doublephase.spaces
 import doublephase.verification
 from doublephase.energy import RayEnergy, eval_energy
-from doublephase.errors import HypothesisGateError, SphereGeometryError
+from doublephase.errors import HypothesisGateError, NonFiniteError, SphereGeometryError
 from doublephase.exponents import build_exponent_set, validate_hypotheses
 from doublephase.grid import DomainGrid, node_to_cell
 from doublephase.outputs import jsonable
@@ -65,6 +65,43 @@ def test_strong_monotonicity_r3():
     assert rep.constants["C_hat"] > 0.0
     with pytest.raises(ValueError):
         check_strong_monotonicity(1.5, 10, dim=3)
+
+
+def _unblocked_pointwise(n_samples, seed):
+    # the check as one full-width evaluation of both dominations
+    rng = np.random.default_rng(seed)
+    third = n_samples // 3
+    near0 = 10.0 ** rng.uniform(-8.0, 0.0, size=third)
+    near1 = 1.0 + rng.choice((-1.0, 1.0), size=third) * 10.0 ** rng.uniform(-8.0, -0.3, size=third)
+    s = np.concatenate([near0, np.abs(near1), rng.uniform(0.0, 10.0, size=n_samples - 2 * third)])
+    s[0] = 0.0
+    p1 = rng.uniform(1.01, 8.0, size=n_samples)
+    p2 = rng.uniform(1.01, 8.0, size=n_samples)
+    qlo = rng.uniform(1.01, 8.0, size=n_samples)
+    qhi = qlo + rng.uniform(0.0, 4.0, size=n_samples)
+    q = rng.uniform(qlo, qhi)
+    margins = []
+    for lhs, rhs in ((s**p1 + s**p2, s ** np.maximum(p1, p2)), (s**qlo + s**qhi, s**q)):
+        margins.append((lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0))
+    return CheckReport(
+        "pointwise_inequalities", 2 * n_samples,
+        int(sum(np.sum(m < -1e-15) for m in margins)), float(min(m.min() for m in margins)),
+        notes="both dominations sampled on [0, 10] with log focus at 0 and 1",
+    )
+
+
+@pytest.mark.parametrize(
+    "n_samples, seed, block_elements",
+    [(10_000, 0, None), (3, 1, None), (1000, 2, 7), (257, 3, 1)],
+)
+def test_pointwise_report_matches_the_whole_array_evaluation(
+    n_samples, seed, block_elements, monkeypatch
+):
+    # row blocks of 7 and of 1 sample leave the report as one evaluation
+    if block_elements is not None:
+        monkeypatch.setattr(doublephase.verification, "_BLOCK_ELEMENTS", block_elements)
+    got = check_pointwise_inequalities(n_samples, seed=seed)
+    assert got == _unblocked_pointwise(n_samples, seed)
 
 
 def _unblocked_auxiliary(n_samples, seed):
@@ -146,6 +183,33 @@ def test_monotonicity_report_does_not_depend_on_blocks(r, n_samples, dim, block_
         monkeypatch.setattr(doublephase.verification, "_BLOCK_ELEMENTS", block_elements)
     got = check_strong_monotonicity(r, n_samples, dim=dim, seed=3)
     assert got == _unblocked_monotonicity(r, n_samples, dim, 3)
+
+
+class _Normals:
+    """A generator stand-in whose normals are the values of a fixed list, in order."""
+
+    def __init__(self, values):
+        self.values, self.at = np.asarray(values, dtype=float), 0
+
+    def normal(self, size):
+        n = int(np.prod(size))
+        self.at += n
+        return self.values[self.at - n : self.at].reshape(size)
+
+
+@pytest.mark.parametrize("block_elements", [None, 3])
+def test_monotonicity_skips_a_sample_with_xi_equal_to_psi(block_elements, monkeypatch):
+    # xi rows (1, 0, 0) and (0, 1, 0), psi rows (1, 0, 0) and (0, 2, 0): the
+    # first sample is skipped; the second has lhs = 3 and |xi - psi|^3 = 1,
+    # so C = 3, and margin 3 / ((1 + 2)^3 + 1); with one row per block the
+    # first block judges no sample
+    if block_elements is not None:
+        monkeypatch.setattr(doublephase.verification, "_BLOCK_ELEMENTS", block_elements)
+    stream = [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 2, 0]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Normals(stream))
+    rep = check_strong_monotonicity(3.0, 2, dim=3)
+    assert (rep.samples, rep.failures, rep.worst_margin) == (1, 0, 3.0 / 28.0)
+    assert rep.constants == {"C_hat": 3.0, "r": 3.0, "skipped_degenerate": 1}
 
 
 def test_mp_geometry_reports_positive_barrier(s8):
@@ -398,6 +462,13 @@ def test_run_all_checks_reports_the_checks_that_did_not_run():
     assert [r.name for r in refused] == ["mountain_geometry", "coercivity_floor"]
     assert all(not r.passed and r.samples == 0 for r in refused)
     assert all(r.passed for r in reports if r not in refused)
+
+
+def test_coercivity_constant_that_overflows_does_not_run(s8):
+    # C = (lam/mlo) ((lam qhi/mlo)^(mhi/(qlo-mhi)) + ...) overflows at 1e300;
+    # the battery reports the check as not run and goes on
+    with pytest.raises(NonFiniteError, match="the constant C overflows"):
+        check_coercivity(1e300, s8, n_samples=1)
 
 
 def test_reports_serialize(s8):
