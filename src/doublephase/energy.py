@@ -5,23 +5,25 @@
 
 Both forms are signed sums of the same four modular terms, the cell integrals
 of base^p / p listed in ``TERMS``; :func:`coefficients` gives their signs per
-form.  One batch-aware kernel passes a stack of node fields (leading batch
-axes) once through the corner-average and cell-gradient maps of
-:func:`grid.transfer`, on their flat node layout (the pad entries, which hold
-no cell, are cleared before the adjoint maps), and returns the four terms,
-the total and, on request, the nodal residual.  Each term takes one power per
-cell of the squared base x2: the residual weight w = x2^((p-2)/2), whose
-product with x2 is b^p (p < 2 cells, regularized, take a second power;
-constant p = 2 and p = 4 take none).  b^p is summed at the exponent's own
-shape (:attr:`ExponentField.compact`), over the cell axes along which p
-repeats, and only those entry sums are divided by p.  The rows of ``TERMS``
-come one at a time and free what they made once it is read, so at 32^3 nodes
-a pass with its residual peaks near 9 node arrays above entry.  The residual
+form.  One kernel passes a node field once through the corner-average and
+cell-gradient maps of :func:`grid.transfer`, on their flat node layout (the
+pad entries, which hold no cell, are cleared before the adjoint maps), and
+returns the four terms, the total and the nodal residual.  Each term takes
+one power per cell of the squared base x2: the residual weight
+w = x2^((p-2)/2), whose product with x2 is b^p (p < 2 cells, regularized,
+take a second power; constant p = 2 and p = 4 take none).  b^p is summed at
+the exponent's own shape (:attr:`ExponentField.compact`), over the cell axes
+along which p repeats, and only those entry sums are divided by p.  The rows
+of ``TERMS`` come one at a time and free what they made once it is read, so
+at 32^3 nodes a pass peaks near 9 node arrays above entry.  The residual
 differentiates the discrete energy through the same maps, so minimizers of
 the discrete energy are exact discrete weak solutions.  The public functions
-are shells over the kernel; the energies are defined on zero-boundary fields,
-and :func:`eval_energy`, :func:`energy_and_gradient` and :class:`RayEnergy`
-refuse any other with ``ValueError``.
+are shells over the kernel: :func:`eval_energy` keeps the report of a full
+pass, and :func:`eval_energy_many` takes one pass per field of its stack (a
+loop over the fields is faster than one pass over the stack).  The energies
+are defined on zero-boundary fields, and :func:`eval_energy`,
+:func:`energy_and_gradient` and :class:`RayEnergy` refuse any other with
+``ValueError``.
 
 Along a ray t -> t*u the energy is an exact generalized polynomial in t, one
 term per distinct exponent value of each modular term.  :class:`RayEnergy`
@@ -175,8 +177,8 @@ def _powers(x2: np.ndarray, p: ExponentField):
 
 def _entry_sums(grid: DomainGrid, bp: np.ndarray, p: ExponentField) -> np.ndarray:
     """b^p (flat node layout) summed over the cell axes along which ``p``
-    repeats, at leading axes + ``p.compact.shape``; from a contiguous copy of
-    the cells, so the order of the sum does not depend on the layout."""
+    repeats, at ``p.compact.shape``; from a contiguous copy of the cells, so
+    the order of the sum does not depend on the layout."""
     axes = tuple(a - grid.dim for a, n in enumerate(p.compact.shape) if n == 1)
     return np.ascontiguousarray(cells(grid, bp)).sum(axis=axes, keepdims=True)
 
@@ -192,10 +194,10 @@ def _squared_gradient(maps: np.ndarray) -> np.ndarray:
 
 
 def _cell_pass(grid: DomainGrid, vals: np.ndarray):
-    """One pass of a node stack (leading batch axes) through the transfer
-    maps (:func:`grid.transfer`, the gradient components then the average),
-    zero at the pad entries, and the squared cell bases of the two kinds,
-    two fresh arrays."""
+    """One pass of a node field through the transfer maps
+    (:func:`grid.transfer`, the gradient components then the average), zero
+    at the pad entries, and the squared cell bases of the two kinds, two
+    fresh arrays."""
     maps = fill_pad(grid, transfer(grid, vals), 0.0)
     with np.errstate(over="ignore"):
         x2 = {"grad": _squared_gradient(maps), "avg": maps[-1] * maps[-1]}
@@ -240,17 +242,15 @@ def _residual(grid: DomainGrid, maps: np.ndarray, weights: dict, in_place: bool)
     r = transfer_adjoint(
         grid, (np.multiply(m, w, out=m if in_place else None) for w, m in zip(row_w, maps))
     )
-    r = r.reshape(r.shape[:-1] + grid.node_shape)
+    r = r.reshape(grid.node_shape)
     for face in grid.boundary_faces:
         r[face] = 0.0
     return r
 
 
-def _kernel(
-    grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str, residual: bool
-):
-    """Terms (``TERMS`` order), total and, if ``residual``, the nodal residual
-    of a stack of zero-boundary node fields (leading batch axes).
+def _kernel(grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str):
+    """Terms (``TERMS`` order), total and nodal residual of one zero-boundary
+    node field.
 
     Each row takes its term from the entry sums of b^p (:func:`_entry_sums`)
     and drops b^p; its signed weight c * w is added into the flux ("grad"
@@ -259,39 +259,31 @@ def _kernel(
     its kind.  The residual weights the kernel's own maps in place and takes
     them back to the nodes."""
     maps, x2 = _cell_pass(grid, vals)
-    cell_axes = tuple(range(-grid.dim, 0))
     terms, weights = [], {"grad": 0, "avg": 0}
     for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
         sums = _entry_sums(grid, bp, p)
         del bp
-        terms.append(grid.cell_volume * np.sum(sums / p.compact, axis=cell_axes))
-        if residual:
-            weights[kind] = _add(weights[kind], c * w)
+        terms.append(grid.cell_volume * float(np.sum(sums / p.compact)))
+        weights[kind] = _add(weights[kind], c * w)
         del w
     total = sum(c * t for c, t in zip(coefficients(lam, form), terms))
-    if not residual:
-        return terms, total, None
     return terms, total, _residual(grid, maps, weights, in_place=True)
-
-
-def _evaluate(u: GridFunction, lam: float, s: ExponentSet, form: str, residual: bool):
-    if not u.zero_on_boundary:
-        raise ValueError("energy is defined on zero-boundary grid functions")
-    terms, total, r = _kernel(u.grid, u.values, lam, s, form, residual)
-    fields = {field: float(t) for (field, _, _), t in zip(TERMS, terms)}
-    return EnergyReport(form, lam, float(total), **fields), r
 
 
 def eval_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> EnergyReport:
     """Evaluate the energy with exponents at cell centers; exact term identity."""
-    return _evaluate(u, lam, s, form, residual=False)[0]
+    return energy_and_gradient(u, lam, s, form)[0]
 
 
 def eval_energy_many(
     grid: DomainGrid, stack: np.ndarray, lam: float, s: ExponentSet, form: str
 ) -> np.ndarray:
-    """Energy totals for a stack of zero-boundary fields (leading batch axes)."""
-    return _kernel(grid, stack, lam, s, form, residual=False)[1]
+    """Energy totals for a stack of zero-boundary fields (leading batch axes),
+    one field at a time."""
+    stack = np.asarray(stack, dtype=float)
+    fields = stack.reshape((-1,) + grid.node_shape)
+    totals = [_kernel(grid, vals, lam, s, form)[1] for vals in fields]
+    return np.array(totals).reshape(stack.shape[: stack.ndim - grid.dim])
 
 
 def energy_and_gradient(
@@ -299,8 +291,11 @@ def energy_and_gradient(
 ) -> tuple[EnergyReport, GridFunction]:
     """:func:`eval_energy` and :func:`grad_energy` of ``u`` from one pass
     through the transfer maps."""
-    rep, r = _evaluate(u, lam, s, form, residual=True)
-    return rep, GridFunction(u.grid, r)
+    if not u.zero_on_boundary:
+        raise ValueError("energy is defined on zero-boundary grid functions")
+    terms, total, r = _kernel(u.grid, u.values, lam, s, form)
+    fields = {field: t for (field, _, _), t in zip(TERMS, terms)}
+    return EnergyReport(form, lam, float(total), **fields), GridFunction(u.grid, r)
 
 
 def grad_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> GridFunction:

@@ -347,38 +347,40 @@ def find_endpoint(
 
 
 class _RaySlope:
-    """log(P/N) of the ray slope in x = log t, with its derivative in x.
+    """log(P/N) of a generalized polynomial sum_k w_k t^p_k in x = log t,
+    with its derivative in x: P sums the terms with w_k > 0, N the others
+    with their sign flipped, so the root is the sign change of the sum.
 
     Along the ray of z the mountain energy is the polynomial
     E(t) = sum c_k t^p_k (:attr:`RayEnergy.poly`, built once from one pass
-    over the cells), and t E'(t) = P - N: P sums the rising terms
-    c_k p_k t^p_k with c_k > 0, N the falling ones with their sign flipped.
-    Their log ratio is zero exactly at the peak and nearly linear in x when
-    the exponents vary little, so Newton on it is nearly exact from any
-    start.  A call takes one ``exp`` of p x shifted by its maximum, so
-    nothing overflows; the value is log P - log N, so a ratio below the
-    smallest double does not underflow, and a part that underflows to 0
-    gives an infinite value of the correct sign.
+    over the cells), and its peak is the sign change of t E'(t), whose
+    weights are w_k = c_k p_k (:func:`_ray_peak`); the sphere barrier of
+    :func:`verification.check_mp_geometry` is that of its scalar profile.
+    The log ratio is nearly linear in x when the exponents vary little, so
+    Newton on it is nearly exact from any start.  A call takes one ``exp``
+    of p x shifted by its maximum, so nothing overflows; the value is
+    log P - log N, so a ratio below the smallest double does not underflow,
+    and a part that underflows to 0 gives an infinite value of the correct
+    sign.
 
-    The constructor raises PathCollapseError when a term c_k p_k is not
-    finite (the direction is too large for its ray polynomial), or when the
-    ray has no barrier (the net coefficient at the lowest power is not positive)
-    or no peak (the net coefficient at the highest power is not negative);
-    otherwise log(P/N) runs from positive to negative, and the peak exists.
+    The constructor raises PathCollapseError when a weight is not finite
+    (the direction is too large for its ray polynomial), or when the sum has
+    no barrier (the net weight at the lowest power is not positive) or no
+    peak (the net weight at the highest power is not negative); otherwise
+    log(P/N) runs from positive to negative, and the root exists.
     """
 
-    def __init__(self, poly: tuple[np.ndarray, np.ndarray]):
-        p, c = poly
-        cp = c * p
-        if not np.isfinite(cp).all():
+    def __init__(self, p, w):
+        p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
+        if not np.isfinite(w).all():
             raise PathCollapseError("ray energy polynomial overflows (direction too large)")
         lo, hi = p.min(initial=np.inf), p.max(initial=-np.inf)
-        if not c[p == lo].sum() > 0.0:
+        if not w[p == lo].sum() > 0.0:
             raise PathCollapseError("ray energy has no barrier (degenerate direction)")
-        if not c[p == hi].sum() < 0.0:
+        if not w[p == hi].sum() < 0.0:
             raise PathCollapseError("no interior energy peak along the ray")
-        rise = np.maximum(cp, 0.0)
-        fall = rise - cp
+        rise = np.maximum(w, 0.0)
+        fall = rise - w
         self.parts = np.array([rise, fall, rise * p, fall * p])
         # p x - max(p x) is (p - max p) x for x > 0 and (p - min p) x below
         self.below_max, self.above_min = p - hi, p - lo
@@ -409,7 +411,8 @@ def _ray_peak(z: GridFunction, lam, s):
     to rounding.
     """
     ray = RayEnergy(z, lam, s, "mountain")
-    x, value, _ = decreasing_root(_RaySlope(ray.poly))
+    p, c = ray.poly
+    x, value, _ = decreasing_root(_RaySlope(p, c * p))
     with np.errstate(over="ignore"):
         t = float(np.exp(x))
     if not (math.isfinite(value) and 0.0 < t < math.inf):

@@ -17,7 +17,6 @@ decided and measured here from the modulars and norms of :mod:`spaces`.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -27,7 +26,7 @@ from .energy import RayEnergy, ray_energy
 from .errors import DoublePhaseError, HypothesisGateError, NonFiniteError, SphereGeometryError
 from .exponents import ExponentField, ExponentSet, conjugate_exponent, validate_hypotheses
 from .grid import GridFunction, cell_quadrature, node_to_cell
-from .solvers import SubBox, bump_function
+from .solvers import SubBox, _RaySlope, bump_function
 from .spaces import NORM_TOL, decreasing_root, luxemburg_norm_cells, modular_cells
 
 __all__ = [
@@ -137,18 +136,15 @@ def check_strong_monotonicity(
     r: float, n_samples: int = 100_000, dim: int = 3, seed=0
 ) -> CheckReport:
     """Vector monotonicity (|x|^(r-2) x - |y|^(r-2) y).(x - y) >= C |x - y|^r
-    for r >= 2; measures the empirical C and asserts nonnegativity.  The
-    samples are drawn one row block at a time, so the check holds about
-    1.1 MiB at 100 000 x 3 samples.  A copy of the generator, made before
-    any draw, first skips the n_samples x dim normals of xi and then draws
-    psi, so each block's rows equal those of drawing xi whole and then psi
+    for r >= 2; measures the empirical C and asserts nonnegativity.  xi and
+    psi come from two independent streams, the two children of
+    ``SeedSequence(seed)``.  The samples are drawn one row block at a time,
+    so the check holds about 1.1 MiB at 100 000 x 3 samples; each stream is
+    drawn in order, so each block's rows equal those of drawing xi and psi
     whole: the report does not depend on the block size."""
     if r < 2.0:
         raise ValueError(f"exponent must be at least 2, got {r}")
-    xi_rng = np.random.default_rng(seed)
-    psi_rng = copy.deepcopy(xi_rng)
-    for start in range(0, n_samples * dim, _BLOCK_ELEMENTS):
-        psi_rng.normal(size=min(_BLOCK_ELEMENTS, n_samples * dim - start))
+    xi_rng, psi_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     ratios = []
 
     def trial(rows):
@@ -200,8 +196,9 @@ def check_mp_geometry(
     a = q.hi - pmax.hi and b = q.lo - pmax.hi (both positive under the
     gate), falls through zero once; its root, ``barrier_positive_radius``,
     is found by :func:`decreasing_root` on log beta - log(gamma t^a +
-    delta t^b) in x = log t.  The check fails when the profile is not
-    positive at t = 1e-6."""
+    delta t^b) in x = log t, the log ratio :class:`solvers._RaySlope` of
+    the weights (beta, -gamma, -delta) at the powers (0, a, b).  The check
+    fails when the profile is not positive at t = 1e-6."""
     if not validate_hypotheses(s, "mountain").passed:
         raise HypothesisGateError("mountain hypotheses fail; geometry check skipped")
     rng = np.random.default_rng(seed)
@@ -236,14 +233,7 @@ def check_mp_geometry(
     gamma = 1.0 / (s.q.lo * c1**s.q.hi)
     delta = 1.0 / (s.q.lo * c2**s.q.lo)
     a, b = s.q.hi - s.pmax.hi, s.q.lo - s.pmax.hi
-
-    def log_profile(x):
-        la, lb = math.log(gamma) + a * x, math.log(delta) + b * x
-        top = max(la, lb)
-        wa, wb = math.exp(la - top), math.exp(lb - top)
-        return math.log(beta) - top - math.log(wa + wb), -(a * wa + b * wb) / (wa + wb)
-
-    x, _, _ = decreasing_root(log_profile)
+    x, _, _ = decreasing_root(_RaySlope([0.0, a, b], [beta, -gamma, -delta]))
     with np.errstate(over="ignore"):
         g_radius = float(np.exp(x))
     failures = 0 if g_radius > 1e-6 else 1
@@ -277,7 +267,10 @@ def check_ray_boundedness(
     energy.  A ray whose energy at T is still nonnegative is a failure, with
     crossing +inf.  The margin of a ray is -E / sum_k |c_k| t^p_k at its
     crossing (at T on a failure), the energy over the size of its terms
-    there: in (0, 1] on a ray that crosses, in [-1, 0] on a failure."""
+    there: in (0, 1] on a ray that crosses, in [-1, 0] on a failure.  A ray
+    whose term size at that doubling is not finite (a coefficient or a power
+    overflows), or whose energy at T is NaN, raises NonFiniteError: an
+    overflow is a check that did not run, not a ray that never crosses."""
     rng = np.random.default_rng(seed)
     grid = s.grid
     basis = []
@@ -297,8 +290,11 @@ def check_ray_boundedness(
         energy = ray_energy((expos, coeffs), ts)
         nonneg = np.flatnonzero(energy >= 0.0)
         k = min(nonneg[-1] + 1 if nonneg.size else 0, ts.size - 1)
+        size = ray_energy((expos, np.abs(coeffs)), ts[k])
+        if not math.isfinite(size) or math.isnan(energy[-1]):
+            raise NonFiniteError(f"the ray energy overflows at lambda = {lam!r}")
         crossings.append(ts[k] if energy[-1] < 0.0 else math.inf)
-        return float(-energy[k] / ray_energy((expos, np.abs(coeffs)), ts[k])), energy[-1] < 0.0
+        return float(-energy[k] / size), energy[-1] < 0.0
 
     report = _sampled("ray_boundedness", n_rays, trial)
     report.constants = {

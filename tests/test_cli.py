@@ -432,9 +432,10 @@ def test_help_lists_the_commands_in_order(capsys, monkeypatch):
 
 @pytest.mark.parametrize("stage", ["verify", "solve-min", "solve-mp"])
 def test_a_lambda_that_overflows_ends_without_a_traceback(tmp_path, stage):
-    # at lambda = 1e300 the coercivity constant overflows (verify reports the
-    # check as not run) and the descent start is not finite (the solve
-    # stages refuse it with an error line); both exit 1
+    # at lambda = 1e300 the coercivity constant and the ray energies overflow
+    # (verify reports both checks as not run, with no RuntimeWarning) and the
+    # descent start is not finite (the solve stages refuse it with an error
+    # line); both exit 1
     path = tmp_path / "big.cfg"
     path.write_text(DEFAULT_CFG.read_text().replace("\nlambda = auto\n", "\nlambda = 1e300\n"))
     assert "lambda = 1e300" in path.read_text().splitlines()
@@ -450,6 +451,9 @@ def test_a_lambda_that_overflows_ends_without_a_traceback(tmp_path, stage):
         assert "FAIL  coercivity_floor  samples=0 failures=1" in proc.stdout
         report = json.loads((tmp_path / "out" / "check_coercivity_floor.json").read_text())
         assert report["notes"] == "did not run: the constant C overflows at lambda = 1e+300"
+        rays = json.loads((tmp_path / "out" / "check_ray_boundedness.json").read_text())
+        assert rays["notes"].startswith("did not run")
+        assert "RuntimeWarning" not in proc.stderr
     else:
         assert proc.stderr.splitlines()[-1].startswith("error: the descent cannot start: ")
 

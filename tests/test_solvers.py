@@ -484,10 +484,30 @@ def test_ray_peak_rejects_a_search_without_finite_values(s8, bump8, monkeypatch)
 def test_ray_slope_far_right_of_the_peak():
     # E = t^2 - 1e10 t^3: at x = log t = 740 the rising part P = 2 e^-740 is
     # subnormal and P/N underflows to 0, but log P - log N stays finite
-    slope = solvers._RaySlope((np.array([2.0, 3.0]), np.array([1.0, -1e10])))
+    slope = solvers._RaySlope([2.0, 3.0], [2.0, -3e10])
     value, d_value = slope(740.0)
     assert abs(value - (math.log(2.0) - 740.0 - math.log(3e10))) <= 0.05
     assert d_value == -1.0
+
+
+@pytest.mark.parametrize(
+    "beta, gamma, delta, a, b, x",
+    [(0.25, 0.05, 2.0, 0.9, 0.3, x) for x in (-50.0, 0.0, 3.0, 700.0)]
+    + [(0.25, 3.0, 0.5, 25.0, 0.5, -50.0)],
+    ids=["x=-50", "x=0", "x=3", "x=700", "gamma-part-underflows"],
+)
+def test_ray_slope_of_a_weighted_sum(beta, gamma, delta, a, b, x):
+    # the sphere-barrier profile beta - gamma t^a - delta t^b in x = log t:
+    # log beta - log(gamma e^(ax) + delta e^(bx)) and its slope, the mean of
+    # a and b weighted by the two falling parts; at x = -50 with a = 25 the
+    # gamma part e^(-1250) underflows to 0 after the shift
+    la, lb = math.log(gamma) + a * x, math.log(delta) + b * x
+    top = max(la, lb)
+    wa, wb = math.exp(la - top), math.exp(lb - top)
+    want = math.log(beta) - np.logaddexp(la, lb)
+    value, d_value = solvers._RaySlope([0.0, a, b], [beta, -gamma, -delta])(x)
+    assert value == pytest.approx(want, rel=1e-13, abs=1e-13)
+    assert d_value == pytest.approx(-(a * wa + b * wb) / (wa + wb), rel=1e-13)
 
 
 def test_multi_solution_single_seed_gives_mirror_pair(s8, mp8):

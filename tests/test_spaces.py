@@ -528,7 +528,7 @@ grad = gradient_values(g, u.values)
 print(repr(luxemburg_norm_cells(g, np.sqrt(np.sum(grad * grad, axis=0)), s.pmax)[0]))
 poly = RayEnergy(u, 1.0, s, "mountain").poly
 print(poly[0].size)
-slope = _RaySlope(poly)
+slope = _RaySlope(poly[0], poly[1] * poly[0])
 print([slope(x) for x in (-2.0, 0.0, 0.7)])
 print(ray_energy(poly, np.array([0.1, 1.0, 3.0])).tolist())
 """

@@ -125,9 +125,9 @@ def _unblocked_auxiliary(n_samples, seed):
 
 
 def _unblocked_monotonicity(r, n_samples, dim, seed):
-    rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(n_samples, dim))
-    psi = rng.normal(size=(n_samples, dim))
+    xi_rng, psi_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    xi = xi_rng.normal(size=(n_samples, dim))
+    psi = psi_rng.normal(size=(n_samples, dim))
     nxi, npsi = np.linalg.norm(xi, axis=1), np.linalg.norm(psi, axis=1)
     diff = xi - psi
     ndiff = np.linalg.norm(diff, axis=1)
@@ -205,8 +205,8 @@ def test_monotonicity_skips_a_sample_with_xi_equal_to_psi(block_elements, monkey
     # first block judges no sample
     if block_elements is not None:
         monkeypatch.setattr(doublephase.verification, "_BLOCK_ELEMENTS", block_elements)
-    stream = [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 2, 0]
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Normals(stream))
+    streams = iter([_Normals([1, 0, 0, 0, 1, 0]), _Normals([1, 0, 0, 0, 2, 0])])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: next(streams))
     rep = check_strong_monotonicity(3.0, 2, dim=3)
     assert (rep.samples, rep.failures, rep.worst_margin) == (1, 0, 3.0 / 28.0)
     assert rep.constants == {"C_hat": 3.0, "r": 3.0, "skipped_degenerate": 1}
@@ -469,6 +469,14 @@ def test_coercivity_constant_that_overflows_does_not_run(s8):
     # the battery reports the check as not run and goes on
     with pytest.raises(NonFiniteError, match="the constant C overflows"):
         check_coercivity(1e300, s8, n_samples=1)
+
+
+def test_ray_energy_that_overflows_does_not_run(s8):
+    # at lambda = 1e300 the lambda t^pmax terms overflow within the 2^40
+    # scan, so no ray's energy can be judged; an overflow is a check that
+    # did not run, not 50 rays that never cross
+    with pytest.raises(NonFiniteError, match="the ray energy overflows"):
+        check_ray_boundedness(1e300, s8, n_rays=1)
 
 
 def test_reports_serialize(s8):
