@@ -35,10 +35,10 @@ if __name__ == "__main__":
         exps = cfg.exponents()
         bump = bump_function(exps.grid, cfg.t0, cfg.bump_box())
         star = lambda_star_search(exps, bump, cfg.lam_grid())
-        low = minimize_energy(2.0 * star.lam_star, exps, bump.fn, cfg.solver_options())
+        low = minimize_energy(2.0 * star.lambda_star, exps, bump.fn, cfg.solver_options())
         saddle = mountain_pass(1.0, exps, bump.fn, cfg.solver_options())
         print(
-            f"{res:>4} {star.lam_star:>10.4f} {low.energy.total:>12.2f} {_run(low):>14} "
+            f"{res:>4} {star.lambda_star:>10.4f} {low.energy.total:>12.2f} {_run(low):>14} "
             f"{saddle.energy.total:>10.4f} {_run(saddle):>14} "
             f"{sobolev_norm(low.u, exps.pmax):>9.3f} "
             f"{sobolev_norm(saddle.u, exps.pmax):>9.3f} {time.time() - t0:>5.1f}s"

@@ -12,7 +12,9 @@ from pathlib import Path
 from . import __version__
 from .config import line_of, load_config
 from .energy import REG_EPS
-from .errors import ConfigError, DoublePhaseError, ExponentRangeError, FieldShapeError
+from .errors import (
+    ConfigError, DoublePhaseError, ExponentRangeError, FieldShapeError, HypothesisGateError,
+)
 from .exponents import validate_hypotheses
 from .outputs import (
     read_field_csv,
@@ -71,7 +73,7 @@ def _prepare(args, form):
     """The config with the flag overrides, its exponent set, both hypothesis
     reports and the output directory.  ``None`` when the ``form``
     hypotheses fail without an override: the reports are written and the
-    failing conditions named."""
+    gate's message, which names the failing conditions, printed."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -89,13 +91,15 @@ def _prepare(args, form):
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     hyps = {f: validate_hypotheses(exps, f) for f in ("mountain", "coercive")}
-    if form is None or hyps[form].passed or cfg.override_hypotheses:
-        return cfg, out_dir, exps, hyps
-    write_json(out_dir / "hypothesis_reports.json", hyps)
-    failing = [c.name for c in hyps[form].conditions if not c.satisfied]
-    print(f"{form} hypotheses fail: {', '.join(failing)}", file=sys.stderr)
-    print(f"report written to {out_dir / 'hypothesis_reports.json'}", file=sys.stderr)
-    return None
+    try:
+        if form is not None:
+            hyps[form].require(cfg.override_hypotheses)
+    except HypothesisGateError as exc:
+        write_json(out_dir / "hypothesis_reports.json", hyps)
+        print(exc, file=sys.stderr)
+        print(f"report written to {out_dir / 'hypothesis_reports.json'}", file=sys.stderr)
+        return None
+    return cfg, out_dir, exps, hyps
 
 
 # A stage takes the parsed arguments and what _prepare returns, writes its
@@ -128,10 +132,10 @@ def cmd_lambda_star(args, cfg, out_dir, exps, hyps):
     bump, report = _bump_and_star(cfg, exps)
     written = [
         write_field_csv(out_dir / "bump.csv", bump.fn),
-        write_json(out_dir / "lambda_star.json", report.to_dict()),
+        write_json(out_dir / "lambda_star.json", report),
     ]
     print(
-        f"lambda_star={report.lam_star!r} exact={report.lam_star_exact!r} "
+        f"lambda_star={report.lambda_star!r} exact={report.lambda_star_exact!r} "
         f"bound={report.analytic_bound!r}"
     )
     return True, written, {}
@@ -140,7 +144,7 @@ def cmd_lambda_star(args, cfg, out_dir, exps, hyps):
 def cmd_solve_min(args, cfg, out_dir, exps, hyps):
     bump, star = _bump_and_star(cfg, exps)
     if cfg.lam is None:
-        lam = 2.0 * star.lam_star
+        lam = 2.0 * star.lambda_star
         lam_source = "auto: 2 * lambda_star"
     else:
         lam = cfg.lam
@@ -158,7 +162,7 @@ def cmd_solve_min(args, cfg, out_dir, exps, hyps):
         "solution_grad_norm": sobolev_norm(result.u, exps.pmax),
     }
     written = [
-        write_json(out_dir / "lambda_star.json", star.to_dict()),
+        write_json(out_dir / "lambda_star.json", star),
         write_field_csv(out_dir / "solution.csv", result.u),
         write_history_csv(out_dir / "history.csv", result.history),
         write_json(out_dir / "solve_min.json", summary),

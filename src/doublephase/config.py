@@ -37,7 +37,7 @@ class ExperimentConfig:
     p2: str = "2 + 0.5*sin(pi*x1)"
     q: str = "4"
 
-    lam: float | None = None  # None = auto (2*lambda_star for solve-min, 1.0 for solve-mp)
+    lam: float | None = None  # None = auto: 2*lambda_star for solve-min, 1.0 for solve-mp/verify
     lam_grid_lo: float = 1e-2
     lam_grid_hi: float = 1e4
     lam_grid_count: int = 361

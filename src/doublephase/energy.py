@@ -5,10 +5,11 @@
 
 Both forms are signed sums of the same four modular terms, the cell integrals
 of base^p / p listed in ``TERMS``; :func:`coefficients` gives their signs per
-form.  One kernel passes a node field once through the corner-average and
-cell-gradient maps of :func:`grid.transfer`, on their flat node layout (the
-pad entries, which hold no cell, are cleared before the adjoint maps), and
-returns the four terms, the total and the nodal residual.  Each term takes
+form.  One pass (:func:`energy_and_gradient`) takes a node field once
+through the corner-average and cell-gradient maps of :func:`grid.transfer`,
+on their flat node layout (the pad entries, which hold no cell, are cleared
+before the adjoint maps), and returns the report of the four terms and the
+total, and the nodal residual.  Each term takes
 one power per cell of the squared base x2: the residual weight
 w = x2^((p-2)/2), whose product with x2 is b^p (p < 2 cells, regularized,
 take a second power; constant p = 2 and p = 4 take none).  b^p is summed at
@@ -17,12 +18,13 @@ along which p repeats, and only those entry sums are divided by p.  The rows
 of ``TERMS`` come one at a time and free what they made once it is read, so
 at 32^3 nodes a pass peaks near 9 node arrays above entry.  The residual
 differentiates the discrete energy through the same maps, so minimizers of
-the discrete energy are exact discrete weak solutions.  The public functions
-are shells over the kernel: :func:`eval_energy` keeps the report of a full
-pass, and :func:`eval_energy_many` takes one pass per field of its stack (a
-loop over the fields is faster than one pass over the stack).  The energies
-are defined on zero-boundary fields, and :func:`eval_energy`,
-:func:`energy_and_gradient` and :class:`RayEnergy` refuse any other with
+the discrete energy are exact discrete weak solutions.  :func:`eval_energy`
+and :func:`grad_energy` keep one half of that pass, and
+:func:`eval_energy_many` takes one :func:`eval_energy` per field of its
+stack (a loop over the fields is faster than one pass over the stack).  The
+pass and :meth:`RayEnergy.at` assemble the report and the residual in one
+place, from the terms and the two summed weights.  The energies are defined
+on zero-boundary fields, and every public evaluation refuses any other with
 ``ValueError``.
 
 Along a ray t -> t*u the energy is an exact generalized polynomial in t, one
@@ -207,15 +209,20 @@ def _cell_pass(grid: DomainGrid, vals: np.ndarray):
     return maps, x2
 
 
-def _row_powers(x2: dict, lam: float, s: ExponentSet, form: str):
+def _row_powers(grid: DomainGrid, x2: dict, lam: float, s: ExponentSet, form: str):
     """Per row of ``TERMS``: its exponent field, coefficient, base kind,
-    weight w and cell values b^p (:func:`_powers`), made one row at a time so
-    the caller can reduce b^p and drop it before the next row is made.  Each
+    weight w (:func:`_powers`) and the entry sums of b^p
+    (:func:`_entry_sums`), made one row at a time; b^p is dropped once
+    summed, and the caller drops w before the next row is made.  Each
     squared base leaves ``x2`` after the last row of its kind."""
     kinds = [kind for _, _, kind in TERMS]
     for i, ((_, name, kind), c) in enumerate(zip(TERMS, coefficients(lam, form))):
         p = getattr(s, name)
-        yield (p, c, kind, *_powers(x2[kind], p))
+        w, bp = _powers(x2[kind], p)
+        sums = _entry_sums(grid, bp, p)
+        del bp
+        yield p, c, kind, w, sums
+        del w
         if kind not in kinds[i + 1 :]:
             del x2[kind]
 
@@ -248,26 +255,14 @@ def _residual(grid: DomainGrid, maps: np.ndarray, weights: dict, in_place: bool)
     return r
 
 
-def _kernel(grid: DomainGrid, vals: np.ndarray, lam: float, s: ExponentSet, form: str):
-    """Terms (``TERMS`` order), total and nodal residual of one zero-boundary
-    node field.
-
-    Each row takes its term from the entry sums of b^p (:func:`_entry_sums`)
-    and drops b^p; its signed weight c * w is added into the flux ("grad"
-    rows) or the source ("avg" rows) weight and dropped, so one row's powers
-    are alive at a time, and each squared base goes after the last row of
-    its kind.  The residual weights the kernel's own maps in place and takes
-    them back to the nodes."""
-    maps, x2 = _cell_pass(grid, vals)
-    terms, weights = [], {"grad": 0, "avg": 0}
-    for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
-        sums = _entry_sums(grid, bp, p)
-        del bp
-        terms.append(grid.cell_volume * float(np.sum(sums / p.compact)))
-        weights[kind] = _add(weights[kind], c * w)
-        del w
+def _report(grid: DomainGrid, maps: np.ndarray, lam: float, form: str, terms, weights, in_place):
+    """Energy report and residual from the terms (``TERMS`` order) and the
+    two weights of a pass: the total sums c_k term_k, the residual is
+    :func:`_residual` of the pass's maps."""
     total = sum(c * t for c, t in zip(coefficients(lam, form), terms))
-    return terms, total, _residual(grid, maps, weights, in_place=True)
+    fields = {field: t for (field, _, _), t in zip(TERMS, terms)}
+    r = _residual(grid, maps, weights, in_place)
+    return EnergyReport(form, lam, float(total), **fields), GridFunction(grid, r)
 
 
 def eval_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> EnergyReport:
@@ -279,10 +274,10 @@ def eval_energy_many(
     grid: DomainGrid, stack: np.ndarray, lam: float, s: ExponentSet, form: str
 ) -> np.ndarray:
     """Energy totals for a stack of zero-boundary fields (leading batch axes),
-    one field at a time."""
+    one :func:`eval_energy` per field."""
     stack = np.asarray(stack, dtype=float)
     fields = stack.reshape((-1,) + grid.node_shape)
-    totals = [_kernel(grid, vals, lam, s, form)[1] for vals in fields]
+    totals = [eval_energy(GridFunction(grid, vals), lam, s, form).total for vals in fields]
     return np.array(totals).reshape(stack.shape[: stack.ndim - grid.dim])
 
 
@@ -290,12 +285,23 @@ def energy_and_gradient(
     u: GridFunction, lam: float, s: ExponentSet, form: str
 ) -> tuple[EnergyReport, GridFunction]:
     """:func:`eval_energy` and :func:`grad_energy` of ``u`` from one pass
-    through the transfer maps."""
+    through the transfer maps.
+
+    Each row takes its term from its entry sums; its signed weight c * w is
+    added into the flux ("grad" rows) or the source ("avg" rows) weight and
+    dropped, so one row's powers are alive at a time, and each squared base
+    goes after the last row of its kind.  The residual weights the pass's
+    own maps in place and takes them back to the nodes."""
     if not u.zero_on_boundary:
         raise ValueError("energy is defined on zero-boundary grid functions")
-    terms, total, r = _kernel(u.grid, u.values, lam, s, form)
-    fields = {field: t for (field, _, _), t in zip(TERMS, terms)}
-    return EnergyReport(form, lam, float(total), **fields), GridFunction(u.grid, r)
+    grid = u.grid
+    maps, x2 = _cell_pass(grid, u.values)
+    terms, weights = [], {"grad": 0, "avg": 0}
+    for p, c, kind, w, sums in _row_powers(grid, x2, lam, s, form):
+        terms.append(grid.cell_volume * float(np.sum(sums / p.compact)))
+        weights[kind] = _add(weights[kind], c * w)
+        del w
+    return _report(grid, maps, lam, form, terms, weights, in_place=True)
 
 
 def grad_energy(u: GridFunction, lam: float, s: ExponentSet, form: str) -> GridFunction:
@@ -315,10 +321,11 @@ class RayEnergy:
 
     The energy has no regularization, so each term of ``TERMS`` scales
     exactly: the cell value (t b)^p is t^p b^p.  One ``np.bincount`` per term
-    groups its entry sums (b^p summed at its exponent's shape, as in the
-    kernel) by exponent value (:attr:`ExponentField.groups`), constant or
-    not, into the ray polynomial :attr:`poly`: E(t*u) = sum_k c_k t^p_k, one
-    term per distinct value, zero coefficients dropped.  The default
+    groups its entry sums (b^p summed at its exponent's shape, as in
+    :func:`energy_and_gradient`) by exponent value
+    (:attr:`ExponentField.groups`), constant or not, into the ray polynomial
+    :attr:`poly`: E(t*u) = sum_k c_k t^p_k, one term per distinct value,
+    zero coefficients dropped.  The default
     experiment keeps 18 terms at 16^3 nodes against 3375 cells; a field of
     all-distinct cell exponents compresses nothing.
 
@@ -342,11 +349,9 @@ class RayEnergy:
         self.grid, self.lam, self.form = u.grid, lam, form
         self._maps, x2 = _cell_pass(u.grid, u.values)
         self._rows = []
-        for p, c, kind, w, bp in _row_powers(x2, lam, s, form):
+        for p, c, kind, w, sums in _row_powers(self.grid, x2, lam, s, form):
             values, inverse = p.groups
-            sums = _entry_sums(self.grid, bp, p).reshape(-1)
-            del bp
-            sums = np.bincount(inverse.reshape(-1), sums, values.size)
+            sums = np.bincount(inverse.reshape(-1), sums.reshape(-1), values.size)
             self._rows.append(_Term(p, c, kind, w, x2[kind] if p.lo < 2.0 else None, values, sums))
         expos = np.concatenate([row.values for row in self._rows])
         coeffs = np.concatenate([
@@ -400,11 +405,7 @@ class RayEnergy:
         weights = {"grad": 0, "avg": 0}
         for row in self._rows:
             weights[row.kind] = _add(weights[row.kind], self._weight(row, t))
-        total = sum(row.c * term for row, term in zip(self._rows, terms))
-        fields = {field: term for (field, _, _), term in zip(TERMS, terms)}
-        r = _residual(self.grid, self._maps, weights, in_place=False)
-        rep = EnergyReport(self.form, self.lam, total, **fields)
-        return rep, GridFunction(self.grid, r)
+        return _report(self.grid, self._maps, self.lam, self.form, terms, weights, in_place=False)
 
 
 def ray_energy(poly: tuple[np.ndarray, np.ndarray], t) -> np.ndarray:

@@ -55,4 +55,5 @@ class ConfigError(DoublePhaseError):
 
 
 class HypothesisGateError(DoublePhaseError):
-    """A solver was invoked with failing theorem hypotheses and no override."""
+    """A stage, solver or check was invoked with failing theorem hypotheses
+    and no override (:meth:`exponents.HypothesisReport.require`)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExponentRangeError
+from .errors import ExponentRangeError, HypothesisGateError
 from .fieldexpr import as_field_function
 from .grid import DomainGrid, cells
 
@@ -274,6 +274,13 @@ class HypothesisReport:
 
     def __post_init__(self):
         self.passed = all(c.satisfied for c in self.conditions)
+
+    def require(self, override: bool = False) -> None:
+        """The one hypothesis gate: HypothesisGateError naming the failing
+        conditions, unless every condition holds or ``override`` is set."""
+        if not (self.passed or override):
+            failing = ", ".join(c.name for c in self.conditions if not c.satisfied)
+            raise HypothesisGateError(f"{self.form} hypotheses fail: {failing}")
 
 
 def validate_hypotheses(s: ExponentSet, form: str) -> HypothesisReport:

@@ -36,7 +36,6 @@ from .energy import (
 )
 from .errors import (
     EndpointScheduleError,
-    HypothesisGateError,
     LambdaGridError,
     NonFiniteError,
     PathCollapseError,
@@ -158,16 +157,6 @@ def bump_function(grid: DomainGrid, t0: float, box: SubBox) -> PlateauBump:
     return PlateauBump(GridFunction(grid, vals), float(t0), box)
 
 
-def _gate(s: ExponentSet, form: str, override: bool):
-    report = validate_hypotheses(s, form)
-    if not report.passed and not override:
-        failing = [c.name for c in report.conditions if not c.satisfied]
-        raise HypothesisGateError(
-            f"{form} hypotheses fail ({', '.join(failing)}); pass override to proceed"
-        )
-    return report
-
-
 def _descent(z0: GridFunction, evaluate, opts: SolverOptions) -> SolveResult:
     """Preconditioned Barzilai-Borwein descent with an evaluation hook.
 
@@ -264,10 +253,11 @@ def minimize_energy(
     Every accepted step passes the core's one test, an Armijo decrease of
     the highest of the last ``LOOKBACK`` accepted levels relaxed by the
     summation roundoff of the energy (see :func:`_descent`); the history's
-    energy column, the lowest level so far, is non-increasing.
+    energy column, the lowest level so far, is non-increasing.  Failing
+    coercive hypotheses raise HypothesisGateError unless overridden.
     """
     opts = opts or SolverOptions()
-    _gate(s, "coercive", override_hypotheses)
+    validate_hypotheses(s, "coercive").require(override_hypotheses)
     return _descent(
         init.copy(), lambda z: (z, *energy_and_gradient(z, lam, s, "coercive")), opts
     )
@@ -275,26 +265,16 @@ def minimize_energy(
 
 @dataclass
 class LambdaStarReport:
-    lam_star: float
-    lam_star_exact: float
+    """The threshold search's result; its fields are the keys of ``lambda_star.json``."""
+
+    lambda_star: float
+    lambda_star_exact: float
     analytic_bound: float
     constant_L: float
     t0: float
     plateau_volume: float
     pmax_hi: float
     pmax_lo: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_star": self.lam_star,
-            "lambda_star_exact": self.lam_star_exact,
-            "analytic_bound": self.analytic_bound,
-            "constant_L": self.constant_L,
-            "t0": self.t0,
-            "plateau_volume": self.plateau_volume,
-            "pmax_hi": self.pmax_hi,
-            "pmax_lo": self.pmax_lo,
-        }
 
 
 def lambda_star_search(
@@ -446,10 +426,11 @@ def mountain_pass(
     The returned energy and residual are the kernel's own at the returned
     field (one closing :func:`energy_and_gradient`), so they equal
     :func:`eval_energy` and :func:`grad_energy` of it bitwise, and the
-    termination is decided from that residual.
+    termination is decided from that residual.  Failing mountain
+    hypotheses raise HypothesisGateError unless overridden.
     """
     opts = opts or SolverOptions()
-    _gate(s, "mountain", override_hypotheses)
+    validate_hypotheses(s, "mountain").require(override_hypotheses)
     if float(np.max(np.abs(direction.values))) == 0.0:
         raise ValueError("direction must be nonzero")
     result = _descent(direction, lambda z: _ray_peak(z, lam, s), opts)

@@ -9,7 +9,7 @@ the only size a caller sets.
 Every sampled check goes through one loop, ``_sampled``, which counts the
 samples and failures and keeps the smallest margin: the pointwise,
 auxiliary and monotonicity checks judge a block of rows per ``trial`` call,
-the other five one sample.  The ray checks (ray boundedness and the
+the other five a block of one row.  The ray checks (ray boundedness and the
 coercivity floor) read each sampled direction from one
 :class:`RayEnergy` pass over its cells, never from the cells of a scaled
 copy.  The Hoelder pairing, norm-modular sandwich and embedding bounds are
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import RayEnergy, ray_energy
-from .errors import DoublePhaseError, HypothesisGateError, NonFiniteError, SphereGeometryError
+from .errors import DoublePhaseError, NonFiniteError, SphereGeometryError
 from .exponents import ExponentField, ExponentSet, conjugate_exponent, validate_hypotheses
 from .grid import GridFunction, cell_quadrature, node_to_cell
 from .solvers import SubBox, _RaySlope, bump_function
@@ -198,9 +198,11 @@ def check_mp_geometry(
     is found by :func:`decreasing_root` on log beta - log(gamma t^a +
     delta t^b) in x = log t, the log ratio :class:`solvers._RaySlope` of
     the weights (beta, -gamma, -delta) at the powers (0, a, b).  The check
-    fails when the profile is not positive at t = 1e-6."""
-    if not validate_hypotheses(s, "mountain").passed:
-        raise HypothesisGateError("mountain hypotheses fail; geometry check skipped")
+    fails when the profile is not positive at t = 1e-6.  It needs the
+    mountain hypotheses whatever the override, for a and b must be
+    positive: on a failing set it raises HypothesisGateError, a check that
+    did not run."""
+    validate_hypotheses(s, "mountain").require()
     rng = np.random.default_rng(seed)
     grid = s.grid
     dirs = [_random_direction(grid, rng) for _ in range(n_directions)]
@@ -317,9 +319,11 @@ def check_coercivity(
     Each sample u = t*w is read from one :class:`RayEnergy` pass of the
     random direction w: its gradient magnitude gives |w|, so t = target/|w|,
     and the bulk modulars and the energy of u come from the pass's group
-    sums and polynomial at t."""
-    if not validate_hypotheses(s, "coercive").passed:
-        raise HypothesisGateError("coercive hypotheses fail; coercivity check skipped")
+    sums and polynomial at t.  It needs the coercive hypotheses whatever the
+    override, for C divides by q.lo - pmax.hi and by q.hi - pmax.lo (a
+    ZeroDivisionError at equality): on a failing set it raises
+    HypothesisGateError, a check that did not run."""
+    validate_hypotheses(s, "coercive").require()
     rng = np.random.default_rng(seed)
     grid = s.grid
     mlo, mhi = s.pmax.lo, s.pmax.hi
@@ -352,25 +356,20 @@ def check_coercivity(
     return report
 
 
-def _sampled(name: str, n: int, trial, width: int | None = None) -> CheckReport:
+def _sampled(name: str, n: int, trial, width: int = _BLOCK_ELEMENTS) -> CheckReport:
     """The battery's one sample loop: it counts the samples and failures and
-    keeps the smallest margin.  Without ``width``, ``trial(i)`` returns
-    scalars (margin, passed) for sample i < n; with it, ``trial(rows)``
-    returns arrays for a slice of max(1, ``_BLOCK_ELEMENTS // width``) rows:
-    margins, and one passed flag per sample judged."""
+    keeps the smallest margin.  ``trial(rows)`` judges a slice of
+    max(1, ``_BLOCK_ELEMENTS // width``) of the n samples, ``width`` values
+    each, and returns its margins and one passed flag per sample judged,
+    arrays or, for a block of one row, scalars.  A check that draws a whole
+    field per sample keeps the default width, one row per block."""
     worst, samples, failures = math.inf, 0, 0
-    if width is None:
-        for i in range(n):
-            margin, passed = trial(i)
-            worst = min(worst, margin)
-            failures += not passed
-        return CheckReport(name, n, failures, float(worst))
     rows = max(1, _BLOCK_ELEMENTS // width)
     for start in range(0, n, rows):
         margins, passed = trial(slice(start, min(start + rows, n)))
         worst = np.min(margins, initial=worst)
-        samples += passed.size
-        failures += passed.size - int(np.count_nonzero(passed))
+        samples += np.size(passed)
+        failures += np.size(passed) - int(np.count_nonzero(passed))
     return CheckReport(name, samples, failures, float(worst))
 
 
@@ -433,8 +432,8 @@ def check_sandwich_random(s: ExponentSet, n_samples: int = 200, seed=0) -> Check
     rng = np.random.default_rng(seed)
     grid = s.grid
 
-    def trial(i):
-        amp = rng.uniform(0.05, 0.5) if i % 2 else rng.uniform(1.0, 20.0)
+    def trial(rows):
+        amp = rng.uniform(0.05, 0.5) if rows.start % 2 else rng.uniform(1.0, 20.0)
         return _sandwich(GridFunction(grid, amp * rng.standard_normal(grid.node_shape)), s.p2)
 
     return _sampled("norm_modular_sandwich", n_samples, trial)

@@ -62,7 +62,7 @@ def star16(s16, bump16):
 
 @pytest.fixture(scope="module")
 def min_result(s16, bump16, star16):
-    return minimize_energy(2.0 * star16.lam_star, s16, bump16.fn, SolverOptions())
+    return minimize_energy(2.0 * star16.lambda_star, s16, bump16.fn, SolverOptions())
 
 
 @pytest.fixture(scope="module")
@@ -153,12 +153,12 @@ def test_criterion_4_inequality_suite(s16):
 
 
 def test_criterion_5_coercive_pipeline(s16, bump16, star16, min_result):
-    assert star16.lam_star <= star16.analytic_bound
+    assert star16.lambda_star <= star16.analytic_bound
     # within one grid step above the closed form
-    assert star16.lam_star >= star16.lam_star_exact
-    below = LAM_GRID[LAM_GRID < star16.lam_star]
-    assert below.size and below[-1] <= star16.lam_star_exact
-    lam = 2.0 * star16.lam_star
+    assert star16.lambda_star >= star16.lambda_star_exact
+    below = LAM_GRID[LAM_GRID < star16.lambda_star]
+    assert below.size and below[-1] <= star16.lambda_star_exact
+    lam = 2.0 * star16.lambda_star
     assert min_result.converged and min_result.residual <= 1e-6
     assert min_result.energy.total < 0.0
     assert sobolev_norm(min_result.u, s16.pmax) > 0.0
@@ -167,7 +167,7 @@ def test_criterion_5_coercive_pipeline(s16, bump16, star16, min_result):
     for _ in range(20):
         v = random_field(s16.grid, rng)
         assert abs(pairing(r, v)) <= 10.0 * 1e-6 * residual_norm(v)
-    report(5, f"lambda_star = {star16.lam_star:.4f} <= bound {star16.analytic_bound:.4f}; "
+    report(5, f"lambda_star = {star16.lambda_star:.4f} <= bound {star16.analytic_bound:.4f}; "
               f"minimum energy {min_result.energy.total:.2f} < 0, "
               f"residual {min_result.residual:.2e}, certified on 20 test functions")
 

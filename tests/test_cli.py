@@ -396,6 +396,14 @@ def test_cmd_lambda_star(tmp_path, small_cfg):
     report = json.loads((out / "lambda_star.json").read_text())
     assert report["lambda_star"] >= report["lambda_star_exact"]
     assert report["lambda_star"] <= report["analytic_bound"]
+    # the report's fields are the payload's keys, so a new field shows here
+    assert set(report) == {
+        "lambda_star", "lambda_star_exact", "analytic_bound", "constant_L",
+        "t0", "plateau_volume", "pmax_hi", "pmax_lo",
+    }
+    out_min = tmp_path / "min"
+    assert main(["solve-min", "--config", str(small_cfg), "--out", str(out_min)]) == 0
+    assert (out_min / "lambda_star.json").read_bytes() == (out / "lambda_star.json").read_bytes()
 
 
 def test_cmd_solve_min_auto_lambda(tmp_path, small_cfg):
@@ -553,6 +561,29 @@ def test_cmd_solve_mp_2d_needs_override(tmp_path):
     assert code == 0
     summary = json.loads((out / "solve_mp.json").read_text())
     assert len(summary["solutions"]) >= 2
+
+
+def test_verify_override_does_not_reach_the_gated_checks(tmp_path):
+    # the mountain-geometry and coercivity-floor checks always need their own
+    # hypotheses, which dimension 2 fails; the override runs the rest
+    text = DEFAULT_CFG.read_text()
+    for old, new in (
+        ("dim = 3", "dim = 2"),
+        ("center = 0.5 0.5 0.5", "center = 0.5 0.5"),
+        ("seed_centers = 0.3 0.3 0.3 | 0.7 0.7 0.7", "seed_centers = 0.3 0.3 | 0.7 0.7"),
+    ):
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        assert new in text.splitlines()
+    path = tmp_path / "dim2.cfg"
+    path.write_text(text)
+    out = tmp_path / "verify"
+    code = main(["verify", "--config", str(path), "--out", str(out), "--override-hypotheses"])
+    assert code == 1
+    assert json.loads((out / "manifest.json").read_text())["config"]["override_hypotheses"]
+    for name, form in (("mountain_geometry", "mountain"), ("coercivity_floor", "coercive")):
+        notes = json.loads((out / f"check_{name}.json").read_text())["notes"]
+        assert notes.startswith(f"did not run: {form} hypotheses fail: ")
+        assert "dim >= 3" in notes
 
 
 def test_cmd_lambda_star_grid_exhausted(tmp_path, small_cfg):

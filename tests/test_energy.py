@@ -240,6 +240,12 @@ def test_ray_energy_matches_the_kernel_on_the_ray(set12, rng, kind):
             # relative to the terms' sum, as the signed total may cancel
             assert abs(rep.total - want.total) <= 1e-12 * sum(want.terms)
             assert np.max(np.abs(r.values - r_want.values)) <= 1e-12 * np.max(np.abs(r_want.values))
+        # at t = 1 both passes assemble the same weights on the same maps
+        rep, r = ray.at(1.0)
+        want, r_want = energy_and_gradient(u, 0.9, s, form)
+        assert np.array_equal(r.values, r_want.values)
+        for got, ref in zip(rep.terms, want.terms):
+            assert abs(got - ref) <= 1e-15 * ref
 
 
 # Reference: the energy kernel on compact cell arrays, rebuilt from the

@@ -97,13 +97,13 @@ def test_lambda_star_search_report(s8, bump8):
     vals = [eval_energy(bump8.fn, lam, s8, "coercive").total for lam in (0.5, 1.0, 2.0)]
     assert vals[0] > vals[1] > vals[2]
     # grid answer sits within one grid step above the closed form
-    assert report.lam_star >= report.lam_star_exact
-    below = LAM_GRID[LAM_GRID < report.lam_star]
-    assert below.size and below[-1] <= report.lam_star_exact
+    assert report.lambda_star >= report.lambda_star_exact
+    below = LAM_GRID[LAM_GRID < report.lambda_star]
+    assert below.size and below[-1] <= report.lambda_star_exact
     # negative energy at the reported value, analytic bound respected
-    assert eval_energy(bump8.fn, report.lam_star, s8, "coercive").total < 0.0
-    assert report.lam_star <= report.analytic_bound
-    assert report.lam_star_exact <= report.analytic_bound
+    assert eval_energy(bump8.fn, report.lambda_star, s8, "coercive").total < 0.0
+    assert report.lambda_star <= report.analytic_bound
+    assert report.lambda_star_exact <= report.analytic_bound
 
 
 def test_lambda_star_grid_exhausted(s8, bump8):
@@ -142,7 +142,7 @@ def test_minimize_refuses_a_nonzero_boundary_start(s8, bump8):
 
 def test_minimize_monotone_and_certificates(s8, bump8):
     report = lambda_star_search(s8, bump8, LAM_GRID)
-    lam = 2.0 * report.lam_star
+    lam = 2.0 * report.lambda_star
     result = minimize_energy(lam, s8, bump8.fn, SolverOptions())
     assert result.converged and result.residual <= 1e-6
     assert result.energy.total < 0.0
@@ -181,7 +181,7 @@ def test_minimize_monotone_and_certificates(s8, bump8):
 
 def test_minimize_restart_is_fixed_point(s8, bump8):
     report = lambda_star_search(s8, bump8, LAM_GRID)
-    lam = 2.0 * report.lam_star
+    lam = 2.0 * report.lambda_star
     first = minimize_energy(lam, s8, bump8.fn, SolverOptions())
     again = minimize_energy(lam, s8, first.u, SolverOptions())
     assert again.converged and again.iterations <= 2
@@ -204,7 +204,7 @@ def test_minimize_gate(s8):
 def test_iterations_do_not_grow_with_the_grid(res):
     s = default_set(res)
     bump = bump_function(s.grid, 2.0, SubBox.centered((0.5, 0.5, 0.5), 0.5))
-    lam = 2.0 * lambda_star_search(s, bump, LAM_GRID).lam_star
+    lam = 2.0 * lambda_star_search(s, bump, LAM_GRID).lambda_star
     low = minimize_energy(lam, s, bump.fn, SolverOptions())
     assert low.converged and low.iterations <= 150
     saddle = mountain_pass(1.0, s, bump.fn, SolverOptions())
@@ -232,7 +232,7 @@ def test_minimizer_accepts_most_spectral_steps(monkeypatch):
     # the lowest level so far halves it often here (75 trials for 54 steps)
     s = default_set(12)
     bump = bump_function(s.grid, 2.0, SubBox.centered((0.5, 0.5, 0.5), 0.5))
-    lam = 2.0 * lambda_star_search(s, bump, LAM_GRID).lam_star
+    lam = 2.0 * lambda_star_search(s, bump, LAM_GRID).lambda_star
     ratio = _trial_passes_per_step(
         monkeypatch, "energy_and_gradient",
         lambda: minimize_energy(lam, s, bump.fn, SolverOptions()),
