@@ -241,7 +241,3 @@ def main(argv=None) -> int:
     except DoublePhaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, (ConfigError, FieldShapeError)) else EXIT_FAIL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

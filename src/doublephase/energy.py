@@ -24,8 +24,8 @@ and :func:`grad_energy` keep one half of that pass, and
 stack (a loop over the fields is faster than one pass over the stack).  The
 pass and :meth:`RayEnergy.at` assemble the report and the residual in one
 place, from the terms and the two summed weights.  The energies are defined
-on zero-boundary fields, and every public evaluation refuses any other with
-``ValueError``.
+on zero-boundary fields; the cell pass under every evaluation refuses any
+other with ``ValueError``.
 
 Along a ray t -> t*u the energy is an exact generalized polynomial in t, one
 term per distinct exponent value of each modular term.  :class:`RayEnergy`
@@ -195,12 +195,15 @@ def _squared_gradient(maps: np.ndarray) -> np.ndarray:
     return grad2
 
 
-def _cell_pass(grid: DomainGrid, vals: np.ndarray):
-    """One pass of a node field through the transfer maps
+def _cell_pass(u: GridFunction):
+    """One pass of a zero-boundary field through the transfer maps
     (:func:`grid.transfer`, the gradient components then the average), zero
     at the pad entries, and the squared cell bases of the two kinds, two
-    fresh arrays."""
-    maps = fill_pad(grid, transfer(grid, vals), 0.0)
+    fresh arrays.  Any other field is refused with ``ValueError``."""
+    if not u.zero_on_boundary:
+        raise ValueError("energy is defined on zero-boundary grid functions")
+    grid = u.grid
+    maps = fill_pad(grid, transfer(grid, u.values), 0.0)
     with np.errstate(over="ignore"):
         x2 = {"grad": _squared_gradient(maps), "avg": maps[-1] * maps[-1]}
     # a pad base of 1 keeps the powers off their slow path for 0
@@ -292,10 +295,8 @@ def energy_and_gradient(
     dropped, so one row's powers are alive at a time, and each squared base
     goes after the last row of its kind.  The residual weights the pass's
     own maps in place and takes them back to the nodes."""
-    if not u.zero_on_boundary:
-        raise ValueError("energy is defined on zero-boundary grid functions")
     grid = u.grid
-    maps, x2 = _cell_pass(grid, u.values)
+    maps, x2 = _cell_pass(u)
     terms, weights = [], {"grad": 0, "avg": 0}
     for p, c, kind, w, sums in _row_powers(grid, x2, lam, s, form):
         terms.append(grid.cell_volume * float(np.sum(sums / p.compact)))
@@ -344,10 +345,8 @@ class RayEnergy:
     """
 
     def __init__(self, u: GridFunction, lam: float, s: ExponentSet, form: str):
-        if not u.zero_on_boundary:
-            raise ValueError("energy is defined on zero-boundary grid functions")
         self.grid, self.lam, self.form = u.grid, lam, form
-        self._maps, x2 = _cell_pass(u.grid, u.values)
+        self._maps, x2 = _cell_pass(u)
         self._rows = []
         for p, c, kind, w, sums in _row_powers(self.grid, x2, lam, s, form):
             values, inverse = p.groups

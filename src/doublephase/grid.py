@@ -1,11 +1,12 @@
 """Uniform box grids, grid functions, and the discrete calculus on them.
 
-Scalars live on nodes, integrands and gradients live on cells.  Both transfer
-maps (corner average, averaged forward-difference gradient) are tensor
-products of the per-axis two-point stencils in :attr:`DomainGrid.stencils`.
-They run on the flat node layout: each cell value sits at the flat index of
-the cell's lowest corner node, so a pass along axis a is one contiguous
-operation on entries ``DomainGrid.steps[a]`` apart (:func:`transfer`), and
+Scalars live on nodes, integrands and gradients live on cells, and every
+map takes one node field.  Both transfer maps (corner average, averaged
+forward-difference gradient) are tensor products of the per-axis two-point
+stencils in :attr:`DomainGrid.stencils`.  They run on the flat node layout:
+each cell value sits at the flat index of the cell's lowest corner node, so
+a pass along axis a is one contiguous operation on entries
+``DomainGrid.steps[a]`` apart (:func:`transfer`), and
 the node entries with index n_a - 1 on some axis (the pad entries) hold no
 cell.  Their adjoints apply the transposed passes on the same layout
 (:func:`transfer_adjoint`), so energies are differentiated exactly at the
@@ -66,9 +67,9 @@ class DomainGrid:
         object.__setattr__(self, "res", res)
         object.__setattr__(self, "extent", extent)
 
-    # h and cell_volume sit on every quadrature and kernel call; each is
-    # computed once per grid (cached in the instance dict, which neither
-    # equality nor hashing reads)
+    # h, node_count and cell_volume sit on every quadrature and kernel call;
+    # each is computed once per grid (cached in the instance dict, which
+    # neither equality nor hashing reads)
     @functools.cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(e / (r - 1) for e, r in zip(self.extent, self.res))
@@ -81,7 +82,7 @@ class DomainGrid:
     def cell_shape(self) -> tuple[int, ...]:
         return tuple(r - 1 for r in self.res)
 
-    @property
+    @functools.cached_property
     def node_count(self) -> int:
         return int(np.prod(self.res))
 
@@ -112,11 +113,11 @@ class DomainGrid:
 
     @functools.cached_property
     def boundary_faces(self) -> tuple[tuple, ...]:
-        """Index of each of the 2*dim boundary faces of the trailing node
-        axes (leading axes are batch): ``x[face] = 0`` zeroes one face by a
-        slice assignment, far cheaper than indexing by the boolean mask."""
+        """Index of each of the 2*dim boundary faces of a node field:
+        ``x[face] = 0`` zeroes one face by a slice assignment, far cheaper
+        than indexing by the boolean mask."""
         return tuple(
-            (Ellipsis,) + (slice(None),) * a + (end,) + (slice(None),) * (self.dim - 1 - a)
+            (slice(None),) * a + (end,) + (slice(None),) * (self.dim - 1 - a)
             for a in range(self.dim)
             for end in (0, -1)
         )
@@ -188,15 +189,18 @@ class GridFunction:
 
 def cells(grid: DomainGrid, flat: np.ndarray) -> np.ndarray:
     """The cell entries of an array on the flat node layout (trailing axis of
-    length ``grid.node_count``, each cell at its lowest corner node): a view
-    of shape leading axes + ``grid.cell_shape``."""
+    length ``grid.node_count``, each cell at its lowest corner node), as a
+    view with ``grid.cell_shape`` in place of that axis.  A leading axis,
+    where there is one, holds the map rows of :func:`transfer` or the
+    gradient components."""
     nodes = flat.reshape(flat.shape[:-1] + grid.node_shape)
     return nodes[(Ellipsis,) + (slice(0, -1),) * grid.dim]
 
 
 def fill_pad(grid: DomainGrid, flat: np.ndarray, value: float) -> np.ndarray:
     """Set, in place, the pad entries (node index n_a - 1 on some axis a) of
-    a contiguous array on the flat node layout, by one slice per axis."""
+    a contiguous array on the flat node layout, by one slice per axis; a
+    leading axis holds the map rows of :func:`transfer`."""
     nodes = flat.reshape(flat.shape[:-1] + grid.node_shape)
     for a in range(grid.dim):
         nodes[(Ellipsis, -1) + (slice(None),) * (grid.dim - 1 - a)] = value
@@ -204,8 +208,8 @@ def fill_pad(grid: DomainGrid, flat: np.ndarray, value: float) -> np.ndarray:
 
 
 def _to_flat(grid: DomainGrid, cell_vals: np.ndarray) -> np.ndarray:
-    """Cell values (leading axes + cell shape) on the flat node layout, zero
-    at the pad entries."""
+    """Cell values (cell shape, after a leading axis of gradient components
+    where there is one) on the flat node layout, zero at the pad entries."""
     flat = np.zeros(cell_vals.shape[: cell_vals.ndim - grid.dim] + (grid.node_count,))
     cells(grid, flat)[...] = cell_vals
     return flat
@@ -236,22 +240,20 @@ def _transfer_plan(grid: DomainGrid, rows: tuple[int, ...]) -> tuple:
 
 
 def transfer(grid: DomainGrid, vals: np.ndarray, rows=None) -> np.ndarray:
-    """The maps of the ``grid.stencils`` rows ``rows`` of a node stack
-    (leading batch axes), on the flat node layout: shape (len(rows),) +
-    batch + (node_count,).  The pad entries hold the passes' values across
-    the pad nodes (:func:`fill_pad` sets them).  The default rows are the
-    gradient components 0, 1, ..., then the corner average.
+    """The maps of the ``grid.stencils`` rows ``rows`` of a node field, on
+    the flat node layout: shape (len(rows), node_count).  The pad entries
+    hold the passes' values across the pad nodes (:func:`fill_pad` sets
+    them).  The default rows are the gradient components 0, 1, ..., then the
+    corner average.
 
-    A pass along axis a pairs the nodes step_a apart in the flattened stack,
-    one contiguous ``x[step_a:] +- x[:-step_a]``; the cells of a batch entry
-    reach the next one only from pad entries.  Rows are taken in the
+    A pass along axis a pairs the nodes step_a apart in the flattened field,
+    one contiguous ``x[step_a:] +- x[:-step_a]``.  Rows are taken in the
     lexicographic order of their passes, so the rows that begin with the same
     passes share them (9 passes instead of 12 at d = 3).  As in the per-axis
     form, a difference scales by its w_hi = 1/h in place and the average
     weights (powers of two) are applied once, after the last pass."""
     rows = tuple(range(1, grid.dim + 1)) + (0,) if rows is None else tuple(rows)
-    batch = vals.shape[: vals.ndim - grid.dim]
-    x = np.asarray(vals, dtype=float).reshape(-1)
+    x = np.asarray(vals, dtype=float).reshape(grid.node_count)
     valid = x.size - sum(grid.steps)
     out = np.empty((len(rows), x.size))
     out[:, valid:] = 0.0
@@ -267,7 +269,7 @@ def transfer(grid: DomainGrid, vals: np.ndarray, rows=None) -> np.ndarray:
                 y *= w_hi
             path.append((y, scale))
         y *= scale
-    return out.reshape((len(rows),) + batch + (grid.node_count,))
+    return out
 
 
 def transfer_adjoint(grid: DomainGrid, ys, rows=None) -> np.ndarray:
@@ -308,8 +310,8 @@ def transfer_adjoint(grid: DomainGrid, ys, rows=None) -> np.ndarray:
 
 
 def node_to_cell_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
-    """Corner average on the trailing node axes (leading axes are batch): the
-    cell view of the map's flat row, not a contiguous copy."""
+    """Corner average of a node field: the cell view of the map's flat row,
+    not a contiguous copy."""
     return cells(grid, transfer(grid, vals, rows=(0,))[0])
 
 
@@ -320,27 +322,22 @@ def node_to_cell(u: GridFunction) -> np.ndarray:
 
 def node_to_cell_adjoint(grid: DomainGrid, cell_vals: np.ndarray) -> np.ndarray:
     """Transpose of :func:`node_to_cell`: scatter cell scalars to corner nodes."""
-    batch = cell_vals.shape[: cell_vals.ndim - grid.dim]
     nodes = transfer_adjoint(grid, [_to_flat(grid, cell_vals)], rows=(0,))
-    return nodes.reshape(batch + grid.node_shape)
+    return nodes.reshape(grid.node_shape)
 
 
 def gradient_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
-    """Cell gradients on the trailing node axes; the component axis is
-    inserted right before the cell axes.  Per axis, the mean forward
-    difference over the cell's node pairs: exact for affine fields, linear
-    in the values."""
+    """Cell gradients of a node field, shape (dim,) + cell shape.  Per axis,
+    the mean forward difference over the cell's node pairs: exact for affine
+    fields, linear in the values."""
     maps = transfer(grid, vals, rows=range(1, grid.dim + 1))
-    return np.stack([cells(grid, m) for m in maps], axis=-grid.dim - 1)
+    return np.ascontiguousarray(cells(grid, maps))
 
 
 def discrete_gradient_adjoint(grid: DomainGrid, comps: np.ndarray) -> np.ndarray:
     """Transpose of :func:`gradient_values` applied to per-cell vectors."""
-    batch = comps.shape[: comps.ndim - grid.dim - 1]
-    flat = _to_flat(grid, comps)
-    comps = [flat[..., a, :] for a in range(grid.dim)]
-    nodes = transfer_adjoint(grid, comps, rows=range(1, grid.dim + 1))
-    return nodes.reshape(batch + grid.node_shape)
+    nodes = transfer_adjoint(grid, _to_flat(grid, comps), rows=range(1, grid.dim + 1))
+    return nodes.reshape(grid.node_shape)
 
 
 @functools.lru_cache(maxsize=16)
@@ -390,17 +387,16 @@ def gradient_gram_inverse(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
 
     This is the exact inverse of the p = 2 operator of the energies (the
     residual of |grad u|^2 / 2 is G^T G u), applied by a DST-I along each
-    axis; leading axes are batch.
+    axis of a node field.
     """
-    inner = (Ellipsis,) + (slice(1, -1),) * grid.dim
-    axes = range(vals.ndim - grid.dim, vals.ndim)
+    inner = (slice(1, -1),) * grid.dim
     x = vals[inner]
-    for ax in axes:
+    for ax in range(grid.dim):
         x = _dst1(x, ax)
     x = x / _gram_eigenvalues(grid)
-    for ax in axes:
+    for ax in range(grid.dim):
         x = _dst1(x, ax)
-    out = np.zeros(vals.shape)
+    out = np.zeros(grid.node_shape)
     out[inner] = x
     return out
 

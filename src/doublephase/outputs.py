@@ -139,17 +139,13 @@ def write_matrix_csv(path: Path, matrix: np.ndarray) -> Path:
 
 
 def jsonable(obj):
-    """Recursively convert dataclasses/ndarrays to plain JSON types."""
+    """Recursively convert dataclasses to plain JSON types, non-finite floats to their repr."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj

@@ -410,8 +410,10 @@ def mountain_pass(
 ) -> SolveResult:
     """Saddle search on the mountain form: descent projected onto ray peaks.
 
-    Starts at the energy peak of the ray through ``direction`` (any nonzero
-    zero-boundary field; only its ray matters).  From there the
+    Starts at the energy peak of the ray through ``direction`` (any
+    zero-boundary field; only its ray matters, and the first ray peak
+    refuses a ray without barrier, the zero direction's included, with
+    PathCollapseError).  From there the
     preconditioned descent core runs with :func:`_ray_peak` as its
     evaluation hook, so every iterate is the energy maximum along its ray (a
     point of the ray-peak set, in the manner of Li and Zhou's minimax
@@ -431,8 +433,6 @@ def mountain_pass(
     """
     opts = opts or SolverOptions()
     validate_hypotheses(s, "mountain").require(override_hypotheses)
-    if float(np.max(np.abs(direction.values))) == 0.0:
-        raise ValueError("direction must be nonzero")
     result = _descent(direction, lambda z: _ray_peak(z, lam, s), opts)
     rep, g = energy_and_gradient(result.u, lam, s, "mountain")
     res = residual_norm(g)

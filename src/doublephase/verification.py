@@ -198,10 +198,12 @@ def check_mp_geometry(
     is found by :func:`decreasing_root` on log beta - log(gamma t^a +
     delta t^b) in x = log t, the log ratio :class:`solvers._RaySlope` of
     the weights (beta, -gamma, -delta) at the powers (0, a, b).  The check
-    fails when the profile is not positive at t = 1e-6.  It needs the
-    mountain hypotheses whatever the override, for a and b must be
-    positive: on a failing set it raises HypothesisGateError, a check that
-    did not run."""
+    fails when the profile is not positive at t = 1e-6.  gamma and delta are
+    float64 powers; either one that is not a positive finite double (C1^q.hi
+    overflows at a large q) raises NonFiniteError, a check that did not run.
+    It needs the mountain hypotheses whatever the override, for a and b must
+    be positive: on a failing set it raises HypothesisGateError, a check
+    that did not run."""
     validate_hypotheses(s, "mountain").require()
     rng = np.random.default_rng(seed)
     grid = s.grid
@@ -232,8 +234,12 @@ def check_mp_geometry(
 
     # scalar barrier profile from the measured embedding ratios
     beta = 1.0 / s.pmax.hi
-    gamma = 1.0 / (s.q.lo * c1**s.q.hi)
-    delta = 1.0 / (s.q.lo * c2**s.q.lo)
+    with np.errstate(over="ignore", divide="ignore"):
+        gamma = float(1.0 / (s.q.lo * np.float64(c1) ** s.q.hi))
+        delta = float(1.0 / (s.q.lo * np.float64(c2) ** s.q.lo))
+    for name, value in (("gamma", gamma), ("delta", delta)):
+        if not 0.0 < value < math.inf:
+            raise NonFiniteError(f"the barrier constant {name} = {value!r} is not a positive finite double")
     a, b = s.q.hi - s.pmax.hi, s.q.lo - s.pmax.hi
     x, _, _ = decreasing_root(_RaySlope([0.0, a, b], [beta, -gamma, -delta]))
     with np.errstate(over="ignore"):
@@ -388,7 +394,9 @@ def _holder(u: GridFunction, v: GridFunction, p: ExponentField) -> tuple[float, 
 def _sandwich(u: GridFunction, p: ExponentField) -> tuple[float, bool]:
     """Norm-modular sandwich: the modular rho sits between lower and upper,
     norm^lo and norm^hi in the order of their size (both 1 at norm 1, where rho
-    must be 1 to ``NORM_TOL``); returns (min(rho - lower, upper - rho)/upper, passed)."""
+    must be 1 to ``NORM_TOL``); returns (min(rho - lower, upper - rho)/upper, passed).
+    The bounds are float64 powers; a rho or a bound that is not finite (a
+    large exponent) raises NonFiniteError, a check that did not run."""
     a = node_to_cell(u)
     nu, _ = luxemburg_norm_cells(u.grid, a, p)
     rho = modular_cells(u.grid, a, p)
@@ -396,7 +404,10 @@ def _sandwich(u: GridFunction, p: ExponentField) -> tuple[float, bool]:
         lower = upper = 1.0
         passed = abs(rho - 1.0) <= NORM_TOL
     else:
-        lower, upper = (nu**p.lo, nu**p.hi) if nu > 1.0 else (nu**p.hi, nu**p.lo)
+        with np.errstate(over="ignore"):
+            lower, upper = sorted(float(np.float64(nu) ** e) for e in (p.lo, p.hi))
+        if not all(map(math.isfinite, (rho, lower, upper))):
+            raise NonFiniteError(f"the modular {rho!r} or a bound ({lower!r}, {upper!r}) is not finite")
         passed = lower * (1.0 - _REL_SLACK) <= rho <= upper * (1.0 + _REL_SLACK)
     top = max(upper, 1e-300)
     return min((rho - lower) / top, (upper - rho) / top), passed

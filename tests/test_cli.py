@@ -310,6 +310,23 @@ def test_field_csv_error_counts_rows_without_a_header(tmp_path):
         read_field_csv(f, grid)
 
 
+@pytest.mark.parametrize(
+    "row, want", [(None, "empty field file"), ("0.0,0.0,1.0", "row 3 has 3 columns, want 4")],
+    ids=["empty", "short-row"],
+)
+def test_field_csv_refuses_an_empty_file_and_a_row_of_another_width(tmp_path, row, want):
+    grid = DomainGrid(3, (4, 4, 4))
+    f = write_field_csv(tmp_path / "f.csv", GridFunction.zeros(grid))
+    lines = f.read_text().splitlines()
+    if row is None:
+        lines = [" "]
+    else:
+        lines[2] = row
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldShapeError, match=f"f.csv: {want}"):
+        read_field_csv(f, grid)
+
+
 def test_field_csv_round_trip(tmp_path, rng):
     grid = DomainGrid(3, (6, 6, 6))
     vals = rng.standard_normal(grid.node_shape)

@@ -34,7 +34,10 @@ def test_unary_signs():
 
 @pytest.mark.parametrize(
     "bad",
-    ["2+", "x4", "foo(x1)", "x1/x2", "x1**2", "__import__('os')", "'s'", "lambda: 0"],
+    [
+        "2+", "x4", "foo(x1)", "x1/x2", "x1**2", "__import__('os')", "'s'", "lambda: 0",
+        "~x1", "sin(x1, x2)",
+    ],
 )
 def test_rejects_with_diagnostic(bad):
     with pytest.raises(ConfigError) as err:

@@ -56,12 +56,11 @@ def test_gridfunction_validation():
     assert not u.zero_on_boundary
 
 
-@pytest.mark.parametrize("grid, batch", [(GRID_2D, ()), (GRID_3D, ()), (GRID_3D, (2,))],
-                         ids=["2d", "3d", "3d-batch2"])
-def test_boundary_faces_zero_the_boundary_mask(grid, batch, rng):
-    vals = rng.standard_normal(batch + grid.node_shape)
+@pytest.mark.parametrize("grid", [GRID_2D, GRID_3D], ids=["2d", "3d"])
+def test_boundary_faces_zero_the_boundary_mask(grid, rng):
+    vals = rng.standard_normal(grid.node_shape)
     by_mask = vals.copy()
-    by_mask[..., grid.boundary_mask()] = 0.0
+    by_mask[grid.boundary_mask()] = 0.0
     by_faces = vals.copy()
     for face in grid.boundary_faces:
         by_faces[face] = 0.0
@@ -70,7 +69,7 @@ def test_boundary_faces_zero_the_boundary_mask(grid, batch, rng):
     # zero_on_boundary reads these faces: a field zeroed by the mask is zero
     # on the boundary, and one nonzero on any face makes it not and makes
     # the energy refuse it
-    u = GridFunction(grid, by_mask[(0,) * len(batch)])
+    u = GridFunction(grid, by_mask)
     assert u.zero_on_boundary
     s = build_exponent_set("2", "2.5", "3", grid)
     for face in grid.boundary_faces:
@@ -163,28 +162,19 @@ def test_quadrature_of_averaged_constant():
 
 
 @pytest.mark.parametrize(
-    "grid, batch",
-    [
-        (DomainGrid(3, (7, 7, 7), (1.0, 0.5, 2.0)), ()),
-        (GRID_2D, ()),
-        (GRID_3D, (2,)),
-    ],
-    ids=["3d", "2d", "3d-batch2"],
+    "grid", [DomainGrid(3, (7, 7, 7), (1.0, 0.5, 2.0)), GRID_2D], ids=["3d", "2d"]
 )
-def test_adjoint_identities(grid, batch, rng):
-    def dot(a, b):  # one inner product per batch entry
-        return np.sum((a * b).reshape(batch + (-1,)), axis=-1)
+def test_adjoint_identities(grid, rng):
+    u = rng.standard_normal(grid.node_shape)
+    cells = rng.standard_normal(grid.cell_shape)
+    lhs = np.sum(node_to_cell_values(grid, u) * cells)
+    rhs = np.sum(u * node_to_cell_adjoint(grid, cells))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-    u = rng.standard_normal(batch + grid.node_shape)
-    cells = rng.standard_normal(batch + grid.cell_shape)
-    lhs = dot(node_to_cell_values(grid, u), cells)
-    rhs = dot(u, node_to_cell_adjoint(grid, cells))
-    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(lhs)))
-
-    comps = rng.standard_normal(batch + (grid.dim,) + grid.cell_shape)
-    lhs = dot(gradient_values(grid, u), comps)
-    rhs = dot(u, discrete_gradient_adjoint(grid, comps))
-    assert np.all(np.abs(lhs - rhs) <= 1e-11 * np.maximum(1.0, np.abs(lhs)))
+    comps = rng.standard_normal((grid.dim,) + grid.cell_shape)
+    lhs = np.sum(gradient_values(grid, u) * comps)
+    rhs = np.sum(u * discrete_gradient_adjoint(grid, comps))
+    assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
 
 # Reference: the transfer maps as plain sums over the 2^dim corners of each
@@ -198,48 +188,43 @@ def _corners(dim):
         yield bits, (Ellipsis,) + tuple(slice(1, None) if b else slice(0, -1) for b in bits)
 
 
-def _component(grid, a):
-    return (Ellipsis, a) + (slice(None),) * grid.dim
-
-
 def corner_average(grid, vals):
-    out = np.zeros(vals.shape[: vals.ndim - grid.dim] + grid.cell_shape)
+    out = np.zeros(grid.cell_shape)
     for _, corner in _corners(grid.dim):
         out += 2.0 ** -grid.dim * vals[corner]
     return out
 
 
 def corner_average_adjoint(grid, cells):
-    out = np.zeros(cells.shape[: cells.ndim - grid.dim] + grid.node_shape)
+    out = np.zeros(grid.node_shape)
     for _, corner in _corners(grid.dim):
         out[corner] += 2.0 ** -grid.dim * cells
     return out
 
 
 def corner_gradient(grid, vals):
-    out = np.zeros(vals.shape[: vals.ndim - grid.dim] + (grid.dim,) + grid.cell_shape)
+    out = np.zeros((grid.dim,) + grid.cell_shape)
     for bits, corner in _corners(grid.dim):
         term = 2.0 ** (1 - grid.dim) * vals[corner]
         for a, h in enumerate(grid.h):
-            out[_component(grid, a)] += (1.0 if bits[a] else -1.0) * term / h
+            out[a] += (1.0 if bits[a] else -1.0) * term / h
     return out
 
 
 def corner_gradient_adjoint(grid, comps):
-    out = np.zeros(comps.shape[: comps.ndim - grid.dim - 1] + grid.node_shape)
+    out = np.zeros(grid.node_shape)
     for bits, corner in _corners(grid.dim):
         for a, h in enumerate(grid.h):
             sign = 1.0 if bits[a] else -1.0
-            out[corner] += sign * 2.0 ** (1 - grid.dim) * comps[_component(grid, a)] / h
+            out[corner] += sign * 2.0 ** (1 - grid.dim) * comps[a] / h
     return out
 
 
-@pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batch2"])
-@pytest.mark.parametrize("grid", [GRID_2D, GRID_3D], ids=["2d", "3d"])
-def test_transfer_maps_match_corner_sums(grid, batch, rng):
-    vals = rng.standard_normal(batch + grid.node_shape)
-    cells = rng.standard_normal(batch + grid.cell_shape)
-    comps = rng.standard_normal(batch + (grid.dim,) + grid.cell_shape)
+@pytest.mark.parametrize("grid", [GRID_2D, GRID_3D], ids=["2d-single", "3d-single"])
+def test_transfer_maps_match_corner_sums(grid, rng):
+    vals = rng.standard_normal(grid.node_shape)
+    cells = rng.standard_normal(grid.cell_shape)
+    comps = rng.standard_normal((grid.dim,) + grid.cell_shape)
     for got, ref in (
         (node_to_cell_values(grid, vals), corner_average(grid, vals)),
         (node_to_cell_adjoint(grid, cells), corner_average_adjoint(grid, cells)),
@@ -291,13 +276,12 @@ def _per_axis_adjoint(y, row):
     ids=["16", "32", "9x12x7", "2d-33x20"],
 )
 def test_transfer_maps_match_per_axis_scaling(grid, rng):
-    batch = (2,)
-    vals = rng.standard_normal(batch + grid.node_shape)
-    cells = rng.standard_normal(batch + grid.cell_shape)
-    comps = rng.standard_normal(batch + (grid.dim,) + grid.cell_shape)
+    vals = rng.standard_normal(grid.node_shape)
+    cells = rng.standard_normal(grid.cell_shape)
+    comps = rng.standard_normal((grid.dim,) + grid.cell_shape)
     avg, grads = grid.stencils[0], grid.stencils[1:]
-    ref_grad = np.stack([_per_axis(vals, row) for row in grads], axis=1)
-    ref_grad_adj = sum(_per_axis_adjoint(comps[:, a], row) for a, row in enumerate(grads))
+    ref_grad = np.stack([_per_axis(vals, row) for row in grads])
+    ref_grad_adj = sum(_per_axis_adjoint(comps[a], row) for a, row in enumerate(grads))
     for got, ref in (
         (node_to_cell_values(grid, vals), _per_axis(vals, avg)),
         (node_to_cell_adjoint(grid, cells), _per_axis_adjoint(cells, avg)),
@@ -315,12 +299,12 @@ def test_gradient_gram_inverse_is_exact(grid, rng):
     back = gradient_gram_inverse(grid, gram_v)
     assert np.max(np.abs(back - v)) <= 1e-13 * np.max(np.abs(v))
     assert np.all(back[grid.boundary_mask()] == 0.0)
-    # and the other way round on interior nodes, with batch axes leading
-    x = gradient_gram_inverse(grid, np.stack([v, 3.0 * v]))
-    again = discrete_gradient_adjoint(grid, gradient_values(grid, x))
+    # and the other way round on interior nodes
     inner = ~grid.boundary_mask()
-    assert np.max(np.abs(again[0][inner] - v[inner])) <= 1e-12 * np.max(np.abs(v))
-    assert np.max(np.abs(again[1][inner] - 3.0 * v[inner])) <= 3e-12 * np.max(np.abs(v))
+    for c in (1.0, 3.0):
+        x = gradient_gram_inverse(grid, c * v)
+        again = discrete_gradient_adjoint(grid, gradient_values(grid, x))
+        assert np.max(np.abs(again[inner] - c * v[inner])) <= c * 1e-12 * np.max(np.abs(v))
 
 
 def _dst1_by_fft(x, axis):
@@ -354,7 +338,8 @@ def _dst1_by_moveaxis(x, axis):
     ids=["16", "32", "48", "9x12x7", "2d-33x20"],
 )
 def test_dst1_is_the_moveaxis_product(shape, batch, rng):
-    # interior-node blocks of the grids, as gradient_gram_inverse passes them
+    # interior-node blocks of the grids, as gradient_gram_inverse passes
+    # them, and (batch2) the same behind a leading axis
     x = rng.standard_normal(batch + shape)
     for axis in range(len(batch), x.ndim):
         assert np.array_equal(_dst1(x, axis), _dst1_by_moveaxis(x, axis))

@@ -19,6 +19,7 @@ from doublephase.grid import (
     DomainGrid,
     GridFunction,
     fill_pad,
+    gradient_gram_inverse,
     pairing,
     transfer,
     transfer_adjoint,
@@ -274,11 +275,11 @@ def test_saddle_search_converges_at_a_tight_tolerance():
 
 
 def _gradient_gram(grid, vals):
-    """G^T G of a node stack (leading batch axes), G the cell gradient, from
-    the gradient rows of the transfer maps and their adjoint."""
+    """G^T G of a node field, G the cell gradient, from the gradient rows of
+    the transfer maps and their adjoint."""
     rows = range(1, grid.dim + 1)
     maps = fill_pad(grid, transfer(grid, vals, rows=rows), 0.0)
-    return transfer_adjoint(grid, maps, rows=rows).reshape(vals.shape)
+    return transfer_adjoint(grid, maps, rows=rows).reshape(grid.node_shape)
 
 
 def test_descent_minimizes_a_quadratic(rng):
@@ -301,7 +302,8 @@ def test_descent_minimizes_a_quadratic(rng):
     # the dense interior solve: A from the unit vectors of the interior nodes
     units = np.zeros((interior.sum(),) + grid.node_shape)
     units[(np.arange(len(units)), *np.nonzero(interior))] = 1.0
-    dense = _gradient_gram(grid, units)[:, interior] + np.eye(len(units))
+    dense = np.stack([_gradient_gram(grid, unit)[interior] for unit in units])
+    dense += np.eye(len(units))
     exact = np.linalg.solve(dense, b[interior])
     assert np.max(np.abs(result.u.values[interior] - exact)) <= 1e-8 * np.max(np.abs(exact))
 
@@ -329,6 +331,59 @@ def test_descent_rejects_a_trial_that_is_not_finite(rng):
     assert all(math.isfinite(e) and math.isfinite(r) for e, r in result.history)
     with pytest.raises(NonFiniteError, match="the descent cannot start: energy level nan"):
         _descent(GridFunction.zeros(grid), lambda z: (z, level(math.nan), z), SolverOptions())
+
+
+def test_descent_shrinks_a_step_whose_trial_collapses(rng):
+    # the hook refuses, as a collapsed ray, every field beyond 1.5 times the
+    # size of the minimizer of 2 vol u'Pu - vol b'u (P = G^T G): the first
+    # two trials, 4 and 2 times the minimizer, are refused, the step shrinks
+    # and the run converges
+    grid = DomainGrid(3, (8, 8, 8))
+    vol = grid.cell_volume
+    interior = ~grid.boundary_mask()
+    b = np.where(interior, rng.standard_normal(grid.node_shape), 0.0)
+    exact = 0.25 * gradient_gram_inverse(grid, b)
+    cap = 1.5 * np.max(np.abs(exact))
+    refused = []
+
+    def evaluate(z):
+        if np.max(np.abs(z.values)) > cap:
+            refused.append(z)
+            raise PathCollapseError("beyond the cap")
+        au = np.where(interior, 4.0 * _gradient_gram(grid, z.values), 0.0)
+        quad, lin = 0.5 * vol * float(np.sum(z.values * au)), vol * float(np.sum(b * z.values))
+        return z, level(quad, -lin), GridFunction(grid, au - b)
+
+    result = _descent(GridFunction.zeros(grid), evaluate, SolverOptions(tol=1e-10))
+    assert result.converged and len(refused) == 2
+    assert np.max(np.abs(result.u.values - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_descent_stagnates_when_no_trial_lowers_the_level(rng):
+    # every trial lies far above the start's level, beyond its roundoff, so
+    # the step shrinks until it falls 18 decades below its first trial (60
+    # halvings of 1) and the run ends stagnated at the start
+    grid = DomainGrid(3, (8, 8, 8))
+    g = random_field(grid, rng)
+    calls = []
+
+    def evaluate(z):
+        calls.append(z)
+        return z, level(0.0 if len(calls) == 1 else 1.0), g
+
+    result = _descent(GridFunction.zeros(grid), evaluate, SolverOptions())
+    assert result.termination == "stagnated" and result.iterations == 0
+    assert len(calls) == 1 + 60 and np.all(result.u.values == 0.0)
+
+
+def test_ray_slope_is_infinite_where_a_part_underflows():
+    # log(P/N) of 1 - t: P = exp(-x) underflows to 0 far above the root,
+    # N = exp(x) far below it
+    slope = solvers._RaySlope([0.0, 1.0], [1.0, -1.0])
+    assert slope(0.0) == (0.0, -1.0)
+    for x, value in ((800.0, -math.inf), (-800.0, math.inf)):
+        got, d_got = slope(x)
+        assert got == value and math.isnan(d_got)
 
 
 def test_mountain_pass_refuses_a_start_whose_level_overflows():
@@ -383,7 +438,8 @@ def test_mountain_pass_depends_only_on_the_ray(s8, bump8, mp8):
 
 
 def test_mountain_pass_rejects_zero_direction(s8):
-    with pytest.raises(ValueError):
+    # refused by its first ray peak, like any ray without a barrier
+    with pytest.raises(PathCollapseError, match="no barrier"):
         mountain_pass(1.0, s8, GridFunction.zeros(s8.grid))
 
 

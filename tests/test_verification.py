@@ -479,6 +479,26 @@ def test_ray_energy_that_overflows_does_not_run(s8):
         check_ray_boundedness(1e300, s8, n_rays=1)
 
 
+@pytest.mark.parametrize(
+    "specs, refused, why",
+    [
+        (("2.99", "2.99", "800"), "mountain_geometry", "the barrier constant gamma = 0.0"),
+        (("2", "300", "400"), "norm_modular_sandwich", "the modular inf"),
+    ],
+    ids=["q800", "p2-300"],
+)
+def test_a_power_that_overflows_does_not_end_the_battery(specs, refused, why):
+    # C1^q.hi of the barrier profile at q = 800, and the sandwich's bounds
+    # nu^p2 at p2 = 300, are not doubles; each is a check that did not run,
+    # and the battery still returns all ten reports
+    s = build_exponent_set(*specs, DomainGrid(3, (8, 8, 8)))
+    reports = run_all_checks(s, lam=1.0, seed=0)
+    assert len(reports) == 10
+    report = next(r for r in reports if r.name == refused)
+    assert report.notes.startswith(f"did not run: {why}")
+    assert not report.passed and report.samples == 0
+
+
 def test_reports_serialize(s8):
     rep = check_pointwise_inequalities(100, seed=0)
     d = jsonable(rep)
