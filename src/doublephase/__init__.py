@@ -22,7 +22,6 @@ from .solvers import (
     SubBox,
     bump_function,
     dedupe_with_negatives,
-    find_endpoint,
     lambda_star_search,
     minimize_energy,
     mountain_pass,
@@ -47,7 +46,6 @@ __all__ = [
     "SubBox",
     "bump_function",
     "dedupe_with_negatives",
-    "find_endpoint",
     "lambda_star_search",
     "minimize_energy",
     "mountain_pass",

@@ -20,19 +20,20 @@ at 32^3 nodes a pass peaks near 9 node arrays above entry.  The residual
 differentiates the discrete energy through the same maps, so minimizers of
 the discrete energy are exact discrete weak solutions.  :func:`eval_energy`
 and :func:`grad_energy` keep one half of that pass, and
-:func:`eval_energy_many` takes one :func:`eval_energy` per field of its
-stack (a loop over the fields is faster than one pass over the stack).  The
-pass and :meth:`RayEnergy.at` assemble the report and the residual in one
-place, from the terms and the two summed weights.  The energies are defined
-on zero-boundary fields; the cell pass under every evaluation refuses any
-other with ``ValueError``.
+:func:`eval_energy_many`, which no stage calls, takes one :func:`eval_energy`
+per field of its stack (a loop over the fields is faster than one pass over
+the stack).  The pass and :meth:`RayEnergy.at` assemble the report and the
+residual in one place, from the terms and the two summed weights.  The
+energies are defined on zero-boundary fields; the cell pass under every
+evaluation refuses any other with ``ValueError``.
 
 Along a ray t -> t*u the energy is an exact generalized polynomial in t, one
 term per distinct exponent value of each modular term.  :class:`RayEnergy`
 builds it from one pass over the cells of u and keeps that pass, so the
 energy and the gradient anywhere on the ray need no second pass: the ray
-peaks, the endpoint scan and the checks of the verify battery (which also
-read the gradient magnitude and the bulk modulars from it) all read one.
+peaks and the checks of the verify battery (which also read the gradient
+magnitude and the bulk modulars from it) read one, as does the endpoint
+scan, which no stage runs.
 """
 from __future__ import annotations
 
@@ -58,7 +59,6 @@ __all__ = [
     "EnergyReport",
     "coefficients",
     "eval_energy",
-    "eval_energy_many",
     "grad_energy",
     "energy_and_gradient",
     "residual_norm",
@@ -277,7 +277,10 @@ def eval_energy_many(
     grid: DomainGrid, stack: np.ndarray, lam: float, s: ExponentSet, form: str
 ) -> np.ndarray:
     """Energy totals for a stack of zero-boundary fields (leading batch axes),
-    one :func:`eval_energy` per field."""
+    one :func:`eval_energy` per field.
+
+    No stage calls it; the benchmark tracer (``perfbench/tracing.py``) wraps
+    it by name until ROADMAP item 20 retires the tracer."""
     stack = np.asarray(stack, dtype=float)
     fields = stack.reshape((-1,) + grid.node_shape)
     totals = [eval_energy(GridFunction(grid, vals), lam, s, form).total for vals in fields]

@@ -34,9 +34,7 @@ __all__ = [
     "fill_pad",
     "node_to_cell",
     "node_to_cell_values",
-    "node_to_cell_adjoint",
     "gradient_values",
-    "discrete_gradient_adjoint",
     "gradient_gram_inverse",
     "cell_quadrature",
     "pairing",
@@ -207,14 +205,6 @@ def fill_pad(grid: DomainGrid, flat: np.ndarray, value: float) -> np.ndarray:
     return flat
 
 
-def _to_flat(grid: DomainGrid, cell_vals: np.ndarray) -> np.ndarray:
-    """Cell values (cell shape, after a leading axis of gradient components
-    where there is one) on the flat node layout, zero at the pad entries."""
-    flat = np.zeros(cell_vals.shape[: cell_vals.ndim - grid.dim] + (grid.node_count,))
-    cells(grid, flat)[...] = cell_vals
-    return flat
-
-
 @functools.lru_cache(maxsize=16)
 def _transfer_plan(grid: DomainGrid, rows: tuple[int, ...]) -> tuple:
     """The passes of :func:`transfer`, worked out once per grid and rows
@@ -272,27 +262,27 @@ def transfer(grid: DomainGrid, vals: np.ndarray, rows=None) -> np.ndarray:
     return out
 
 
-def transfer_adjoint(grid: DomainGrid, ys, rows=None) -> np.ndarray:
-    """Transpose of :func:`transfer`: the sum over k of the transposed map of
-    row ``rows[k]`` applied to ``ys[k]``, in that order, as node values on
-    the flat node layout.  Each ``ys[k]`` holds cell values on the flat node
-    layout, zero at the pad entries; ``ys`` may be a generator, so that each
-    is made only when its row is taken and dropped before the next one is
-    made.  The ``ys[k]`` serve as scratch space and are overwritten.
+def transfer_adjoint(grid: DomainGrid, ys) -> np.ndarray:
+    """Transpose of :func:`transfer` with its default rows: the sum over k of
+    the transposed map of the k-th of those rows (the gradient components,
+    then the corner average) applied to ``ys[k]``, in that order, as node
+    values on the flat node layout.  Each ``ys[k]`` holds cell values on the
+    flat node layout, zero at the pad entries; ``ys`` may be a generator, so
+    that each is made only when its row is taken and dropped before the next
+    one is made.  The ``ys[k]`` serve as scratch space and are overwritten.
 
     Per axis, each edge value goes back to its two nodes in one contiguous
     pass ``x[f] = y[f - step] +- y[f]``: the zero pad entries supply the end
     terms, and the first ``step`` entries take +-y[f] directly."""
-    rows = tuple(range(1, grid.dim + 1)) + (0,) if rows is None else tuple(rows)
     out, ys = None, iter(ys)
-    for k, r in enumerate(rows):
+    for k, row in enumerate(grid.stencils[1:] + grid.stencils[:1]):
         y = next(ys)
         shape, y = y.shape, y.reshape(-1)
         if out is None:
             out, buf = np.empty(y.size), np.empty(y.size)
         bufs = (buf, y)
         scale = 1.0
-        for a, (step, (w_lo, w_hi)) in enumerate(zip(grid.steps, grid.stencils[r])):
+        for a, (step, (w_lo, w_hi)) in enumerate(zip(grid.steps, row)):
             x = out if k == 0 and a == grid.dim - 1 else bufs[a % 2]
             op = np.add if w_lo == w_hi else np.subtract
             op(y[:-step], y[step:], out=x[step:])
@@ -321,9 +311,14 @@ def node_to_cell(u: GridFunction) -> np.ndarray:
 
 
 def node_to_cell_adjoint(grid: DomainGrid, cell_vals: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`node_to_cell`: scatter cell scalars to corner nodes."""
-    nodes = transfer_adjoint(grid, [_to_flat(grid, cell_vals)], rows=(0,))
-    return nodes.reshape(grid.node_shape)
+    """Transpose of :func:`node_to_cell`: scatter cell scalars to corner
+    nodes, through :func:`transfer_adjoint` with zero gradient rows.
+
+    No stage calls it; the benchmark tracer (``perfbench/tracing.py``) wraps
+    it by name until ROADMAP item 20 retires the tracer."""
+    maps = np.zeros((grid.dim + 1, grid.node_count))
+    cells(grid, maps)[-1] = cell_vals
+    return transfer_adjoint(grid, maps).reshape(grid.node_shape)
 
 
 def gradient_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
@@ -335,9 +330,14 @@ def gradient_values(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
 
 
 def discrete_gradient_adjoint(grid: DomainGrid, comps: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`gradient_values` applied to per-cell vectors."""
-    nodes = transfer_adjoint(grid, _to_flat(grid, comps), rows=range(1, grid.dim + 1))
-    return nodes.reshape(grid.node_shape)
+    """Transpose of :func:`gradient_values` applied to per-cell vectors,
+    through :func:`transfer_adjoint` with a zero average row.
+
+    No stage calls it; the benchmark tracer (``perfbench/tracing.py``) wraps
+    it by name until ROADMAP item 20 retires the tracer."""
+    maps = np.zeros((grid.dim + 1, grid.node_count))
+    cells(grid, maps)[:-1] = comps
+    return transfer_adjoint(grid, maps).reshape(grid.node_shape)
 
 
 @functools.lru_cache(maxsize=16)

@@ -24,7 +24,6 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
     "write_history_csv",
-    "write_path_profile_csv",
     "write_matrix_csv",
     "write_json",
     "sha256_of",
@@ -128,7 +127,10 @@ def write_history_csv(path: Path, history) -> Path:
 
 
 def write_path_profile_csv(path: Path, snapshots) -> Path:
-    """Long-format path energies: one row per (snapshot iteration, path index)."""
+    """Long-format path energies: one row per (snapshot iteration, path index).
+
+    No stage calls it; the benchmark tracer (``perfbench/tracing.py``) wraps
+    it by name until ROADMAP item 20 retires the tracer."""
     rows = (f"{it},{k},{_fmt(e)}" for it, energies in snapshots for k, e in enumerate(energies))
     return _write_table(path, "iteration,k,energy", rows)
 

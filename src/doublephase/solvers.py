@@ -15,13 +15,13 @@ the peak of the seed's ray).  A saddle trial takes one pass over the cells
 (:class:`RayEnergy`): the ray's polynomial gives the peak, where the
 rising and falling parts of its slope balance (:func:`decreasing_root` on
 their log ratio), and the kept pass the energy and gradient there;
-:func:`find_endpoint` scans doublings on :attr:`RayEnergy.poly`.  A step
-is accepted by one test: the nonmonotone Armijo test of Grippo, Lampariello
-and Lucidi against the highest of the last ``LOOKBACK`` accepted levels, as in
-Raydan's globalized Barzilai-Borwein method, relaxed by the report's
-``roundoff``, so most spectral steps are taken as they come, and once
-decreases are no longer resolvable any step without a resolvable rise above
-that level is taken.
+:func:`find_endpoint`, which no stage runs, scans doublings on
+:attr:`RayEnergy.poly`.  A step is accepted by one test: the nonmonotone
+Armijo test of Grippo, Lampariello and Lucidi against the highest of the
+last ``LOOKBACK`` accepted levels, as in Raydan's globalized
+Barzilai-Borwein method, relaxed by the report's ``roundoff``, so most
+spectral steps are taken as they come, and once decreases are no longer
+resolvable any step without a resolvable rise above that level is taken.
 """
 from __future__ import annotations
 
@@ -54,7 +54,6 @@ __all__ = [
     "bump_function",
     "minimize_energy",
     "lambda_star_search",
-    "find_endpoint",
     "mountain_pass",
     "dedupe_with_negatives",
 ]
@@ -313,7 +312,10 @@ def find_endpoint(
     lam: float, s: ExponentSet, u0: GridFunction, max_doublings: int = 60
 ) -> tuple[GridFunction, float]:
     """Scale ``u0`` by doubling until the mountain-form energy goes negative;
-    the doublings t = 1, 2, 4, ... are scanned on the ray polynomial of ``u0``."""
+    the doublings t = 1, 2, 4, ... are scanned on the ray polynomial of ``u0``.
+
+    No stage calls it; the benchmark tracer (``perfbench/tracing.py``) wraps
+    it by name until ROADMAP item 20 retires the tracer."""
     if float(np.max(np.abs(u0.values))) == 0.0:
         raise ValueError("direction must be nonzero")
     ts = 2.0 ** np.arange(max_doublings + 1)

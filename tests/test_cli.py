@@ -193,6 +193,23 @@ def test_cli_exit_2_on_malformed_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (None, "config file not found: .*c.cfg"),
+        ("dim = 3\n", "c.cfg: File contains no section headers"),
+        ("[problem]\nlambda_grid = 1e-2 1e4\n", r"c.cfg:2: bad value .*\(lambda_grid wants: lo hi count\)"),
+    ],
+    ids=["missing-file", "no-section-header", "two-number-lambda-grid"],
+)
+def test_load_config_refuses_a_file_it_cannot_use(tmp_path, text, match):
+    path = tmp_path / "c.cfg"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        load_config(path)
+
+
 def test_cli_refuses_a_config_it_cannot_read(tmp_path, capsys):
     # ConfigParser.read skips a path it cannot open, which used to run the
     # built-in experiment
@@ -435,6 +452,19 @@ def test_cmd_solve_min_auto_lambda(tmp_path, small_cfg):
     manifest = json.loads((out / "manifest.json").read_text())
     for name, digest in manifest["outputs"].items():
         assert sha256_of(out / name) == digest
+
+
+def test_cmd_solve_min_config_lambda(tmp_path, small_cfg):
+    # a lambda above the small config's lambda_star (about 96) set in the file
+    path = tmp_path / "lam.cfg"
+    path.write_text(small_cfg.read_text() + "\n[problem]\nlambda = 200\n")
+    out = tmp_path / "min"
+    assert main(["solve-min", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "solve_min.json").read_text())
+    assert (summary["lambda"], summary["lambda_source"]) == (200.0, "config")
+    assert summary["termination"] == "converged" and summary["energy"]["total"] < 0.0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["lambda"], manifest["lambda_source"]) == (200.0, "config")
 
 
 def test_help_lists_the_commands_in_order(capsys, monkeypatch):

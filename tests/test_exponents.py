@@ -6,7 +6,9 @@ import pytest
 from doublephase.energy import eval_energy
 from doublephase.errors import ExponentRangeError
 from doublephase.exponents import (
+    ConditionRow,
     ExponentField,
+    ExponentSet,
     _dense_axes,
     _dense_ranges,
     build_exponent_set,
@@ -112,12 +114,18 @@ def test_dense_ranges_hold_no_lattice_array():
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [lambda x1, x2, x3: np.full(7, 2.5), lambda x1, x2, x3: np.stack([x1 + 2.0, x2 + 2.0])],
+    "spec, match",
+    [
+        (lambda x1, x2, x3: np.full(7, 2.5), None),
+        (
+            lambda x1, x2, x3: np.full((2, 1, 1, 1), 2.5),
+            r"exponent p1 of shape \(2, 1, 1, 1\) does not fit the lattice \(15, 65, 65\)",
+        ),
+    ],
     ids=["wrong-length", "extra-axis"],
 )
-def test_rejects_a_callable_that_does_not_fit_the_lattice(spec):
-    with pytest.raises(ValueError):
+def test_rejects_a_callable_that_does_not_fit_the_lattice(spec, match):
+    with pytest.raises(ValueError, match=match):
         build_exponent_set(spec, "3", "4", DomainGrid(3, (8, 8, 8)))
 
 
@@ -195,6 +203,36 @@ def test_rejects_a_non_finite_spec_by_key(key, specs):
     with pytest.raises(ExponentRangeError, match=f"exponent {key} must be finite") as info:
         build_exponent_set(*specs, DomainGrid(3, (8, 8, 8)))
     assert info.value.key == key
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (lambda s: ExponentField(s.grid, np.nan, 2.0, 3.0), ExponentRangeError,
+         "exponent field must be finite"),
+        (lambda s: ExponentField(s.grid, 2.5, 2.0, np.inf), ExponentRangeError,
+         "exponent summaries must be finite"),
+        (lambda s: ExponentField(s.grid, 2.5, 1.0, 3.0), ExponentRangeError,
+         "exponent infimum must exceed 1, got 1.0"),
+        (lambda s: ExponentField(s.grid, 2.5, 3.0, 2.0), ExponentRangeError, "lo 3.0 > hi 2.0"),
+        (lambda s: ExponentField(s.grid, 2.5, 2.6, 3.0), ExponentRangeError,
+         "cached summaries do not bracket the samples"),
+        (lambda s: ExponentSet(s.p1, s.p2, s.p1, s.q), ValueError,
+         "pmax is not the pointwise max of p1 and p2"),
+        (lambda s: validate_hypotheses(s, "saddle"), ValueError,
+         "form must be 'mountain' or 'coercive', got 'saddle'"),
+        (lambda s: ConditionRow("p1.lo <= 2", 2.0, "<=", 2.0), ValueError,
+         "unsupported comparison '<='"),
+    ],
+    ids=[
+        "field-not-finite", "summary-not-finite", "infimum-1", "lo-above-hi", "unbracketed",
+        "pmax-not-max", "unknown-form", "condition-op",
+    ],
+)
+def test_refuses_an_inconsistent_exponent_object(make, error, match):
+    s = build_exponent_set("2", "3", "4", DomainGrid(3, (8, 8, 8)))
+    with pytest.raises(error, match=match):
+        make(s)
 
 
 def test_hypotheses_default_pass_both():

@@ -10,6 +10,8 @@ def test_constant_and_coordinates():
     assert f(0.5, 0.5, 0.5) == 2
     f = parse_field_expression("x1 + 2*x3", 3)
     assert f(1.0, 9.0, 0.25) == 1.5
+    with pytest.raises(ValueError, match="expected 3 coordinate arrays, got 2"):
+        f(1.0, 9.0)
 
 
 def test_functions_and_pi():

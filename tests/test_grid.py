@@ -40,6 +40,12 @@ def test_grid_invariants():
         DomainGrid(4, (8, 8, 8, 8))
 
 
+@pytest.mark.parametrize("extent", [0.0, np.inf], ids=["zero", "inf"])
+def test_grid_refuses_an_extent_that_is_not_finite_and_positive(extent):
+    with pytest.raises(ValueError, match="extent must be finite and positive"):
+        DomainGrid(3, (8, 8, 8), extent)
+
+
 def test_gridfunction_validation():
     g = DomainGrid(2, (6, 6))
     with pytest.raises(ValueError):
@@ -117,6 +123,8 @@ def test_quadrature_constants():
     for c in (-3.5, 0.0, 7.25):
         got = cell_quadrature(g, np.full(g.cell_shape, c))
         assert abs(got - c) <= 1e-13 * max(1.0, abs(c))
+    with pytest.raises(ValueError, match=r"cell data shape \(10, 10\) != \(9, 9\)"):
+        cell_quadrature(g, np.ones(g.node_shape))
 
 
 def test_quadrature_linear_integrand_exact():

@@ -15,4 +15,4 @@ def test_script_imports(path):
 
 
 def test_scripts_are_found():
-    assert {p.name for p in SCRIPTS} >= {"resolution_study.py", "run_experiments.py"}
+    assert {p.name for p in SCRIPTS} >= {"resolution_study.py"}

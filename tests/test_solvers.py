@@ -25,6 +25,7 @@ from doublephase.grid import (
     transfer_adjoint,
 )
 from doublephase.solvers import (
+    PlateauBump,
     SolverOptions,
     _descent,
     _ray_peak,
@@ -110,6 +111,23 @@ def test_lambda_star_search_report(s8, bump8):
 def test_lambda_star_grid_exhausted(s8, bump8):
     with pytest.raises(LambdaGridError):
         lambda_star_search(s8, bump8, np.array([1e-3, 2e-3]))
+
+
+@pytest.mark.parametrize(
+    "lam_grid, zero_bump, error, match",
+    [
+        ([], False, ValueError, "lambda grid must be positive"),
+        ([0.0, 1.0], False, ValueError, "lambda grid must be positive"),
+        (LAM_GRID, True, ValueError, "bump has vanishing bulk term"),
+        # the one grid value that makes the energy negative lies past the bound
+        ([1e-2, 1e6], False, LambdaGridError, "overshoots the analytic bound"),
+    ],
+    ids=["empty", "non-positive", "zero-bump", "overshoot"],
+)
+def test_lambda_star_search_refuses(s8, bump8, lam_grid, zero_bump, error, match):
+    bump = PlateauBump(GridFunction.zeros(s8.grid), bump8.t0, bump8.box) if zero_bump else bump8
+    with pytest.raises(error, match=match):
+        lambda_star_search(s8, bump, lam_grid)
 
 
 def test_find_endpoint(s8, bump8):
@@ -267,6 +285,24 @@ def test_saddle_search_leaves_the_symmetric_saddle():
     assert low.energy.total < sym.energy.total
 
 
+def test_saddle_search_reports_a_stop_the_closing_pass_does_not_certify(s8, bump8, monkeypatch):
+    # the descent stops on the on-ray residual; the closing kernel pass, the
+    # one call of solvers.energy_and_gradient on this path, here reads a
+    # residual 1e9 times larger, so the run the descent counted converged
+    # ends stagnated with the closing pass's residual
+    closing = solvers.energy_and_gradient
+
+    def inflated(*args):
+        rep, g = closing(*args)
+        return rep, g * 1e9
+
+    monkeypatch.setattr(solvers, "energy_and_gradient", inflated)
+    opts = SolverOptions()
+    result = mountain_pass(1.0, s8, bump8.fn, opts)
+    assert result.termination == "stagnated"
+    assert result.residual > 1e6 * opts.tol
+
+
 def test_saddle_search_converges_at_a_tight_tolerance():
     s = default_set(24)
     bump = bump_function(s.grid, 2.0, SubBox.centered((0.5, 0.5, 0.5), 0.5))
@@ -276,10 +312,10 @@ def test_saddle_search_converges_at_a_tight_tolerance():
 
 def _gradient_gram(grid, vals):
     """G^T G of a node field, G the cell gradient, from the gradient rows of
-    the transfer maps and their adjoint."""
-    rows = range(1, grid.dim + 1)
-    maps = fill_pad(grid, transfer(grid, vals, rows=rows), 0.0)
-    return transfer_adjoint(grid, maps, rows=rows).reshape(grid.node_shape)
+    the transfer maps and their adjoint (the average row zeroed)."""
+    maps = fill_pad(grid, transfer(grid, vals), 0.0)
+    maps[-1] = 0.0
+    return transfer_adjoint(grid, maps).reshape(grid.node_shape)
 
 
 def test_descent_minimizes_a_quadratic(rng):
